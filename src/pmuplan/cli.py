@@ -639,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.sigma_v <= 0 or args.sigma_i <= 0:
-        raise ValueError("standard deviations must be positive")
+    if not (0 < args.sigma_v < math.inf and 0 < args.sigma_i < math.inf):
+        raise ValueError("standard deviations must be finite and positive")
     if args.tol < 0:
         raise ValueError("tolerance must be nonnegative")
     if args.enum_cap < 1:

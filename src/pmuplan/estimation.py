@@ -7,18 +7,33 @@ solution maps measurements to fitted values through the projection matrix
     K = H (H' R^-1 H)^-1 H' R^-1
 
 and the residual sensitivity matrix ``S = I - K`` maps measurement errors to
-residuals. The diagonal of S is the quantity every planner in this package
-optimizes: its average falls as placements grow richer.
+residuals. The average of diag(S) is the quantity every planner in this
+package minimizes.
 
 Two state scopes are supported. ``full-state`` carries a (Vr, Vx) pair for
-every bus. ``pmu-state`` keeps pairs only for PMU-hosting buses; the voltage
-rows then form an identity block, so rank(H) = 2|Q| and the diagonal average
-reduces to ``1 - 2|Q|/m`` exactly, which is the convention under which the
-bundled reference values were produced.
+every bus. ``pmu-state`` keeps pairs only for PMU-hosting buses.
+
+For any diagonal R, either branch model and either scope, trace(K) =
+rank(H), so the average of diag(S) is ``1 - rank(H)/m``: a structural count
+that neither the noise levels nor the branch parameters move. In pmu-state
+scope the voltage rows form an identity block, so rank(H) = 2|Q| and the
+score is ``br(Q) / (|Q| + br(Q))`` with ``br(Q)`` the metered branches
+(metered branch ends under per-end dedupe). In full-state
+scope rank(H) = 2N exactly when every bus hosts a PMU or neighbors one, and
+the score is ``1 - 2N/m``. :func:`placement_metric` therefore scores by
+counting; the Jacobian and SVD pipeline below serves the per-channel
+``metrics`` report and the tests that pin the count against it.
+
+The score is not monotone in the placement. In pmu-state scope, adding bus
+s lowers it only when the branches it newly meters, d(s|Q), number fewer
+than br(Q)/|Q|; in full-state scope every added bus raises it, since m
+grows with each new voltage phasor and newly metered branch while 2N stays
+fixed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,7 +44,9 @@ from .measurements import (
     ChannelKind,
     MeasurementSet,
     PmuPlacement,
+    channel_count,
     enumerate_channels,
+    observability_check,
 )
 from .network import NetworkCase, metered_admittances
 
@@ -90,6 +107,11 @@ class Jacobian:
         return self.matrix.shape[1]
 
 
+def _check_sigmas(sigma_v: float, sigma_i: float) -> None:
+    if not (0.0 < sigma_v < math.inf and 0.0 < sigma_i < math.inf):
+        raise ValueError("standard deviations must be finite and strictly positive")
+
+
 @dataclass(frozen=True)
 class CovarianceModel:
     """Diagonal measurement covariance (per-channel variances)."""
@@ -109,8 +131,7 @@ class CovarianceModel:
         cls, mset: MeasurementSet, sigma_v: float = 1.0, sigma_i: float = 1.0
     ) -> "CovarianceModel":
         """Per-kind standard deviations expanded to a per-channel diagonal."""
-        if sigma_v <= 0.0 or sigma_i <= 0.0:
-            raise ValueError("standard deviations must be strictly positive")
+        _check_sigmas(sigma_v, sigma_i)
         out = []
         for ch in mset.channels:
             sigma = sigma_v if ch.kind in (ChannelKind.VR, ChannelKind.VX) else sigma_i
@@ -266,6 +287,19 @@ def sensitivity_matrix(H: Jacobian, R: CovarianceModel | None = None) -> np.ndar
     return np.eye(K.shape[0]) - K
 
 
+def _summarize(d: np.ndarray, n: int, rank: int) -> SensitivityReport:
+    return SensitivityReport(
+        diag_s=tuple(float(v) for v in d),
+        min=float(d.min()),
+        max=float(d.max()),
+        sum=float(d.sum()),
+        average=float(d.mean()),
+        m=d.size,
+        n=n,
+        rank=rank,
+    )
+
+
 def diag_metrics(S: np.ndarray, n: int | None = None, rank: int | None = None) -> SensitivityReport:
     """Scalar summaries (min, max, sum, average) of diag(S).
 
@@ -277,21 +311,11 @@ def diag_metrics(S: np.ndarray, n: int | None = None, rank: int | None = None) -
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be square")
     d = np.diag(S)
-    m = d.size
     if rank is None:
-        rank = int(round(m - d.sum()))
+        rank = int(round(d.size - d.sum()))
     if n is None:
         n = rank
-    return SensitivityReport(
-        diag_s=tuple(float(v) for v in d),
-        min=float(d.min()),
-        max=float(d.max()),
-        sum=float(d.sum()),
-        average=float(d.mean()),
-        m=m,
-        n=n,
-        rank=rank,
-    )
+    return _summarize(d, n, rank)
 
 
 def placement_metric(
@@ -305,20 +329,40 @@ def placement_metric(
 ) -> float:
     """Average of diag(S) for the placement's induced channels; lower is better.
 
-    Composes channel enumeration, Jacobian assembly and the sensitivity
-    pipeline. Only the diagonal is formed.
+    The average is the structural count ``(m - n) / m`` (see the module
+    docstring): ``m`` is the channel count, ``n`` the state dimension, 2|Q|
+    in pmu-state scope and 2N in full-state scope. It is computed as one
+    exact integer division, so the result is the correctly rounded
+    rational; no channel list, Jacobian or SVD is built. ``sigma_v``,
+    ``sigma_i`` and ``flat_branch_model`` are validated but cannot move the
+    value.
+
+    Raises
+    ------
+    KeyError
+        A placement bus is not in the case.
+    ChannelLimitError
+        A placement bus has more incident branches than the channel limit.
+    ValueError
+        Unknown dedupe policy, empty placement, or a sigma that is not
+        finite and positive.
+    UnobservableStateError
+        Full-state scope and some bus neither hosts a PMU nor neighbors
+        one. The null dimension is ``n - m`` when there are fewer channels
+        than states, else twice the number of unobserved buses.
     """
-    mset = enumerate_channels(case, placement, dedupe=dedupe)
-    H = build_jacobian(case, mset, scope=scope, flat_branch_model=flat_branch_model)
-    if H.m < H.n:
-        raise UnobservableStateError(H.n - H.m)
-    R = CovarianceModel.for_channels(mset, sigma_v=sigma_v, sigma_i=sigma_i)
-    U, _, _, _, rank = _whitened_svd(H, R)
-    if rank < H.n:
-        raise UnobservableStateError(H.n - rank)
-    # diag(K) is invariant to the diagonal whitening: k_ii = ||u_i||^2
-    diag_k = np.einsum("ij,ij->i", U, U)
-    return float(np.mean(1.0 - diag_k))
+    m = channel_count(case, placement, dedupe=dedupe)
+    if m == 0:
+        raise ValueError("measurement set is empty")
+    _check_sigmas(sigma_v, sigma_i)
+    if scope == StateScope.FULL:
+        n = 2 * len(case.buses)
+        observable, unobserved = observability_check(case, placement)
+        if not observable:
+            raise UnobservableStateError(n - m if m < n else 2 * len(unobserved))
+    else:
+        n = 2 * len(placement)
+    return (m - n) / m
 
 
 def metric_function(
@@ -375,10 +419,18 @@ def sensitivity_report(
     dedupe: str = "by-branch",
     flat_branch_model: bool = False,
 ) -> SensitivityReport:
-    """Full pipeline convenience: placement in, SensitivityReport out."""
+    """Full pipeline convenience: placement in, SensitivityReport out.
+
+    Runs one whitened SVD and reads diag(S) from its left singular block,
+    ``s_ii = 1 - ||u_i||^2`` (the diagonal of K is invariant to the diagonal
+    whitening), without forming the m x m matrix.
+    """
     mset = enumerate_channels(case, placement, dedupe=dedupe)
     H = build_jacobian(case, mset, scope=scope, flat_branch_model=flat_branch_model)
     R = CovarianceModel.for_channels(mset, sigma_v=sigma_v, sigma_i=sigma_i)
-    S = sensitivity_matrix(H, R)
+    if H.m < H.n:
+        raise UnobservableStateError(H.n - H.m)
     U, _, _, _, rank = _whitened_svd(H, R)
-    return diag_metrics(S, n=H.n, rank=rank)
+    if rank < H.n:
+        raise UnobservableStateError(H.n - rank)
+    return _summarize(1.0 - np.einsum("ij,ij->i", U, U), n=H.n, rank=rank)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .network import NetworkCase
+from .network import NetworkCase, neighbors
 
 __all__ = [
     "ChannelKind",
@@ -118,14 +118,23 @@ class MeasurementSet:
         return len(self.channels)
 
 
-def _check_limits(case: NetworkCase, placement: PmuPlacement) -> None:
-    known = set(case.bus_ids)
+def _check_limits(case: NetworkCase, placement: PmuPlacement) -> list[tuple[int, ...]]:
+    """Validate every placement bus; return each one's incident branch indices."""
+    incident = []
     for bus in placement.buses:
-        if bus not in known:
-            raise KeyError(f"placement bus {bus} not in case {case.name!r}")
-        incident = len(case.incident_branches(bus))
-        if incident > placement.channel_limit:
-            raise ChannelLimitError(bus, incident, placement.channel_limit)
+        try:
+            branches = case.incident_branches(bus)
+        except KeyError:
+            raise KeyError(f"placement bus {bus} not in case {case.name!r}") from None
+        if len(branches) > placement.channel_limit:
+            raise ChannelLimitError(bus, len(branches), placement.channel_limit)
+        incident.append(branches)
+    return incident
+
+
+def _check_dedupe(dedupe: str) -> None:
+    if dedupe not in ("by-branch", "per-end"):
+        raise ValueError(f"unknown dedupe policy {dedupe!r}")
 
 
 def enumerate_channels(
@@ -151,8 +160,7 @@ def enumerate_channels(
     ChannelLimitError
         Naming the first offending bus.
     """
-    if dedupe not in ("by-branch", "per-end"):
-        raise ValueError(f"unknown dedupe policy {dedupe!r}")
+    _check_dedupe(dedupe)
     _check_limits(case, placement)
     pmus = placement.bus_set
 
@@ -183,35 +191,29 @@ def enumerate_channels(
 
 
 def channel_count(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-branch") -> int:
-    """Channel total m without materializing the channel list."""
-    if dedupe not in ("by-branch", "per-end"):
-        raise ValueError(f"unknown dedupe policy {dedupe!r}")
-    _check_limits(case, placement)
-    pmus = placement.bus_set
+    """Channel total m without materializing the channel list.
+
+    Validates exactly what :func:`enumerate_channels` validates and equals
+    the length of its result under either dedupe policy.
+    """
+    _check_dedupe(dedupe)
+    incident = _check_limits(case, placement)
     if dedupe == "by-branch":
-        touched = {
-            i
-            for bus in placement.buses
-            for i in case.incident_branches(bus)
-        }
-        ends = len(touched)
+        ends = len(set().union(*incident))
     else:
-        ends = sum(len(case.incident_branches(bus)) for bus in placement.buses)
-    return 2 * len(pmus) + 2 * ends
+        ends = sum(map(len, incident))
+    return 2 * len(placement.buses) + 2 * ends
 
 
 def observability_check(case: NetworkCase, placement: PmuPlacement) -> tuple[bool, list[int]]:
     """Topological observability: every bus hosts a PMU or neighbors one.
 
-    Returns ``(fully_observable, sorted unobserved bus ids)``.
+    Returns ``(fully_observable, sorted unobserved bus ids)``. Placement buses
+    must belong to the case (``KeyError`` otherwise).
     """
-    pmus = placement.bus_set
-    observed = set(pmus)
-    for br in case.branches:
-        if br.from_bus in pmus:
-            observed.add(br.to_bus)
-        if br.to_bus in pmus:
-            observed.add(br.from_bus)
+    observed = set(placement.buses)
+    for bus in placement.buses:
+        observed |= neighbors(case, bus)
     unobserved = sorted(set(case.bus_ids) - observed)
     return not unobserved, unobserved
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -55,6 +56,7 @@ class Bus:
     def __post_init__(self) -> None:
         if self.id <= 0:
             raise ValueError(f"bus id must be positive, got {self.id}")
+        _require_finite(f"bus {self.id}", shunt_g=self.shunt_g, shunt_b=self.shunt_b)
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,10 @@ class Branch:
     shift: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            f"branch {self.from_bus}-{self.to_bus}",
+            r=self.r, x=self.x, b=self.b_charging, tap=self.tap, shift=self.shift,
+        )
         if self.from_bus == self.to_bus:
             raise ValueError(f"branch endpoints coincide at bus {self.from_bus}")
         if self.r == 0.0 and self.x == 0.0:
@@ -87,45 +93,54 @@ class Branch:
 
 @dataclass(frozen=True)
 class NetworkCase:
-    """An immutable network case: named, ordered buses and branches."""
+    """An immutable network case: named, ordered buses and branches.
+
+    Construction validates the topology and builds the one incidence index
+    every lookup below reads: bus id -> position and bus id -> incident
+    branch indices, both in O(buses + branches).
+    """
 
     name: str
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
 
     def __post_init__(self) -> None:
-        ids = [b.id for b in self.buses]
-        if len(set(ids)) != len(ids):
+        position = {b.id: i for i, b in enumerate(self.buses)}
+        if len(position) != len(self.buses):
+            ids = [b.id for b in self.buses]
             dup = sorted({i for i in ids if ids.count(i) > 1})
             raise CaseFormatError(f"duplicate bus id(s): {dup}")
-        known = set(ids)
-        for br in self.branches:
+        incident: dict[int, list[int]] = {bus: [] for bus in position}
+        for i, br in enumerate(self.branches):
             for end in (br.from_bus, br.to_bus):
-                if end not in known:
+                if end not in incident:
                     raise CaseFormatError(
                         f"branch {br.from_bus}-{br.to_bus} references unknown bus {end}"
                     )
+                incident[end].append(i)
+        # derived indexes, not fields: equality and hashing stay on the data
+        object.__setattr__(self, "_position", position)
+        object.__setattr__(
+            self, "_incident", {bus: tuple(ix) for bus, ix in incident.items()}
+        )
 
     @property
     def bus_ids(self) -> tuple[int, ...]:
-        return tuple(b.id for b in self.buses)
+        return tuple(self._position)
 
     def bus_index(self, bus: int) -> int:
         """Position of a bus id in the case's bus ordering."""
         try:
-            return self.bus_ids.index(bus)
-        except ValueError:
+            return self._position[bus]
+        except KeyError:
             raise KeyError(f"unknown bus id {bus}") from None
 
     def incident_branches(self, bus: int) -> tuple[int, ...]:
         """Indices (into ``branches``) of all branches touching ``bus``."""
-        if bus not in set(self.bus_ids):
-            raise KeyError(f"unknown bus id {bus}")
-        return tuple(
-            i
-            for i, br in enumerate(self.branches)
-            if br.from_bus == bus or br.to_bus == bus
-        )
+        try:
+            return self._incident[bus]
+        except KeyError:
+            raise KeyError(f"unknown bus id {bus}") from None
 
     def is_connected(self) -> bool:
         if not self.buses:
@@ -142,6 +157,25 @@ class NetworkCase:
                     seen.add(nxt)
                     stack.append(nxt)
         return len(seen) == len(self.buses)
+
+
+def _require_finite(owner: str, **values: float) -> None:
+    for label, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner} has non-finite {label}={value!r}")
+
+
+def _integral(value, label: str) -> int:
+    """An integer-valued number as int; fractions and non-finite values fail."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{label} must be an integer, got {value!r}") from None
+    if not number.is_integer():
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _strip_matlab_comments(line: str) -> str:
@@ -174,29 +208,49 @@ def _matpower_table(text: str, name: str, path_hint: str) -> list[tuple[int, lis
 
 
 def _parse_matpower(text: str, name: str) -> NetworkCase:
-    base_match = re.search(r"mpc\.baseMVA\s*=\s*([0-9.eE+-]+)\s*;", text)
-    base_mva = float(base_match.group(1)) if base_match else 100.0
+    base_mva = 100.0
+    base_match = re.search(r"mpc\.baseMVA\s*=\s*([^;\n]*);", text)
+    if base_match:
+        lineno = text.count("\n", 0, base_match.start()) + 1
+        try:
+            base_mva = float(base_match.group(1))
+        except ValueError:
+            base_mva = math.nan
+        if not (math.isfinite(base_mva) and base_mva > 0.0):
+            raise CaseFormatError(
+                f"{name}:{lineno}: baseMVA must be a positive finite number, "
+                f"got {base_match.group(1).strip()!r}"
+            )
 
     buses = []
     for lineno, row in _matpower_table(text, "bus", name):
         if len(row) < 6:
             raise CaseFormatError(f"{name}:{lineno}: bus row needs >= 6 columns")
-        buses.append(Bus(id=int(row[0]), shunt_g=row[4] / base_mva, shunt_b=row[5] / base_mva))
+        try:
+            buses.append(
+                Bus(
+                    id=_integral(row[0], "bus id"),
+                    shunt_g=row[4] / base_mva,
+                    shunt_b=row[5] / base_mva,
+                )
+            )
+        except ValueError as exc:
+            raise CaseFormatError(f"{name}:{lineno}: {exc}") from exc
 
     branches = []
     for lineno, row in _matpower_table(text, "branch", name):
         if len(row) < 5:
             raise CaseFormatError(f"{name}:{lineno}: branch row needs >= 5 columns")
-        status = int(row[10]) if len(row) > 10 else 1
-        if status == 0:
-            continue  # out-of-service branches are dropped at parse time
-        tap = row[8] if len(row) > 8 and row[8] != 0.0 else 1.0
-        shift = np.deg2rad(row[9]) if len(row) > 9 else 0.0
         try:
+            status = _integral(row[10], "branch status") if len(row) > 10 else 1
+            if status == 0:
+                continue  # out-of-service branches are dropped at parse time
+            tap = row[8] if len(row) > 8 and row[8] != 0.0 else 1.0
+            shift = np.deg2rad(row[9]) if len(row) > 9 else 0.0
             branches.append(
                 Branch(
-                    from_bus=int(row[0]),
-                    to_bus=int(row[1]),
+                    from_bus=_integral(row[0], "branch from bus"),
+                    to_bus=_integral(row[1], "branch to bus"),
                     r=row[2],
                     x=row[3],
                     b_charging=row[4],
@@ -214,32 +268,41 @@ def _parse_json(text: str, name: str) -> NetworkCase:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CaseFormatError(f"{name}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(doc, dict) or "buses" not in doc or "branches" not in doc:
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("buses"), list)
+        and isinstance(doc.get("branches"), list)
+    ):
         raise CaseFormatError(f"{name}: JSON case needs 'buses' and 'branches' arrays")
-    try:
-        buses = tuple(
-            Bus(
-                id=int(b["id"]),
-                shunt_g=float(b.get("shunt_g", 0.0)),
-                shunt_b=float(b.get("shunt_b", 0.0)),
+    buses = []
+    for i, b in enumerate(doc["buses"]):
+        try:
+            buses.append(
+                Bus(
+                    id=_integral(b["id"], "bus id"),
+                    shunt_g=float(b.get("shunt_g", 0.0)),
+                    shunt_b=float(b.get("shunt_b", 0.0)),
+                )
             )
-            for b in doc["buses"]
-        )
-        branches = tuple(
-            Branch(
-                from_bus=int(br["from"]),
-                to_bus=int(br["to"]),
-                r=float(br["r"]),
-                x=float(br["x"]),
-                b_charging=float(br.get("b", 0.0)),
-                tap=float(br.get("tap", 1.0)),
-                shift=float(br.get("shift", 0.0)),
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CaseFormatError(f"{name}: malformed bus entry {i}: {exc}") from exc
+    branches = []
+    for i, br in enumerate(doc["branches"]):
+        try:
+            branches.append(
+                Branch(
+                    from_bus=_integral(br["from"], "branch from bus"),
+                    to_bus=_integral(br["to"], "branch to bus"),
+                    r=float(br["r"]),
+                    x=float(br["x"]),
+                    b_charging=float(br.get("b", 0.0)),
+                    tap=float(br.get("tap", 1.0)),
+                    shift=float(br.get("shift", 0.0)),
+                )
             )
-            for br in doc["branches"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CaseFormatError(f"{name}: malformed case entry: {exc}") from exc
-    return NetworkCase(name=str(doc.get("name", name)), buses=buses, branches=branches)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CaseFormatError(f"{name}: malformed branch entry {i}: {exc}") from exc
+    return NetworkCase(name=str(doc.get("name", name)), buses=tuple(buses), branches=tuple(branches))
 
 
 def parse_case(text: str, format: str = "matpower-subset", name: str = "case") -> NetworkCase:
@@ -260,8 +323,10 @@ def parse_case(text: str, format: str = "matpower-subset", name: str = "case") -
     Raises
     ------
     CaseFormatError
-        On syntax problems (with line position), duplicate bus ids, or
-        branch endpoints that reference undeclared buses.
+        On syntax problems, non-finite numbers or non-integral bus ids (with
+        the position: ``name:line`` for MATPOWER, the entry index for JSON),
+        duplicate bus ids, or branch endpoints that reference undeclared
+        buses.
     """
     if format == "matpower-subset":
         return _parse_matpower(text, name)
@@ -357,12 +422,8 @@ def metered_admittances(branch: Branch, end: int, flat: bool = False) -> tuple[c
 
 def neighbors(case: NetworkCase, bus: int) -> set[int]:
     """All buses sharing a branch with ``bus``, deduplicated."""
-    if bus not in set(case.bus_ids):
-        raise KeyError(f"unknown bus id {bus}")
     out: set[int] = set()
-    for br in case.branches:
-        if br.from_bus == bus:
-            out.add(br.to_bus)
-        elif br.to_bus == bus:
-            out.add(br.from_bus)
+    for i in case.incident_branches(bus):
+        br = case.branches[i]
+        out.add(br.to_bus if br.from_bus == bus else br.from_bus)
     return out

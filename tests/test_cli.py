@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from pmuplan.cases import bundled_case_text, load_case
 from pmuplan.cli import main
+from pmuplan.network import serialize_case
 
 
 def run(capsys, *argv):
@@ -182,3 +185,53 @@ def test_json_case_round_trips_through_cli(tmp_path, capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def _exact_pmu_score(case, buses):
+    """README closed form br(Q) / (|Q| + br(Q)), correctly rounded."""
+    q = set(buses)
+    br = sum(1 for b in case.branches if b.from_bus in q or b.to_bus in q)
+    return float(Fraction(br, len(q) + br))
+
+
+def test_plan_and_audit_json_values_are_exact(capsys):
+    case = load_case("ieee14")
+    code, out, _ = run(capsys, "plan", "compare", "--stages", "10", "--out", "json")
+    assert code == 0
+    doc = json.loads(out)
+    for row in doc["rows"]:
+        budget = doc["base"] + row["budget_selected"]
+        greedy = doc["base"] + row["greedy_selected"]
+        assert row["budget_value"] == _exact_pmu_score(case, budget)
+        assert row["greedy_value"] == _exact_pmu_score(case, greedy)
+    code, out, _ = run(capsys, "submod", "audit", "--out", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["counterexamples"]) == 12
+    for rec in doc["counterexamples"]:
+        # the audit runs on the gain orientation, the negated score
+        assert rec["f_a"] == -_exact_pmu_score(case, rec["a"])
+        assert rec["f_a_s"] == -_exact_pmu_score(case, rec["a"] + [rec["s"]])
+        assert rec["f_b"] == -_exact_pmu_score(case, rec["b"])
+        assert rec["f_b_s"] == -_exact_pmu_score(case, rec["b"] + [rec["s"]])
+
+
+def test_non_finite_case_values_are_usage_errors(tmp_path, capsys):
+    text = bundled_case_text("ieee14")
+    line = "\t1\t2\t0.01938\t0.05917"
+    assert line in text
+    bad = tmp_path / "nanline.m"
+    bad.write_text(text.replace(line, "\t1\t2\tNaN\t0.05917"))
+    lineno = 1 + next(i for i, l in enumerate(bad.read_text().splitlines()) if "NaN" in l)
+    code, out, err = run(capsys, "plan", "greedy", "--stages", "2", "--case", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"nanline:{lineno}: branch 1-2 has non-finite r=nan" in err
+
+    doc = serialize_case(load_case("ieee14"))
+    doc["buses"][3]["id"] = 2.7
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "case", "info", "--case", str(fractional))
+    assert code == 2
+    assert "fractional: malformed bus entry 3: bus id must be an integer, got 2.7" in err

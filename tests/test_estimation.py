@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmuplan.estimation import (
     CovarianceModel,
@@ -14,7 +18,12 @@ from pmuplan.estimation import (
     sensitivity_report,
     wls_estimate,
 )
-from pmuplan.measurements import PmuPlacement, enumerate_channels
+from pmuplan.measurements import (
+    ChannelLimitError,
+    PmuPlacement,
+    enumerate_channels,
+    greedy_observable_cover,
+)
 from pmuplan.network import Branch, Bus, NetworkCase
 
 
@@ -226,3 +235,83 @@ def test_pmu_scope_never_unobservable_full_scope_can_be(ieee14):
     assert placement_metric(ieee14, PmuPlacement.of([5])) < 1.0
     with pytest.raises(UnobservableStateError):
         placement_metric(ieee14, PmuPlacement.of([5]), scope=StateScope.FULL)
+
+
+def _svd_oracle(case, placement, **kw):
+    """(average, None) from the SVD pipeline, or (None, null dimension)."""
+    try:
+        return sensitivity_report(case, placement, **kw).average, None
+    except UnobservableStateError as err:
+        mset = enumerate_channels(case, placement, dedupe=kw["dedupe"])
+        H = build_jacobian(case, mset, scope=kw["scope"],
+                           flat_branch_model=kw["flat_branch_model"])
+        R = CovarianceModel.for_channels(mset, kw["sigma_v"], kw["sigma_i"])
+        with pytest.raises(UnobservableStateError) as again:
+            projection_matrix(H, R)
+        assert again.value.null_dimension == err.null_dimension
+        return None, err.null_dimension
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_counting_score_matches_svd_pipeline(ieee14, ieee118, data):
+    case = data.draw(st.sampled_from([ieee14, ieee118]), label="case")
+    buses = data.draw(st.sets(st.sampled_from(case.bus_ids), min_size=1), label="buses")
+    if data.draw(st.booleans(), label="add observable cover"):
+        buses |= set(greedy_observable_cover(case).buses)
+    kw = dict(
+        scope=data.draw(st.sampled_from(list(StateScope)), label="scope"),
+        dedupe=data.draw(st.sampled_from(["by-branch", "per-end"]), label="dedupe"),
+        flat_branch_model=data.draw(st.booleans(), label="flat"),
+        sigma_v=data.draw(st.floats(0.1, 10.0), label="sigma_v"),
+        sigma_i=data.draw(st.floats(0.1, 10.0), label="sigma_i"),
+    )
+    placement = PmuPlacement.of(buses, channel_limit=16)
+    expected, null_dimension = _svd_oracle(case, placement, **kw)
+    if null_dimension is not None:
+        with pytest.raises(UnobservableStateError) as err:
+            placement_metric(case, placement, **kw)
+        assert err.value.null_dimension == null_dimension
+    else:
+        assert abs(placement_metric(case, placement, **kw) - expected) <= 1e-12
+
+
+def test_counting_score_is_the_exact_rational(ieee14, ieee118):
+    nu = PmuPlacement.of([2, 6, 7, 9])
+    assert placement_metric(ieee14, nu) == float(Fraction(14, 18))
+    # 36 channels against 2N = 28 states; per-end meters 15 ends, not 14
+    assert placement_metric(ieee14, nu, scope=StateScope.FULL) == float(Fraction(8, 36))
+    assert placement_metric(ieee14, nu, dedupe="per-end") == float(Fraction(30, 38))
+    cover = greedy_observable_cover(ieee118)
+    m = 2 * len(cover) + 2 * len({i for b in cover.buses for i in ieee118.incident_branches(b)})
+    full = placement_metric(ieee118, cover, scope=StateScope.FULL)
+    assert full == float(Fraction(m - 236, m))
+
+
+def test_counting_score_keeps_the_pipeline_validation(ieee14, ieee118):
+    nu = PmuPlacement.of([2, 6, 7, 9])
+    with pytest.raises(KeyError, match="placement bus 99"):
+        placement_metric(ieee14, PmuPlacement.of([2, 99]))
+    with pytest.raises(ChannelLimitError):
+        placement_metric(ieee118, PmuPlacement.of([49]))
+    with pytest.raises(ValueError, match="dedupe"):
+        placement_metric(ieee14, nu, dedupe="sometimes")
+    with pytest.raises(ValueError, match="measurement set is empty"):
+        placement_metric(ieee14, PmuPlacement.of([]))
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="standard deviations"):
+            placement_metric(ieee14, nu, sigma_v=bad)
+        with pytest.raises(ValueError, match="standard deviations"):
+            placement_metric(ieee14, nu, sigma_i=bad)
+
+
+def test_unobservable_null_dimension_by_count(ieee14):
+    # fewer channels than states: the deficit is n - m
+    with pytest.raises(UnobservableStateError) as err:
+        placement_metric(ieee14, PmuPlacement.of([2]), scope=StateScope.FULL)
+    assert err.value.null_dimension == 28 - 10
+    # enough channels, yet buses 12 and 13 see no PMU: two states each
+    placement = PmuPlacement.of([2, 4, 5, 7, 9, 10, 11])
+    with pytest.raises(UnobservableStateError) as err:
+        placement_metric(ieee14, placement, scope=StateScope.FULL)
+    assert err.value.null_dimension == 4

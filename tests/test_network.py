@@ -1,5 +1,6 @@
 import cmath
 import json
+import re
 
 import numpy as np
 import pytest
@@ -167,3 +168,88 @@ def test_bundled_fixture_details(ieee14, ieee118):
         key = tuple(sorted((br.from_bus, br.to_bus)))
         pairs[key] = pairs.get(key, 0) + 1
     assert sum(1 for n in pairs.values() if n == 2) == 7
+
+
+@pytest.mark.parametrize(
+    "old, new, what",
+    [
+        ("1  2  0.01  0.05", "1  2  NaN  0.05", "r=nan"),
+        ("1  2  0.01  0.05", "1  2  0.01  Inf", "x=inf"),
+        ("0.05  0.02  9900", "0.05  nan  9900", "b=nan"),
+        ("0  0.98  30", "0  nan  30", "tap=nan"),
+        ("0.98  30  1", "0.98  -Inf  1", "shift=-inf"),
+        ("0  19  1  1.00", "0  NaN  1  1.00", "shunt_b=nan"),
+        ("0  0  5   0", "0  0  Inf   0", "shunt_g=inf"),
+        ("    3  1  0  0  5", "    2.7  1  0  0  5", "bus id must be an integer, got 2.7"),
+        ("    2  3  0.02", "    2  3.5  0.02", "to bus must be an integer, got 3.5"),
+    ],
+)
+def test_matpower_rejects_non_finite_and_fractional_values(old, new, what):
+    assert old in MINI_CASE
+    bad = MINI_CASE.replace(old, new, 1)
+    lineno = 1 + next(i for i, line in enumerate(bad.splitlines()) if new in line)
+    with pytest.raises(CaseFormatError, match=rf"^mini:{lineno}: .*{re.escape(what)}"):
+        parse_case(bad, name="mini")
+
+
+def test_matpower_rejects_a_bad_base():
+    for base in ("0", "-100", "nan", "abc"):
+        bad = MINI_CASE.replace("mpc.baseMVA = 100;", f"mpc.baseMVA = {base};")
+        with pytest.raises(CaseFormatError, match=r"^mini:3: baseMVA"):
+            parse_case(bad, name="mini")
+
+
+@pytest.mark.parametrize(
+    "path, value, what",
+    [
+        (("buses", 1, "id"), 2.7, "bus entry 1: bus id must be an integer, got 2.7"),
+        (("buses", 0, "id"), "1.5", "bus entry 0: bus id must be an integer"),
+        (("buses", 2, "shunt_b"), float("nan"), "bus entry 2: .*shunt_b=nan"),
+        (("branches", 1, "from"), 2.5, "branch entry 1: branch from bus must be an integer"),
+        (("branches", 0, "r"), float("nan"), "branch entry 0: .*r=nan"),
+        (("branches", 0, "x"), float("inf"), "branch entry 0: .*x=inf"),
+        (("branches", 1, "tap"), float("nan"), "branch entry 1: .*tap=nan"),
+        (("branches", 1, "shift"), float("-inf"), "branch entry 1: .*shift=-inf"),
+        (("branches", 0, "b"), float("inf"), "branch entry 0: .*b=inf"),
+    ],
+)
+def test_json_rejects_non_finite_and_fractional_values(path, value, what):
+    doc = serialize_case(parse_case(MINI_CASE, name="mini"))
+    table, index, key = path
+    doc[table][index][key] = value
+    # json.dumps writes NaN and Infinity, which json.loads accepts
+    with pytest.raises(CaseFormatError, match=rf"^x: malformed {what}"):
+        parse_case(json.dumps(doc), format="json", name="x")
+
+
+def test_json_integral_ids_are_kept_exactly():
+    doc = serialize_case(parse_case(MINI_CASE, name="mini"))
+    doc["buses"][2]["id"] = 3.0
+    doc["buses"].append({"id": 2**60})
+    case = parse_case(json.dumps(doc), format="json", name="x")
+    assert case.bus_ids == (1, 2, 3, 2**60)
+    with pytest.raises(CaseFormatError, match="needs 'buses' and 'branches' arrays"):
+        parse_case('{"buses": 3, "branches": []}', format="json", name="x")
+
+
+def test_incidence_lookups_match_scans(ieee118):
+    case = ieee118
+    for pos, bus in enumerate(case.bus_ids):
+        assert case.bus_index(bus) == pos
+        scanned = tuple(
+            i for i, br in enumerate(case.branches) if bus in (br.from_bus, br.to_bus)
+        )
+        assert case.incident_branches(bus) == scanned
+        assert neighbors(case, bus) == {
+            br.to_bus if br.from_bus == bus else br.from_bus
+            for br in case.branches
+            if bus in (br.from_bus, br.to_bus)
+        }
+    mat = incidence_matrix(case)
+    for i, br in enumerate(case.branches):
+        row = np.zeros(len(case.buses), dtype=int)
+        row[case.bus_ids.index(br.from_bus)] = 1
+        row[case.bus_ids.index(br.to_bus)] = -1
+        assert (mat[i] == row).all()
+    with pytest.raises(KeyError, match="unknown bus id 119"):
+        case.incident_branches(119)
