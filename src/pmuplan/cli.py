@@ -5,7 +5,8 @@ Subcommands: ``case info``, ``metrics``, ``plan greedy|budget|compare``,
 tables by default, or as versioned JSON / CSV via ``--out``. All heavy
 fan-out (the parallel audit) lives here; library modules stay serial.
 
-Exit codes: 0 success, 2 usage/parse/validation, 3 numerical
+Exit codes: 0 success, 1 internal error (a metric failed for a reason
+none of the others names), 2 usage/parse/validation, 3 numerical
 infeasibility, 4 combinatorial cap.
 """
 
@@ -17,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -61,12 +63,15 @@ from .submodularity import (
 __all__ = ["main"]
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_COMBINATORIAL = 4
 
 # canonical observable core tried first when --nu is omitted
 FALLBACK_NU = (2, 6, 7, 9)
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -110,15 +115,32 @@ def _load_case(name_or_path: str, fmt: str | None) -> tuple[NetworkCase, str, st
 
 
 def _parse_nu(raw: str) -> list[int]:
+    """Bus ids from ``--nu``: comma/whitespace separated text, or ``@file``
+    holding a JSON list or such text. Every entry must be an integer; the
+    first one that is not is named by its JSON index (from 0) or its token
+    number (from 1)."""
+    text = raw
     if raw.startswith("@"):
-        content = Path(raw[1:]).read_text()
+        text = Path(raw[1:]).read_text()
         try:
-            data = json.loads(content)
+            data = json.loads(text)
         except json.JSONDecodeError:
-            data = content.replace(",", " ").split()
-        return [int(x) for x in data]
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    return [int(p) for p in parts]
+            data = None
+        if isinstance(data, list):
+            for i, entry in enumerate(data):
+                if type(entry) is not int:
+                    raise ValueError(
+                        f"--nu {raw}: entry {i} must be an integer bus id, "
+                        f"got {json.dumps(entry)}"
+                    )
+            return data
+    tokens = text.replace(",", " ").split()
+    for k, token in enumerate(tokens, start=1):
+        if not _INTEGER.fullmatch(token):
+            raise ValueError(
+                f"--nu {raw}: token {k} must be an integer bus id, got {token!r}"
+            )
+    return [int(token) for token in tokens]
 
 
 def _resolve_nu(args, config: RunConfig) -> list[int]:
@@ -669,6 +691,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _root_cause_code(err: Exception) -> int:
+    """Exit code for a wrapped metric failure, from the first cause in its
+    chain that names one; any other cause is an internal error."""
     seen = set()
     cause: BaseException | None = err
     while cause is not None and id(cause) not in seen:
@@ -680,7 +704,7 @@ def _root_cause_code(err: Exception) -> int:
         if isinstance(cause, (ChannelLimitError, CaseFormatError)):
             return EXIT_USAGE
         cause = cause.__cause__
-    return EXIT_NUMERIC
+    return EXIT_INTERNAL
 
 
 def main(argv=None) -> int:

@@ -17,6 +17,12 @@ modular functions do not masquerade as either class.
 
 The enumeration is lexicographic in (A, B, s), so counterexample lists are
 reproducible run to run and mergeable across work slices.
+
+enumerate_triples and classify_triple state the definition one triple at a
+time. audit computes the same tally without an object per triple: it holds
+placements as int bitmasks over the sorted bus ids, walks (A, B) blocks with
+f(A) and f(B) read once per block, caches metric values by mask, and builds
+records only for the counterexamples it keeps.
 """
 
 from __future__ import annotations
@@ -249,6 +255,26 @@ def classify_triple(
     )
 
 
+def _blocks(
+    bits: Sequence[int], nu_mask: int, a_extra: int, b_extra: int, skip: int
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield ``(A, B, probes)`` as bitmasks for every (A, B) block from block
+    number ``skip`` on, in the order of enumerate_triples.
+
+    Every block holds the same number of probes and every A the same number
+    of blocks, so the skipped prefix is found by division and never built.
+    """
+    free = [bit for bit in bits if not bit & nu_mask]
+    skip_a, skip_b = divmod(skip, comb(len(free) - a_extra, b_extra))
+    for extra_a in itertools.islice(itertools.combinations(free, a_extra), skip_a, None):
+        a = nu_mask + sum(extra_a)
+        rest = [bit for bit in free if not bit & a]
+        for extra_b in itertools.islice(itertools.combinations(rest, b_extra), skip_b, None):
+            b = a + sum(extra_b)
+            yield a, b, [bit for bit in rest if not bit & b]
+        skip_b = 0
+
+
 def audit(
     case,
     metric: Callable[[frozenset], float],
@@ -264,51 +290,116 @@ def audit(
     """Classify every triple over the case's bus set and tally the verdicts.
 
     ``metric`` is any set function mapping a frozenset of bus ids to a real
-    number; evaluations are cached per placement for the duration of the
-    call. ``start``/``stop`` restrict the run to a contiguous slice of the
-    lexicographic triple stream so external drivers can split the work;
-    partial tallies recombine with merge_tallies. On a metric failure the
-    audit aborts with the tally accumulated so far attached.
+    number. It runs once per distinct placement: values are cached for the
+    duration of the call, keyed by the placement's bitmask over the sorted
+    bus ids. ``start``/``stop`` restrict the run to a contiguous slice of
+    the lexicographic triple stream so external drivers can split the work;
+    partial tallies recombine with merge_tallies. ``progress(done, planned)``
+    is called every 500 triples and after the last one.
+
+    The verdicts, values and counterexample order are those of
+    classify_triple applied to enumerate_triples, but no object is built
+    per triple: the walk runs over (A, B) blocks of int bitmasks, reads f(A)
+    and f(B) once per block, and builds a MarginRecord only for a
+    counterexample it keeps. Placements are evaluated lazily in
+    classify_triple's order, f(A), f(A+s), f(B), f(B+s), so on a metric
+    failure the audit aborts with the same offending triple and placement,
+    and the tally accumulated so far attached.
     """
-    omega = case.bus_ids
-    total = count_combinations(len(omega), len(set(nu)), a_size, b_size)
-    stream = enumerate_triples(omega, nu, a_size, b_size)
-    sliced = itertools.islice(stream, start, stop)
-    planned = (total if stop is None else min(stop, total)) - min(start, total)
+    ids = tuple(sorted(case.bus_ids))
+    nu_ids = set(nu)
+    total = count_combinations(len(ids), len(nu_ids), a_size, b_size)
+    if not nu_ids <= set(ids):
+        raise ValueError("nu must be a subset of omega")
+    if tol < 0.0:
+        raise ValueError("tolerance must be nonnegative")
+    if start < 0 or (stop is not None and stop < 0):
+        raise ValueError("start and stop must be nonnegative")
+    first = min(start, total)
+    planned = (total if stop is None else min(stop, total)) - first
 
-    cache: dict[frozenset, float] = {}
+    bits = [1 << i for i in range(len(ids))]
+    nu_mask = sum(bit for bus, bit in zip(ids, bits) if bus in nu_ids)
+    cache: dict[int, float] = {}
 
-    def cached(placement: frozenset) -> float:
-        if placement not in cache:
-            cache[placement] = float(metric(placement))
-        return cache[placement]
+    def buses(mask: int) -> list[int]:
+        return [bus for bus, bit in zip(ids, bits) if mask & bit]
 
+    def triple(a: int, b: int, s: int) -> SubsetTriple:
+        return SubsetTriple(a=tuple(buses(a)), b=tuple(buses(b)), s=ids[s.bit_length() - 1])
+
+    def evaluate(mask: int, a: int, b: int, s: int) -> float:
+        placement = frozenset(buses(mask))
+        try:
+            value = cache[mask] = float(metric(placement))
+        except Exception as exc:
+            raise MetricEvaluationError(triple(a, b, s), placement) from exc
+        return value
+
+    lookup = cache.get
     submod = supermod = ties = 0
     counterexamples: list[MarginRecord] = []
     processed = 0
-    for triple in sliced:
-        try:
-            record = classify_triple(cached, triple, tol=tol)
-        except MetricEvaluationError as err:
-            partial = ClassificationTally(
-                total=processed,
-                submodular=submod,
-                supermodular=supermod,
-                ties=ties,
-                counterexamples=tuple(counterexamples),
-            )
-            raise AuditAbortedError(processed, partial) from err
-        if record.verdict == MarginClass.SUBMODULAR:
-            submod += 1
-        elif record.verdict == MarginClass.SUPERMODULAR:
-            supermod += 1
-            if len(counterexamples) < counterexample_cap:
-                counterexamples.append(record)
-        else:
-            ties += 1
-        processed += 1
-        if progress is not None and (processed % 500 == 0 or processed == planned):
-            progress(processed, planned)
+    report = min(500, planned) if progress is not None else -1
+    block, offset = divmod(first, len(ids) - b_size)
+    blocks = _blocks(bits, nu_mask, a_size - len(nu_ids), b_size - a_size, block)
+    try:
+        for a, b, probes in blocks:
+            if processed >= planned:
+                break
+            probes = probes[offset : offset + planned - processed]
+            offset = 0
+            f_a = lookup(a)
+            if f_a is None:
+                f_a = evaluate(a, a, b, probes[0])
+            f_b = None
+            for s in probes:
+                f_a_s = lookup(a | s)
+                if f_a_s is None:
+                    f_a_s = evaluate(a | s, a, b, s)
+                if f_b is None:
+                    f_b = lookup(b)
+                    if f_b is None:
+                        f_b = evaluate(b, a, b, s)
+                f_b_s = lookup(b | s)
+                if f_b_s is None:
+                    f_b_s = evaluate(b | s, a, b, s)
+                lhs = f_a_s - f_a
+                rhs = f_b_s - f_b
+                margin = lhs - rhs
+                if margin >= tol:
+                    submod += 1
+                elif margin <= -tol:
+                    supermod += 1
+                    if len(counterexamples) < counterexample_cap:
+                        counterexamples.append(
+                            MarginRecord(
+                                triple=triple(a, b, s),
+                                f_a=f_a,
+                                f_a_s=f_a_s,
+                                f_b=f_b,
+                                f_b_s=f_b_s,
+                                lhs=lhs,
+                                rhs=rhs,
+                                margin=margin,
+                                verdict=MarginClass.SUPERMODULAR,
+                            )
+                        )
+                else:
+                    ties += 1
+                processed += 1
+                if processed == report:
+                    progress(processed, planned)
+                    report = min(processed + 500, planned)
+    except MetricEvaluationError as err:
+        partial = ClassificationTally(
+            total=processed,
+            submodular=submod,
+            supermodular=supermod,
+            ties=ties,
+            counterexamples=tuple(counterexamples),
+        )
+        raise AuditAbortedError(processed, partial) from err
 
     return ClassificationTally(
         total=processed,

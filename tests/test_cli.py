@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import pmuplan.estimation
 from pmuplan.cases import bundled_case_text, load_case
 from pmuplan.cli import main
 from pmuplan.network import serialize_case
+from pmuplan.submodularity import count_combinations
 
 
 def run(capsys, *argv):
@@ -141,6 +143,19 @@ def test_submod_parallel_matches_serial(capsys):
     code, fanned, _ = run(capsys, "submod", "audit", "--parallel", "2")
     assert code == 0
     assert fanned == serial
+    # Both pairs have an odd number of (A, B) blocks of 8 and 2 probes, so
+    # the two-worker shard boundary at alpha // 2 falls inside a block.
+    for a_size, b_size in ((4, 6), (4, 12)):
+        assert (count_combinations(14, 4, a_size, b_size) // 2) % (14 - b_size) != 0
+        argv = ("submod", "audit", "--a-size", str(a_size), "--b-size", str(b_size),
+                "--out", "json", "--counterexamples", "5")
+        code, serial, _ = run(capsys, *argv, "--parallel", "1")
+        assert code == 0
+        code, fanned, err = run(capsys, *argv, "--parallel", "2")
+        assert code == 0
+        assert "across 2 workers" in err
+        assert fanned == serial
+        assert len(json.loads(serial)["counterexamples"]) == 5
 
 
 def test_knapsack_demo_tables(capsys):
@@ -235,3 +250,41 @@ def test_non_finite_case_values_are_usage_errors(tmp_path, capsys):
     code, out, err = run(capsys, "case", "info", "--case", str(fractional))
     assert code == 2
     assert "fractional: malformed bus entry 3: bus id must be an integer, got 2.7" in err
+
+
+def test_nu_entries_must_be_integers(tmp_path, capsys):
+    code, reference, _ = run(capsys, "plan", "greedy", "--stages", "2", "--nu", "2,6,7,9")
+    assert code == 0
+    good = {"good.json": "[2, 6, 7, 9]", "good.txt": "2 6\n7,9\n"}
+    bad = {
+        "frac.json": ("[2.7, 6, 7, 9]", "entry 0 must be an integer bus id, got 2.7"),
+        "bool.json": ("[2, 6, true, 9]", "entry 2 must be an integer bus id, got true"),
+        "str.json": ('[2, "6", 7, 9]', 'entry 1 must be an integer bus id, got "6"'),
+        "word.txt": ("2 6 x 9", "token 3 must be an integer bus id, got 'x'"),
+        "frac.txt": ("2,6,7,9.0", "token 4 must be an integer bus id, got '9.0'"),
+    }
+    for name, text in good.items():
+        (tmp_path / name).write_text(text)
+        code, out, _ = run(capsys, "plan", "greedy", "--stages", "2", "--nu", f"@{tmp_path / name}")
+        assert (code, out) == (0, reference)
+    for name, (text, message) in bad.items():
+        (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, "plan", "greedy", "--stages", "2", "--nu", f"@{tmp_path / name}")
+        assert (code, out) == (2, "")
+        assert message in err
+    code, _, err = run(capsys, "metrics", "--nu", "2,x")
+    assert code == 2
+    assert "token 2 must be an integer bus id, got 'x'" in err
+
+
+def test_unrecognised_metric_failure_is_internal_error(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug inside the metric")
+
+    monkeypatch.setattr(pmuplan.estimation, "placement_metric", broken)
+    code, out, err = run(capsys, "plan", "greedy", "--stages", "2")
+    assert (code, out) == (1, "")
+    assert "metric failed at stage 1" in err
+    code, out, err = run(capsys, "submod", "audit", "--parallel", "1")
+    assert (code, out) == (1, "")
+    assert "audit aborted after 0 triples" in err

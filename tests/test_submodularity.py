@@ -1,6 +1,12 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pmuplan.cases import load_case
 from pmuplan.estimation import metric_function
+from pmuplan.network import Branch, Bus, NetworkCase
 from pmuplan.submodularity import (
     AuditAbortedError,
     ClassificationTally,
@@ -113,15 +119,19 @@ def test_audit_counterexamples_are_capped_and_sorted(ieee14):
 
 def test_sliced_audits_merge_to_the_serial_tally(ieee14):
     f = metric_function(ieee14, gain=True)
-    whole = audit(ieee14, f, NU, 12, 13)
-    parts = [
-        audit(ieee14, f, NU, 12, 13, start=0, stop=30),
-        audit(ieee14, f, NU, 12, 13, start=30, stop=60),
-        audit(ieee14, f, NU, 12, 13, start=60),
-    ]
-    assert sum(p.total for p in parts) == 90
-    merged = merge_tallies(parts)
-    assert merged.to_dict() == whole.to_dict()
+    # |B| = 13 leaves one probe per (A, B) block and |B| = 11 three, so the
+    # cuts at 31 and 62 fall inside a block
+    for a_size, b_size, cuts in ((12, 13, (30, 60)), (10, 11, (31, 62))):
+        whole = audit(ieee14, f, NU, a_size, b_size)
+        bounds = (0, *cuts, None)
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = audit(ieee14, f, NU, a_size, b_size, start=lo, stop=hi)
+            ref = _reference_audit(ieee14, f, NU, a_size, b_size, 1e-9, 100, lo, hi)
+            assert part.to_dict() == ref.to_dict()
+            parts.append(part)
+        assert sum(p.total for p in parts) == whole.total
+        assert merge_tallies(parts).to_dict() == whole.to_dict()
     with pytest.raises(ValueError):
         merge_tallies([])
 
@@ -155,6 +165,13 @@ def test_progress_reports_final_count(ieee14):
     seen.clear()
     audit(ieee14, lambda q: 0.0, NU, 12, 13, start=10, stop=25, progress=lambda d, p: seen.append((d, p)))
     assert seen == [(15, 15)]
+    # every 500 triples of the slice, then once at its end
+    for stop, expected in ((1213, [(500, 1206), (1000, 1206), (1206, 1206)]),
+                           (1007, [(500, 1000), (1000, 1000)])):
+        seen.clear()
+        audit(ieee14, lambda q: 0.0, (2, 6, 7), 9, 11, start=7, stop=stop,
+              progress=lambda d, p: seen.append((d, p)))
+        assert seen == expected
 
 
 def test_tally_sum_check():
@@ -169,3 +186,131 @@ def test_monotone_checker(ieee14):
     assert not check_monotone(lambda q: float(len(q)), chain)
     with pytest.raises(ValueError, match="nested"):
         check_monotone(score, [(1, 2), (2, 3)])
+
+
+# ---- differential check against the per-triple reference -------------------
+
+
+def _reference_audit(case, metric, nu, a_size, b_size, tol, cap, start, stop):
+    """The audit as one classify_triple per enumerated triple, with a
+    frozenset cache: the definition the bitmask walk must reproduce."""
+    cache = {}
+
+    def cached(placement):
+        if placement not in cache:
+            cache[placement] = float(metric(placement))
+        return cache[placement]
+
+    counts = {MarginClass.SUBMODULAR: 0, MarginClass.SUPERMODULAR: 0, MarginClass.TIE: 0}
+    kept = []
+    stream = enumerate_triples(case.bus_ids, nu, a_size, b_size)
+    for triple in itertools.islice(stream, start, stop):
+        try:
+            record = classify_triple(cached, triple, tol=tol)
+        except MetricEvaluationError as err:
+            processed = sum(counts.values())
+            partial = ClassificationTally(
+                processed, counts[MarginClass.SUBMODULAR], counts[MarginClass.SUPERMODULAR],
+                counts[MarginClass.TIE], tuple(kept),
+            )
+            raise AuditAbortedError(processed, partial) from err
+        counts[record.verdict] += 1
+        if record.verdict == MarginClass.SUPERMODULAR and len(kept) < cap:
+            kept.append(record)
+    return ClassificationTally(
+        sum(counts.values()), counts[MarginClass.SUBMODULAR],
+        counts[MarginClass.SUPERMODULAR], counts[MarginClass.TIE], tuple(kept),
+    )
+
+
+def _recording(metric, calls, poison=None):
+    def f(placement):
+        calls.append(placement)
+        if placement == poison:
+            raise RuntimeError("poisoned placement")
+        return metric(placement)
+
+    return f
+
+
+def _outcome(run):
+    try:
+        return run().to_dict()
+    except AuditAbortedError as err:
+        cause = err.__cause__
+        assert isinstance(cause, MetricEvaluationError)
+        return ("aborted", err.processed, err.partial.to_dict(), cause.triple,
+                cause.placement, repr(cause.__cause__))
+
+
+@st.composite
+def small_cases(draw):
+    """A connected case on a few scattered bus ids, listed out of order."""
+    ids = draw(st.lists(st.integers(1, 60), min_size=2, max_size=9, unique=True))
+    branches = [
+        Branch(ids[draw(st.integers(0, i - 1))], ids[i], 0.0, 0.5) for i in range(1, len(ids))
+    ]
+    for u, v in itertools.combinations(ids, 2):
+        if draw(st.integers(0, 3)) == 0:
+            branches.append(Branch(u, v, 0.0, 0.25))
+    return NetworkCase(name="random", buses=tuple(Bus(i) for i in ids), branches=tuple(branches))
+
+
+IEEE14 = load_case("ieee14")
+
+
+@st.composite
+def audit_setups(draw):
+    case = draw(st.one_of(st.just(IEEE14), small_cases()))
+    ids = sorted(case.bus_ids)
+    # at most eight free buses keep the reference loop to a few thousand triples
+    nu_size = draw(st.integers(max(0, len(ids) - 8), len(ids) - 1))
+    nu = draw(st.permutations(ids).map(lambda p: tuple(p[:nu_size])))
+    a_size = draw(st.integers(nu_size, len(ids) - 1))
+    b_size = draw(st.integers(a_size, len(ids) - 1))
+    total = count_combinations(len(ids), nu_size, a_size, b_size)
+    start = draw(st.integers(0, total + 2))
+    stop = draw(st.one_of(st.none(), st.integers(0, total + 2)))
+    return case, nu, a_size, b_size, start, stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    audit_setups(),
+    st.booleans(),
+    st.sampled_from([0.0, 1e-9, 0.01, 0.1]),
+    st.integers(0, 6),
+    st.data(),
+)
+def test_audit_matches_the_per_triple_reference(setup, gain, tol, cap, data):
+    case, nu, a_size, b_size, start, stop = setup
+    metric = metric_function(case, gain=gain, channel_limit=64)
+    args = (nu, a_size, b_size, tol, cap, start, stop)
+
+    def runs(poison=None):
+        ref_calls, calls = [], []
+        expected = _outcome(lambda: _reference_audit(
+            case, _recording(metric, ref_calls, poison), *args))
+        got = _outcome(lambda: audit(
+            case, _recording(metric, calls, poison), nu, a_size, b_size, tol=tol,
+            counterexample_cap=cap, start=start, stop=stop))
+        assert got == expected
+        # the same placements, once each, in classify_triple's lazy order
+        assert calls == ref_calls
+        assert len(set(calls)) == len(calls)
+        return calls
+
+    placements = runs()
+    if placements:
+        for poison in data.draw(st.lists(st.sampled_from(placements), max_size=4, unique=True)):
+            runs(poison)
+
+
+def test_audit_rejects_bad_arguments(ieee14):
+    f = metric_function(ieee14, gain=True)
+    with pytest.raises(ValueError, match="subset of omega"):
+        audit(ieee14, f, (2, 99), 12, 13)
+    with pytest.raises(ValueError, match="nonnegative"):
+        audit(ieee14, f, NU, 12, 13, tol=-1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        audit(ieee14, f, NU, 12, 13, start=-1)
