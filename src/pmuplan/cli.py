@@ -20,7 +20,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +53,9 @@ from .planner import (
     greedy_plan,
 )
 from .submodularity import (
+    PROGRESS_INTERVAL,
     AuditAbortedError,
+    ClassificationTally,
     audit,
     count_combinations,
     merge_tallies,
@@ -388,8 +389,45 @@ def _cmd_plan(args, config: RunConfig) -> str:
     return title + "\n\n" + _md_table(header, rows)
 
 
-def _audit_shard(payload: tuple) -> "object":
-    """Worker entry: rebuild everything from plain values and audit a slice."""
+class ProcessPoolExecutor:
+    """The audit's worker pool: ``concurrent.futures.ProcessPoolExecutor``,
+    imported when a pool is made, so only a parallel audit loads it. It
+    keeps the wrapped class's name, which ``perfbench/tracing.py`` patches."""
+
+    def __init__(self, max_workers: int):
+        from concurrent.futures import ProcessPoolExecutor
+
+        self._pool = ProcessPoolExecutor(max_workers=max_workers)
+
+    def map(self, fn, *iterables):
+        return self._pool.map(fn, *iterables)
+
+    def shutdown(self, wait: bool = True) -> None:
+        self._pool.shutdown(wait=wait)
+
+    def __enter__(self) -> "ProcessPoolExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+
+
+class _WorkerFailure(Exception):
+    """A metric failure in a pool worker, reduced to its exit code: the
+    exception itself and its cause chain do not survive pickling."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
+def _audit_shard(payload: tuple) -> tuple[ClassificationTally, int]:
+    """Worker entry: rebuild everything from plain values and audit a slice.
+
+    Returns the slice's tally and EXIT_OK, or, when the metric fails, the
+    partial tally (its total is the triples processed) and the exit code of
+    the failure's root cause.
+    """
     (text, fmt, name, nu, a_size, b_size, tol, cap,
      scope_value, sigma_v, sigma_i, dedupe, flat, channel_limit,
      start, stop) = payload
@@ -404,8 +442,26 @@ def _audit_shard(payload: tuple) -> "object":
         channel_limit=channel_limit,
         gain=True,
     )
-    return audit(case, metric, nu, a_size, b_size, tol=tol,
-                 counterexample_cap=cap, start=start, stop=stop)
+    try:
+        tally = audit(case, metric, nu, a_size, b_size, tol=tol,
+                      counterexample_cap=cap, start=start, stop=stop)
+    except AuditAbortedError as err:
+        return err.partial, _root_cause_code(err)
+    return tally, EXIT_OK
+
+
+def _progress(done: int, total: int) -> None:
+    print(f"audited {done}/{total}", file=sys.stderr)
+
+
+def _replay_progress(before: int, after: int, total: int) -> None:
+    """The progress lines a serial audit prints while its count of
+    processed triples moves from ``before`` to ``after``."""
+    first = (before // PROGRESS_INTERVAL + 1) * PROGRESS_INTERVAL
+    for done in range(first, min(after + 1, total), PROGRESS_INTERVAL):
+        _progress(done, total)
+    if before < after == total:
+        _progress(total, total)
 
 
 def _cmd_submod(args, config: RunConfig) -> str:
@@ -440,10 +496,6 @@ def _cmd_submod(args, config: RunConfig) -> str:
     cap = args.counterexamples
     workers = config.parallel
     if workers > 1 and alpha >= 8 * workers:
-        print(
-            f"auditing {alpha} triples across {workers} workers",
-            file=sys.stderr,
-        )
         bounds = [alpha * i // workers for i in range(workers + 1)]
         payloads = [
             (
@@ -456,14 +508,21 @@ def _cmd_submod(args, config: RunConfig) -> str:
             for i in range(workers)
             if bounds[i] < bounds[i + 1]
         ]
+        # Shards report in order, as a serial audit would: progress lines,
+        # then either the first failure or the merged tally.
+        parts: list[ClassificationTally] = []
+        done = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_audit_shard, payloads))
+            for part, code in pool.map(_audit_shard, payloads):
+                _replay_progress(done, done + part.total, alpha)
+                done += part.total
+                parts.append(part)
+                if code != EXIT_OK:
+                    partial = merge_tallies(parts, counterexample_cap=cap)
+                    raise AuditAbortedError(done, partial) from _WorkerFailure(code)
         tally = merge_tallies(parts, counterexample_cap=cap)
+        print(f"audited {alpha} triples across {workers} workers", file=sys.stderr)
     else:
-
-        def progress(done: int, total: int) -> None:
-            print(f"audited {done}/{total}", file=sys.stderr)
-
         metric = metric_function(
             config.case,
             scope=config.scope,
@@ -476,7 +535,7 @@ def _cmd_submod(args, config: RunConfig) -> str:
         )
         tally = audit(
             config.case, metric, nu, a_size, b_size,
-            tol=config.tol, counterexample_cap=cap, progress=progress,
+            tol=config.tol, counterexample_cap=cap, progress=_progress,
         )
 
     if config.out == "json":
@@ -703,6 +762,8 @@ def _root_cause_code(err: Exception) -> int:
             return EXIT_COMBINATORIAL
         if isinstance(cause, (ChannelLimitError, CaseFormatError)):
             return EXIT_USAGE
+        if isinstance(cause, _WorkerFailure):
+            return cause.code
         cause = cause.__cause__
     return EXIT_INTERNAL
 

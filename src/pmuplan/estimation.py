@@ -22,7 +22,9 @@ score is ``br(Q) / (|Q| + br(Q))`` with ``br(Q)`` the metered branches
 scope rank(H) = 2N exactly when every bus hosts a PMU or neighbors one, and
 the score is ``1 - 2N/m``. :func:`placement_metric` therefore scores by
 counting; the Jacobian and SVD pipeline below serves the per-channel
-``metrics`` report and the tests that pin the count against it.
+``metrics`` report and the tests that pin the count against it. Only that
+pipeline imports numpy, inside its functions: the counting score, and the
+planners and audit that call it, are pure Python and never load it.
 
 The score is not monotone in the placement. In pmu-state scope, adding bus
 s lowers it only when the branches it newly meters, d(s|Q), number fewer
@@ -36,8 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .measurements import (
     DEFAULT_CHANNEL_LIMIT,
@@ -49,6 +50,9 @@ from .measurements import (
     observability_check,
 )
 from .network import NetworkCase, metered_admittances
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "StateScope",
@@ -139,6 +143,8 @@ class CovarianceModel:
         return cls(variances=tuple(out))
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.variances, dtype=float)
 
 
@@ -186,6 +192,8 @@ def build_jacobian(
     In pmu-state scope, columns exist only for PMU buses and coefficients on
     other buses are discarded.
     """
+    import numpy as np
+
     if not mset.channels:
         raise ValueError("measurement set is empty")
     if scope == StateScope.FULL:
@@ -229,6 +237,8 @@ def _whitened_svd(H: Jacobian | np.ndarray, R: CovarianceModel | None):
     Returns ``(U, s, Vt, w, rank)`` where ``w`` is the per-row whitening
     vector diag(R^-1/2).
     """
+    import numpy as np
+
     mat = H.matrix if isinstance(H, Jacobian) else np.asarray(H, dtype=float)
     m = mat.shape[0]
     if R is None:
@@ -255,6 +265,8 @@ def wls_estimate(H: Jacobian, R: CovarianceModel | None, dz: np.ndarray) -> np.n
         When the gain matrix is rank deficient under the singular-value
         threshold, reporting the null-space dimension.
     """
+    import numpy as np
+
     dz = np.asarray(dz, dtype=float)
     if dz.shape != (H.m,):
         raise ValueError(f"dz has shape {dz.shape}, expected ({H.m},)")
@@ -283,6 +295,8 @@ def projection_matrix(H: Jacobian, R: CovarianceModel | None = None) -> np.ndarr
 
 def sensitivity_matrix(H: Jacobian, R: CovarianceModel | None = None) -> np.ndarray:
     """Residual sensitivity matrix S = I - K."""
+    import numpy as np
+
     K = projection_matrix(H, R)
     return np.eye(K.shape[0]) - K
 
@@ -307,6 +321,8 @@ def diag_metrics(S: np.ndarray, n: int | None = None, rank: int | None = None) -
     a projection; ``n`` defaults to that rank, which matches every
     full-column-rank pipeline in this package.
     """
+    import numpy as np
+
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("S must be square")
@@ -425,6 +441,8 @@ def sensitivity_report(
     ``s_ii = 1 - ||u_i||^2`` (the diagonal of K is invariant to the diagonal
     whitening), without forming the m x m matrix.
     """
+    import numpy as np
+
     mset = enumerate_channels(case, placement, dedupe=dedupe)
     H = build_jacobian(case, mset, scope=scope, flat_branch_model=flat_branch_model)
     R = CovarianceModel.for_channels(mset, sigma_v=sigma_v, sigma_i=sigma_i)

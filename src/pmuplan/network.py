@@ -13,8 +13,10 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Bus",
@@ -178,6 +180,15 @@ def _integral(value, label: str) -> int:
     return int(number)
 
 
+def _check_endpoints(branch: Branch, known) -> None:
+    """The parsers' per-row form of NetworkCase's endpoint check."""
+    for end in (branch.from_bus, branch.to_bus):
+        if end not in known:
+            raise ValueError(
+                f"branch {branch.from_bus}-{branch.to_bus} references unknown bus {end}"
+            )
+
+
 def _strip_matlab_comments(line: str) -> str:
     pos = line.find("%")
     return line if pos < 0 else line[:pos]
@@ -223,19 +234,22 @@ def _parse_matpower(text: str, name: str) -> NetworkCase:
             )
 
     buses = []
+    first_line: dict[int, int] = {}  # bus id -> line that declares it
     for lineno, row in _matpower_table(text, "bus", name):
         if len(row) < 6:
             raise CaseFormatError(f"{name}:{lineno}: bus row needs >= 6 columns")
         try:
-            buses.append(
-                Bus(
-                    id=_integral(row[0], "bus id"),
-                    shunt_g=row[4] / base_mva,
-                    shunt_b=row[5] / base_mva,
-                )
+            bus = Bus(
+                id=_integral(row[0], "bus id"),
+                shunt_g=row[4] / base_mva,
+                shunt_b=row[5] / base_mva,
             )
+            if bus.id in first_line:
+                raise ValueError(f"duplicate bus id {bus.id}, first on line {first_line[bus.id]}")
         except ValueError as exc:
             raise CaseFormatError(f"{name}:{lineno}: {exc}") from exc
+        first_line[bus.id] = lineno
+        buses.append(bus)
 
     branches = []
     for lineno, row in _matpower_table(text, "branch", name):
@@ -246,18 +260,18 @@ def _parse_matpower(text: str, name: str) -> NetworkCase:
             if status == 0:
                 continue  # out-of-service branches are dropped at parse time
             tap = row[8] if len(row) > 8 and row[8] != 0.0 else 1.0
-            shift = np.deg2rad(row[9]) if len(row) > 9 else 0.0
-            branches.append(
-                Branch(
-                    from_bus=_integral(row[0], "branch from bus"),
-                    to_bus=_integral(row[1], "branch to bus"),
-                    r=row[2],
-                    x=row[3],
-                    b_charging=row[4],
-                    tap=tap,
-                    shift=float(shift),
-                )
+            shift = math.radians(row[9]) if len(row) > 9 else 0.0
+            branch = Branch(
+                from_bus=_integral(row[0], "branch from bus"),
+                to_bus=_integral(row[1], "branch to bus"),
+                r=row[2],
+                x=row[3],
+                b_charging=row[4],
+                tap=tap,
+                shift=shift,
             )
+            _check_endpoints(branch, first_line)
+            branches.append(branch)
         except ValueError as exc:
             raise CaseFormatError(f"{name}:{lineno}: {exc}") from exc
     return NetworkCase(name=name, buses=tuple(buses), branches=tuple(branches))
@@ -275,32 +289,35 @@ def _parse_json(text: str, name: str) -> NetworkCase:
     ):
         raise CaseFormatError(f"{name}: JSON case needs 'buses' and 'branches' arrays")
     buses = []
+    first_entry: dict[int, int] = {}  # bus id -> entry that declares it
     for i, b in enumerate(doc["buses"]):
         try:
-            buses.append(
-                Bus(
-                    id=_integral(b["id"], "bus id"),
-                    shunt_g=float(b.get("shunt_g", 0.0)),
-                    shunt_b=float(b.get("shunt_b", 0.0)),
-                )
+            bus = Bus(
+                id=_integral(b["id"], "bus id"),
+                shunt_g=float(b.get("shunt_g", 0.0)),
+                shunt_b=float(b.get("shunt_b", 0.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            if bus.id in first_entry:
+                raise ValueError(f"duplicate bus id {bus.id}, first in entry {first_entry[bus.id]}")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CaseFormatError(f"{name}: malformed bus entry {i}: {exc}") from exc
+        first_entry[bus.id] = i
+        buses.append(bus)
     branches = []
     for i, br in enumerate(doc["branches"]):
         try:
-            branches.append(
-                Branch(
-                    from_bus=_integral(br["from"], "branch from bus"),
-                    to_bus=_integral(br["to"], "branch to bus"),
-                    r=float(br["r"]),
-                    x=float(br["x"]),
-                    b_charging=float(br.get("b", 0.0)),
-                    tap=float(br.get("tap", 1.0)),
-                    shift=float(br.get("shift", 0.0)),
-                )
+            branch = Branch(
+                from_bus=_integral(br["from"], "branch from bus"),
+                to_bus=_integral(br["to"], "branch to bus"),
+                r=float(br["r"]),
+                x=float(br["x"]),
+                b_charging=float(br.get("b", 0.0)),
+                tap=float(br.get("tap", 1.0)),
+                shift=float(br.get("shift", 0.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            _check_endpoints(branch, first_entry)
+            branches.append(branch)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CaseFormatError(f"{name}: malformed branch entry {i}: {exc}") from exc
     return NetworkCase(name=str(doc.get("name", name)), buses=tuple(buses), branches=tuple(branches))
 
@@ -323,10 +340,10 @@ def parse_case(text: str, format: str = "matpower-subset", name: str = "case") -
     Raises
     ------
     CaseFormatError
-        On syntax problems, non-finite numbers or non-integral bus ids (with
-        the position: ``name:line`` for MATPOWER, the entry index for JSON),
-        duplicate bus ids, or branch endpoints that reference undeclared
-        buses.
+        On syntax problems, non-finite numbers, non-integral or duplicate
+        bus ids, or branch endpoints that reference undeclared buses. An
+        error in a row or entry names its position: ``name:line`` for
+        MATPOWER, the entry index for JSON.
     """
     if format == "matpower-subset":
         return _parse_matpower(text, name)
@@ -364,6 +381,8 @@ def incidence_matrix(case: NetworkCase) -> np.ndarray:
     Each row carries +1 in the from-bus column and -1 in the to-bus column,
     with columns following the case's bus ordering.
     """
+    import numpy as np
+
     mat = np.zeros((len(case.branches), len(case.buses)), dtype=int)
     for i, br in enumerate(case.branches):
         mat[i, case.bus_index(br.from_bus)] = 1

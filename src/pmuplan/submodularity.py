@@ -50,6 +50,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 DEFAULT_COUNTEREXAMPLE_CAP = 100
+# audit reports progress after every this many triples, and after the last
+PROGRESS_INTERVAL = 500
 
 
 class MarginClass(str, Enum):
@@ -295,7 +297,7 @@ def audit(
     bus ids. ``start``/``stop`` restrict the run to a contiguous slice of
     the lexicographic triple stream so external drivers can split the work;
     partial tallies recombine with merge_tallies. ``progress(done, planned)``
-    is called every 500 triples and after the last one.
+    is called every PROGRESS_INTERVAL triples and after the last one.
 
     The verdicts, values and counterexample order are those of
     classify_triple applied to enumerate_triples, but no object is built
@@ -340,7 +342,7 @@ def audit(
     submod = supermod = ties = 0
     counterexamples: list[MarginRecord] = []
     processed = 0
-    report = min(500, planned) if progress is not None else -1
+    report = min(PROGRESS_INTERVAL, planned) if progress is not None else -1
     block, offset = divmod(first, len(ids) - b_size)
     blocks = _blocks(bits, nu_mask, a_size - len(nu_ids), b_size - a_size, block)
     try:
@@ -390,7 +392,7 @@ def audit(
                 processed += 1
                 if processed == report:
                     progress(processed, planned)
-                    report = min(processed + 500, planned)
+                    report = min(processed + PROGRESS_INTERVAL, planned)
     except MetricEvaluationError as err:
         partial = ClassificationTally(
             total=processed,

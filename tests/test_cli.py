@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import pmuplan.estimation
 from pmuplan.cases import bundled_case_text, load_case
 from pmuplan.cli import main
+from pmuplan.estimation import UnobservableStateError
 from pmuplan.network import serialize_case
 from pmuplan.submodularity import count_combinations
 
@@ -288,3 +293,102 @@ def test_unrecognised_metric_failure_is_internal_error(monkeypatch, capsys):
     code, out, err = run(capsys, "submod", "audit", "--parallel", "1")
     assert (code, out) == (1, "")
     assert "audit aborted after 0 triples" in err
+
+
+def test_parallel_audit_failures_match_serial(monkeypatch, capsys):
+    """A metric failing in a worker ends the audit with the serial run's
+    stderr and exit code: progress lines, then the first failure in triple
+    order with the processed count and partial tally of all shards before it."""
+
+    def both(*argv):
+        serial = run(capsys, *argv, "--parallel", "1")
+        fanned = run(capsys, *argv, "--parallel", "2")
+        assert fanned == serial
+        return serial
+
+    code, out, err = both("submod", "audit", "--scope", "full", "--nu", "1",
+                          "--a-size", "1", "--b-size", "2")
+    assert (code, out) == (3, "")
+    assert err == ("error: audit aborted after 0 triples "
+                   "(0 submodular / 0 supermodular / 0 ties so far)\n")
+
+    # fails in the second of two shards (7560 triples, split at 3780)
+    original = pmuplan.estimation.placement_metric
+    bad = frozenset((2, 6, 7, 9, 5, 8))
+
+    def flaky(case, placement, **kwargs):
+        if placement.bus_set == bad:
+            raise UnobservableStateError(2)
+        return original(case, placement, **kwargs)
+
+    monkeypatch.setattr(pmuplan.estimation, "placement_metric", flaky)
+    code, out, err = both("submod", "audit", "--a-size", "6", "--b-size", "8")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"audited {k}/7560" for k in range(500, 4001, 500)] + [
+        "error: audit aborted after 4032 triples "
+        "(3015 submodular / 1017 supermodular / 0 ties so far)"
+    ]
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug inside the metric")
+
+    monkeypatch.setattr(pmuplan.estimation, "placement_metric", broken)
+    code, out, err = both("submod", "audit")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: audit aborted after 0 triples")
+
+
+def test_parallel_audit_stderr_is_serial_plus_one_line(capsys):
+    _, _, serial = run(capsys, "submod", "audit", "--parallel", "1")
+    _, _, fanned = run(capsys, "submod", "audit", "--parallel", "2")
+    assert fanned == serial + "audited 90 triples across 2 workers\n"
+
+
+# Each README command in a fresh interpreter, reporting which of the two
+# heavy modules it loaded: numpy (only ``metrics`` needs it) and the process
+# pool (only a sharded audit needs it).
+_IMPORT_PROBE = """
+import json, sys
+from pmuplan.cli import main
+code = main(sys.argv[1:])
+heavy = ("numpy", "concurrent.futures.process")
+print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}),
+      file=sys.stderr)
+"""
+_AUDIT = ["submod", "audit", "--case", "ieee14", "--nu", "2,6,7,9", "--a-size", "12",
+          "--b-size", "13"]
+_README_ROW = "| 2,6,7,9 | 36 | 8 | 8 | 0.2451 | 0.9971 | 28.0000 | 0.7778 |"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["case", "info", "--case", "ieee14"],
+        ["metrics", "--nu", "2,6,7,9"],
+        ["plan", "compare", "--nu", "2,6,7,9", "--stages", "10"],
+        ["plan", "greedy", "--nu", "2,6,7,9", "--stages", "4"],
+        ["plan", "budget", "--nu", "2,6,7,9", "--stages", "3"],
+        _AUDIT,  # --parallel 0: one worker per CPU, serial on a one-CPU host
+        _AUDIT + ["--parallel", "1"],
+        _AUDIT + ["--parallel", "2"],
+        ["submod", "count", "--case", "ieee118"],
+        ["knapsack", "demo"],
+    ],
+    ids=" ".join,
+)
+def test_only_metrics_loads_numpy(argv):
+    src = Path(pmuplan.estimation.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    report = json.loads(proc.stderr.splitlines()[-1])
+    assert report["code"] == 0
+    if argv[0] == "metrics":
+        assert "numpy" in report["loaded"]
+        assert _README_ROW in proc.stdout.splitlines()
+    else:
+        assert "numpy" not in report["loaded"]
+    if argv[-2:] == ["--parallel", "2"]:
+        assert "concurrent.futures.process" in report["loaded"]
+    elif argv is not _AUDIT:
+        assert "concurrent.futures.process" not in report["loaded"]

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmuplan.network import (
     Branch,
@@ -45,7 +47,17 @@ def test_matpower_subset_parsing():
     assert len(case.branches) == 2
     assert case.branches[0].tap == 1.0
     assert case.branches[1].tap == pytest.approx(0.98)
-    assert case.branches[1].shift == pytest.approx(np.deg2rad(30.0))
+    assert case.branches[1].shift == float(np.deg2rad(30.0))
+
+
+@pytest.mark.parametrize(
+    "angle", [0.0, 30.0, -30.0, 0.5, -7.125, 1e-7, 12.3456789, -179.99, 359.0, 720.25]
+)
+def test_matpower_phase_shift_is_exact_radians(angle):
+    text = MINI_CASE.replace("0.98  30  1", f"0.98  {angle!r}  1")
+    shift = parse_case(text, name="mini").branches[1].shift
+    assert type(shift) is float
+    assert shift == float(np.deg2rad(angle))
 
 
 def test_matpower_errors_carry_line_positions():
@@ -253,3 +265,112 @@ def test_incidence_lookups_match_scans(ieee118):
         assert (mat[i] == row).all()
     with pytest.raises(KeyError, match="unknown bus id 119"):
         case.incident_branches(119)
+
+
+# ---- parser fuzzing -----------------------------------------------------------
+# Every input either parses to a case that survives serialize_case -> JSON ->
+# parse unchanged, or raises CaseFormatError naming the offending position.
+
+# Mostly well-formed cases: buses 1..n in some order, branches between them.
+# Half the cases get one corrupted cell; a few branches dangle.
+_BAD_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["NaN", "-Inf", "1e400", "2.5", "-1", "0", "1", "x", "0x1", "1_0"]),
+)
+_BAD_VALUES = st.one_of(
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["3", "1.5", "x", 2.5, -1, 0, 1, 10**400, [1], {}]),
+)
+
+
+@st.composite
+def _tables(draw, bad):
+    """Bus rows (6 cells) and branch rows (5 to 11 cells) as value lists."""
+    n = draw(st.integers(0, 6))
+    nums = st.floats(-5, 5, allow_nan=False)
+    buses = [[bus, 1, 0.0, 0.0, draw(nums), draw(nums)]
+             for bus in draw(st.permutations(range(1, n + 1)))]
+    branches = []
+    for _ in range(draw(st.integers(0, 8)) if n > 1 else 0):
+        f, t = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        if draw(st.integers(0, 9)) == 0:
+            t = n + 1
+        cells = [f, t, draw(nums), draw(st.floats(0.01, 1)), draw(nums), 0, 0, 0,
+                 draw(st.sampled_from([1.0, 0.95, 1.05])), draw(st.floats(-360, 360)),
+                 draw(st.sampled_from([1, 1, 0]))]
+        branches.append(cells[: draw(st.integers(5, 11))])
+    rows = buses + branches
+    if rows and draw(st.booleans()):
+        cells = rows[draw(st.integers(0, len(rows) - 1))]
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(bad)
+    return buses, branches
+
+
+@st.composite
+def matpower_texts(draw):
+    buses, branches = draw(_tables(_BAD_TOKENS))
+
+    def rows(table):
+        return ["    " + "  ".join(str(c) for c in cells)
+                + draw(st.sampled_from(["", ";", ";  % note"])) for cells in table]
+
+    base = draw(_BAD_TOKENS) if draw(st.integers(0, 9)) == 0 else "100"
+    lines = ["function mpc = fuzz", f"mpc.baseMVA = {base};"]
+    lines += ["mpc.bus = [", *rows(buses), "];", "mpc.branch = [", *rows(branches), "];"]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def json_texts(draw):
+    buses, branches = draw(_tables(_BAD_VALUES))
+
+    def entries(table, keys):
+        out = []
+        for cells in table:
+            entry = dict(zip(keys, cells))
+            if draw(st.integers(0, 9)) == 0:
+                entry = draw(_BAD_VALUES)  # not an object at all
+            elif draw(st.integers(0, 9)) == 0:
+                del entry[draw(st.sampled_from(sorted(entry)))]
+            out.append(entry)
+        return out
+
+    doc = {
+        "name": draw(st.one_of(st.just("case"), _BAD_VALUES)),
+        "buses": entries(buses, ["id", "type", "pd", "qd", "shunt_g", "shunt_b"]),
+        "branches": entries(branches, ["from", "to", "r", "x", "b", "ra", "rb", "rc",
+                                       "tap", "shift", "status"]),
+    }
+    text = json.dumps(doc)
+    if draw(st.integers(0, 5)) == 0:
+        text = text[: draw(st.integers(1, len(text) - 1))]
+    return text
+
+
+def _assert_round_trips_or_names_a_position(text, fmt, position):
+    try:
+        case = parse_case(text, format=fmt, name="fuzz")
+    except CaseFormatError as err:
+        assert re.match(position, str(err)), str(err)
+        return
+    doc = serialize_case(case)
+    again = parse_case(json.dumps(doc), format="json", name="other")
+    assert again == case
+    assert serialize_case(again) == doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(matpower_texts())
+def test_matpower_parser_fuzz(text):
+    _assert_round_trips_or_names_a_position(text, "matpower-subset", r"fuzz:\d+: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_texts())
+def test_json_parser_fuzz(text):
+    _assert_round_trips_or_names_a_position(
+        text, "json",
+        r"fuzz: (malformed (bus|branch) entry \d+: |invalid JSON at line \d+, column \d+$)",
+    )
