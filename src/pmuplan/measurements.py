@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-from .network import NetworkCase, neighbors
+from .network import NetworkCase
 
 __all__ = [
     "ChannelKind",
@@ -61,13 +61,11 @@ class PmuPlacement:
     def __post_init__(self) -> None:
         if self.channel_limit <= 0:
             raise ValueError("channel_limit must be positive")
-        ordered = tuple(sorted(set(self.buses)))
-        if ordered != tuple(self.buses):
-            object.__setattr__(self, "buses", ordered)
+        object.__setattr__(self, "buses", tuple(sorted(set(self.buses))))
 
     @classmethod
     def of(cls, buses: Iterable[int], channel_limit: int = DEFAULT_CHANNEL_LIMIT) -> "PmuPlacement":
-        return cls(buses=tuple(sorted(set(buses))), channel_limit=channel_limit)
+        return cls(buses=tuple(buses), channel_limit=channel_limit)
 
     @property
     def bus_set(self) -> frozenset[int]:
@@ -118,9 +116,8 @@ class MeasurementSet:
         return len(self.channels)
 
 
-def _check_limits(case: NetworkCase, placement: PmuPlacement) -> list[tuple[int, ...]]:
-    """Validate every placement bus; return each one's incident branch indices."""
-    incident = []
+def _check_limits(case: NetworkCase, placement: PmuPlacement) -> None:
+    """Validate every placement bus in sorted order; raise for the first bad one."""
     for bus in placement.buses:
         try:
             branches = case.incident_branches(bus)
@@ -128,8 +125,6 @@ def _check_limits(case: NetworkCase, placement: PmuPlacement) -> list[tuple[int,
             raise KeyError(f"placement bus {bus} not in case {case.name!r}") from None
         if len(branches) > placement.channel_limit:
             raise ChannelLimitError(bus, len(branches), placement.channel_limit)
-        incident.append(branches)
-    return incident
 
 
 def _check_dedupe(dedupe: str) -> None:
@@ -193,15 +188,25 @@ def enumerate_channels(
 def channel_count(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-branch") -> int:
     """Channel total m without materializing the channel list.
 
-    Validates exactly what :func:`enumerate_channels` validates and equals
-    the length of its result under either dedupe policy.
+    Validates exactly what :func:`enumerate_channels` validates, with the
+    same error for the same first offending bus, and equals the length of
+    its result under either dedupe policy. The count reads the case's
+    incidence rows: ``by-branch`` meters the popcount of the OR of the
+    buses' branch masks, ``per-end`` the sum of their degrees.
     """
     _check_dedupe(dedupe)
-    incident = _check_limits(case, placement)
+    index = case.incidence
+    limit = placement.channel_limit
+    metered = 0
+    for bus in placement.buses:
+        row = index.get(bus)
+        if row is None or row[1] > limit:
+            _check_limits(case, placement)  # raises, naming this same bus
+        metered |= row[2]
     if dedupe == "by-branch":
-        ends = len(set().union(*incident))
+        ends = metered.bit_count()
     else:
-        ends = sum(map(len, incident))
+        ends = sum(index[bus][1] for bus in placement.buses)
     return 2 * len(placement.buses) + 2 * ends
 
 
@@ -209,13 +214,21 @@ def observability_check(case: NetworkCase, placement: PmuPlacement) -> tuple[boo
     """Topological observability: every bus hosts a PMU or neighbors one.
 
     Returns ``(fully_observable, sorted unobserved bus ids)``. Placement buses
-    must belong to the case (``KeyError`` otherwise).
+    must belong to the case (``KeyError`` naming the first unknown one
+    otherwise). The observed set is the OR of the buses' closed-neighborhood
+    masks; ids are decoded only when some bus is left out of it.
     """
-    observed = set(placement.buses)
+    index = case.incidence
+    observed = 0
     for bus in placement.buses:
-        observed |= neighbors(case, bus)
-    unobserved = sorted(set(case.bus_ids) - observed)
-    return not unobserved, unobserved
+        row = index.get(bus)
+        if row is None:
+            case.bus_index(bus)  # raises KeyError naming the bus
+        observed |= row[3]
+    unobserved = ~observed & ((1 << len(index)) - 1)
+    if not unobserved:
+        return True, []
+    return False, case.buses_in(unobserved)
 
 
 def greedy_observable_cover(
@@ -230,24 +243,19 @@ def greedy_observable_cover(
     and are never selected. The result passes :func:`observability_check`
     but is not guaranteed to be of minimum cardinality.
     """
-    closed: dict[int, set[int]] = {b: {b} for b in case.bus_ids}
-    for br in case.branches:
-        closed[br.from_bus].add(br.to_bus)
-        closed[br.to_bus].add(br.from_bus)
-    hosts = sorted(
-        b for b in case.bus_ids if len(case.incident_branches(b)) <= channel_limit
-    )
+    closed = {bus: row[3] for bus, row in case.incidence.items() if row[1] <= channel_limit}
+    hosts = sorted(closed)
 
-    uncovered = set(case.bus_ids)
+    uncovered = (1 << len(case.buses)) - 1
     chosen: list[int] = []
     while uncovered:
         # max() keeps the first maximum, so over sorted ids the lowest wins ties
-        best = max(hosts, key=lambda b: len(closed[b] & uncovered))
+        best = max(hosts, key=lambda b: (closed[b] & uncovered).bit_count())
         if not closed[best] & uncovered:
             raise ValueError(
-                f"buses {sorted(uncovered)} cannot be observed by any host "
+                f"buses {case.buses_in(uncovered)} cannot be observed by any host "
                 f"within the channel limit of {channel_limit}"
             )
         chosen.append(best)
-        uncovered -= closed[best]
+        uncovered &= ~closed[best]
     return PmuPlacement.of(chosen, channel_limit=channel_limit)

@@ -161,13 +161,12 @@ class PlanComparison:
 
 
 def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    base = tuple(sorted(set(nu)))
-    omega = set(case.bus_ids)
-    if not set(base) <= omega:
-        missing = sorted(set(base) - omega)
+    base_set = set(nu)
+    missing = sorted(base_set.difference(case.bus_ids))
+    if missing:
         raise ValueError(f"base buses not in the case: {missing}")
-    free = tuple(b for b in case.bus_ids if b not in set(base))
-    return base, free
+    free = tuple(b for b in case.bus_ids if b not in base_set)
+    return tuple(sorted(base_set)), free
 
 
 def greedy_plan(

@@ -22,7 +22,9 @@ enumerate_triples and classify_triple state the definition one triple at a
 time. audit computes the same tally without an object per triple: it holds
 placements as int bitmasks over the sorted bus ids, walks (A, B) blocks with
 f(A) and f(B) read once per block, caches metric values by mask, and builds
-records only for the counterexamples it keeps.
+records only for the counterexamples it keeps. A placement is decoded into a
+frozenset only on a cache miss: the block's A or B once, and A+s or B+s as
+that set plus one bus.
 """
 
 from __future__ import annotations
@@ -330,10 +332,17 @@ def audit(
     def triple(a: int, b: int, s: int) -> SubsetTriple:
         return SubsetTriple(a=tuple(buses(a)), b=tuple(buses(b)), s=ids[s.bit_length() - 1])
 
-    def evaluate(mask: int, a: int, b: int, s: int) -> float:
-        placement = frozenset(buses(mask))
+    decoded: dict[int, frozenset] = {}  # the block's A and B, decoded on a miss
+
+    def evaluate(base: int, plus: int, a: int, b: int, s: int) -> float:
+        """Score the missed placement base + plus, where base is the block's A
+        or B and plus is 0 or the probe bit."""
+        members = decoded.get(base)
+        if members is None:
+            members = decoded[base] = frozenset(buses(base))
+        placement = members | {ids[plus.bit_length() - 1]} if plus else members
         try:
-            value = cache[mask] = float(metric(placement))
+            value = cache[base | plus] = float(metric(placement))
         except Exception as exc:
             raise MetricEvaluationError(triple(a, b, s), placement) from exc
         return value
@@ -351,21 +360,22 @@ def audit(
                 break
             probes = probes[offset : offset + planned - processed]
             offset = 0
+            decoded.clear()
             f_a = lookup(a)
             if f_a is None:
-                f_a = evaluate(a, a, b, probes[0])
+                f_a = evaluate(a, 0, a, b, probes[0])
             f_b = None
             for s in probes:
                 f_a_s = lookup(a | s)
                 if f_a_s is None:
-                    f_a_s = evaluate(a | s, a, b, s)
+                    f_a_s = evaluate(a, s, a, b, s)
                 if f_b is None:
                     f_b = lookup(b)
                     if f_b is None:
-                        f_b = evaluate(b, a, b, s)
+                        f_b = evaluate(b, 0, a, b, s)
                 f_b_s = lookup(b | s)
                 if f_b_s is None:
-                    f_b_s = evaluate(b | s, a, b, s)
+                    f_b_s = evaluate(b, s, a, b, s)
                 lhs = f_a_s - f_a
                 rhs = f_b_s - f_b
                 margin = lhs - rhs

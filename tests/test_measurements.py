@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmuplan.measurements import (
     ChannelKind,
@@ -146,3 +148,74 @@ def test_cover_failure_when_nothing_can_host():
     )
     with pytest.raises(ValueError, match="cannot be observed"):
         greedy_observable_cover(case, channel_limit=1)
+
+
+# ---- mask kernel against the explicit references -------------------------------
+# channel_count and observability_check read the case's per-bus bitmasks; the
+# references below walk incident_branches and the channel list instead.
+
+
+@st.composite
+def cases_and_placements(draw):
+    """A connected case with scattered, unsorted bus ids and parallel branches,
+    plus a placement that may hold unknown or over-limit buses."""
+    ids = draw(st.lists(st.integers(1, 500), min_size=2, max_size=9, unique=True))
+    pairs = [(ids[i], draw(st.sampled_from(ids[:i]))) for i in range(1, len(ids))]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                           .filter(lambda ft: ft[0] != ft[1]), max_size=6))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))  # parallel branches
+    pairs = draw(st.permutations(pairs))
+    case = NetworkCase(
+        name="drawn",
+        buses=tuple(Bus(i) for i in ids),
+        branches=tuple(Branch(f, t, 0.0, 1.0 + k) for k, (f, t) in enumerate(pairs)),
+    )
+    unknown = st.integers(501, 600)
+    buses = draw(st.lists(st.one_of(st.sampled_from(ids), unknown), min_size=1, max_size=9))
+    return case, PmuPlacement.of(buses, channel_limit=draw(st.integers(1, 6)))
+
+
+def _scanned_degree(case, bus):
+    return sum(bus in (br.from_bus, br.to_bus) for br in case.branches)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases_and_placements(), st.sampled_from(["by-branch", "per-end"]))
+def test_mask_kernel_matches_the_references(drawn, dedupe):
+    case, placement = drawn
+    first_unknown = next((b for b in placement.buses if b not in case.bus_ids), None)
+    first_bad = next(
+        (b for b in placement.buses
+         if b not in case.bus_ids or _scanned_degree(case, b) > placement.channel_limit),
+        None,
+    )
+
+    if first_bad is None:
+        assert channel_count(case, placement, dedupe) == len(
+            enumerate_channels(case, placement, dedupe)
+        )
+    else:
+        with pytest.raises((KeyError, ChannelLimitError)) as got:
+            channel_count(case, placement, dedupe)
+        with pytest.raises((KeyError, ChannelLimitError)) as want:
+            enumerate_channels(case, placement, dedupe)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        if first_bad == first_unknown:
+            assert str(got.value) == repr(f"placement bus {first_bad} not in case 'drawn'")
+        else:
+            assert got.value.bus == first_bad
+            assert got.value.incident == _scanned_degree(case, first_bad)
+
+    if first_unknown is not None:
+        with pytest.raises(KeyError) as got:
+            observability_check(case, placement)
+        assert str(got.value) == repr(f"unknown bus id {first_unknown}")
+        return
+    observed = set(placement.buses)
+    for bus in placement.buses:
+        for i in case.incident_branches(bus):
+            br = case.branches[i]
+            observed.add(br.to_bus if br.from_bus == bus else br.from_bus)
+    unobserved = sorted(set(case.bus_ids) - observed)
+    assert observability_check(case, placement) == (not unobserved, unobserved)

@@ -234,6 +234,39 @@ def test_json_rejects_non_finite_and_fractional_values(path, value, what):
         parse_case(json.dumps(doc), format="json", name="x")
 
 
+@pytest.mark.parametrize(
+    "path, value, what",
+    [
+        (("buses", 0, "id"), True, "bus entry 0: bus id must be an integer, got True"),
+        (("buses", 1, "id"), "2", "bus entry 1: bus id must be an integer, got '2'"),
+        (("buses", 2, "shunt_g"), "0.1", "bus entry 2: shunt_g must be a number, got '0.1'"),
+        (("buses", 0, "shunt_b"), False, "bus entry 0: shunt_b must be a number, got False"),
+        (("branches", 0, "from"), False, "branch entry 0: branch from bus must be an integer"),
+        (("branches", 1, "to"), "2", "branch entry 1: branch to bus must be an integer, got '2'"),
+        (("branches", 0, "r"), "0.5", "branch entry 0: r must be a number, got '0.5'"),
+        (("branches", 1, "x"), True, "branch entry 1: x must be a number, got True"),
+        (("branches", 0, "b"), "0", "branch entry 0: b must be a number, got '0'"),
+        (("branches", 1, "tap"), True, "branch entry 1: tap must be a number, got True"),
+        (("branches", 1, "shift"), "0", "branch entry 1: shift must be a number, got '0'"),
+        (("branches", 0, "x"), None, "branch entry 0: x must be a number, got None"),
+    ],
+)
+def test_json_rejects_strings_and_booleans(path, value, what):
+    doc = serialize_case(parse_case(MINI_CASE, name="mini"))
+    table, index, key = path
+    doc[table][index][key] = value
+    with pytest.raises(CaseFormatError, match=rf"^x: malformed {re.escape(what)}"):
+        parse_case(json.dumps(doc), format="json", name="x")
+
+
+def test_json_document_errors_name_the_document():
+    huge = '{"buses": [{"id": ' + "7" * 5000 + '}], "branches": []}'
+    with pytest.raises(CaseFormatError, match=r"^x: invalid JSON: .*4300 digits"):
+        parse_case(huge, format="json", name="x")
+    with pytest.raises(CaseFormatError, match=r"^x: invalid JSON: maximum recursion depth"):
+        parse_case("[" * 100_000, format="json", name="x")
+
+
 def test_json_integral_ids_are_kept_exactly():
     doc = serialize_case(parse_case(MINI_CASE, name="mini"))
     doc["buses"][2]["id"] = 3.0
@@ -349,12 +382,23 @@ def json_texts(draw):
     return text
 
 
+def _is_json_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _assert_round_trips_or_names_a_position(text, fmt, position):
     try:
         case = parse_case(text, format=fmt, name="fuzz")
     except CaseFormatError as err:
         assert re.match(position, str(err)), str(err)
         return
+    if fmt == "json":
+        # an accepted document holds JSON numbers in every field the parser reads
+        doc = json.loads(text)
+        for table, keys in (("buses", ("id", "shunt_g", "shunt_b")),
+                            ("branches", ("from", "to", "r", "x", "b", "tap", "shift"))):
+            for entry in doc[table]:
+                assert all(_is_json_number(entry[k]) for k in keys if k in entry), entry
     doc = serialize_case(case)
     again = parse_case(json.dumps(doc), format="json", name="other")
     assert again == case
