@@ -95,13 +95,6 @@ class RunConfig:
     channel_limit: int
 
 
-def _scope_from_flag(value: str) -> StateScope:
-    if value == "full":
-        return StateScope.FULL
-    # paper-compat is the historical alias for the reduced pmu-state scope
-    return StateScope.PMU
-
-
 def _load_case(name_or_path: str, fmt: str | None) -> tuple[NetworkCase, str, str]:
     if name_or_path in BUNDLED:
         text = bundled_case_text(name_or_path)
@@ -151,15 +144,14 @@ def _resolve_nu(args, config: RunConfig) -> list[int]:
     even when --channel-limit is raised: a higher evaluation limit widens
     what the metric may score, not which buses make sensible hosts.
     """
+    ids = set(config.case.bus_ids)
     if getattr(args, "nu", None):
         nu = sorted(set(_parse_nu(args.nu)))
-        ids = set(config.case.bus_ids)
         missing = sorted(set(nu) - ids)
         if missing:
             raise ValueError(f"nu buses not in the case: {missing}")
         return nu
     host_limit = min(config.channel_limit, DEFAULT_CHANNEL_LIMIT)
-    ids = set(config.case.bus_ids)
     if set(FALLBACK_NU) <= ids:
         try:
             placement = PmuPlacement.of(FALLBACK_NU, channel_limit=host_limit)
@@ -194,20 +186,28 @@ def _fmt_num(x: float) -> str:
     return f"{x:g}"
 
 
-def _md_table(header: list[str], rows: list[list[str]]) -> str:
+def _md_table(header: list[str], rows: list[list]) -> str:
     lines = ["| " + " | ".join(header) + " |"]
     lines.append("|" + "|".join(" --- " for _ in header) + "|")
     for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
+        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
     return "\n".join(lines)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _render(config: RunConfig, payload: dict, header: list[str], rows: list[list],
+            md: str | None = None) -> str:
+    """The output in the format ``--out`` names: ``payload`` as JSON, the
+    ``header`` and ``rows`` as CSV, or ``md``, which defaults to their
+    markdown table."""
+    if config.out == "json":
+        return json.dumps(payload, indent=2)
+    if config.out == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().rstrip("\n")
+    return _md_table(header, rows) if md is None else md
 
 
 def _emit(text: str, output: str) -> None:
@@ -224,29 +224,20 @@ def _cmd_case_info(args, config: RunConfig) -> str:
     case = config.case
     degrees = [(b, len(case.incident_branches(b))) for b in case.bus_ids]
     connected = case.is_connected()
-    if config.out == "json":
-        return json.dumps(
-            {
-                "schema": "case-info/1",
-                "name": case.name,
-                "buses": len(case.buses),
-                "branches": len(case.branches),
-                "connected": connected,
-                "degrees": [{"bus": b, "degree": d} for b, d in degrees],
-            },
-            indent=2,
-        )
-    if config.out == "csv":
-        return _csv_text(["bus", "degree"], [[b, d] for b, d in degrees])
-    lines = [
-        f"# case {case.name}",
-        "",
-        f"{len(case.buses)} buses, {len(case.branches)} branches, "
-        f"{'connected' if connected else 'NOT connected'}",
-        "",
-        _md_table(["bus", "degree"], [[str(b), str(d)] for b, d in degrees]),
-    ]
-    return "\n".join(lines)
+    payload = {
+        "schema": "case-info/1",
+        "name": case.name,
+        "buses": len(case.buses),
+        "branches": len(case.branches),
+        "connected": connected,
+        "degrees": [{"bus": b, "degree": d} for b, d in degrees],
+    }
+    header, rows = ["bus", "degree"], [[b, d] for b, d in degrees]
+    title = (
+        f"# case {case.name}\n\n{len(case.buses)} buses, {len(case.branches)} "
+        f"branches, {'connected' if connected else 'NOT connected'}"
+    )
+    return _render(config, payload, header, rows, title + "\n\n" + _md_table(header, rows))
 
 
 def _cmd_metrics(args, config: RunConfig) -> str:
@@ -260,121 +251,74 @@ def _cmd_metrics(args, config: RunConfig) -> str:
         raise ValueError(f"placement buses not in the case: {missing}")
     placement = PmuPlacement.of(buses, channel_limit=config.channel_limit)
     report = sensitivity_report(
-        config.case,
-        placement,
-        scope=config.scope,
-        sigma_v=config.sigma_v,
-        sigma_i=config.sigma_i,
-        dedupe=config.dedupe,
-        flat_branch_model=config.flat,
+        config.case, placement, scope=config.scope, sigma_v=config.sigma_v,
+        sigma_i=config.sigma_i, dedupe=config.dedupe, flat_branch_model=config.flat,
     )
-    if config.out == "json":
-        payload = {"schema": "metrics/1", "case": config.case.name,
-                   "placement": buses, "scope": config.scope.value,
-                   "dedupe": config.dedupe}
-        payload.update(report.to_dict())
-        return json.dumps(payload, indent=2)
+    payload = {"schema": "metrics/1", "case": config.case.name,
+               "placement": buses, "scope": config.scope.value,
+               "dedupe": config.dedupe}
+    payload.update(report.to_dict())
     header = ["placement", "m", "n", "rank", "min", "max", "sum", "average"]
-    row = [
-        ",".join(str(b) for b in buses),
-        str(report.m),
-        str(report.n),
-        str(report.rank),
-        _fmt_metric(report.min),
-        _fmt_metric(report.max),
-        _fmt_metric(report.sum),
-        _fmt_metric(report.average),
-    ]
-    if config.out == "csv":
-        return _csv_text(header, [row])
-    return _md_table(header, [row])
+    row = [",".join(str(b) for b in buses), report.m, report.n, report.rank,
+           *(_fmt_metric(x) for x in (report.min, report.max, report.sum, report.average))]
+    return _render(config, payload, header, [row])
 
 
-def _make_metric(config: RunConfig):
-    return metric_function(
-        config.case,
-        scope=config.scope,
-        sigma_v=config.sigma_v,
-        sigma_i=config.sigma_i,
-        dedupe=config.dedupe,
-        flat_branch_model=config.flat,
-        channel_limit=config.channel_limit,
-    )
+def _make_metric(config: RunConfig, gain: bool = False):
+    return metric_function(config.case, scope=config.scope, dedupe=config.dedupe,
+                           channel_limit=config.channel_limit, gain=gain)
 
 
 def _cmd_plan(args, config: RunConfig) -> str:
     _require_hostable_case(config.case, config.channel_limit, "planning")
     nu = _resolve_nu(args, config)
     metric = _make_metric(config)
-    mode = args.mode
+    name = config.case.name
 
-    if mode == "greedy":
+    if args.mode == "greedy":
         plan = greedy_plan(config.case, nu, metric, args.stages, tie_tol=config.tol)
-        if config.out == "json":
-            payload = {"schema": "plan-greedy/1", "case": config.case.name}
-            payload.update(plan.to_dict())
-            return json.dumps(payload, indent=2)
+        payload = {"schema": "plan-greedy/1", "case": name}
+        payload.update(plan.to_dict())
         header = ["stage", "added", "placement", "value"]
-        rows = []
-        for k in range(1, len(plan.order) + 1):
-            rows.append(
-                [
-                    str(k),
-                    str(plan.order[k - 1]),
-                    ",".join(str(b) for b in plan.order[:k]),
-                    _fmt_metric(plan.stage_values[k - 1]),
-                ]
-            )
-        if config.out == "csv":
-            return _csv_text(header, rows)
-        title = f"greedy plan on {config.case.name}, base {list(plan.base)}"
-        return title + "\n\n" + _md_table(header, rows)
+        rows = [
+            [k, plan.order[k - 1], ",".join(str(b) for b in plan.order[:k]),
+             _fmt_metric(plan.stage_values[k - 1])]
+            for k in range(1, len(plan.order) + 1)
+        ]
+        title = f"greedy plan on {name}, base {list(plan.base)}"
 
-    if mode == "budget":
+    elif args.mode == "budget":
         result = budget_constrained_plan(
             config.case, nu, metric, args.stages,
             enum_cap=config.enum_cap, tie_tol=config.tol,
         )
-        if config.out == "json":
-            return json.dumps(
-                {
-                    "schema": "plan-budget/1",
-                    "case": config.case.name,
-                    "base": nu,
-                    "stage": result.stage,
-                    "selected": list(result.selected),
-                    "value": result.metric_value,
-                },
-                indent=2,
-            )
+        payload = {
+            "schema": "plan-budget/1",
+            "case": name,
+            "base": nu,
+            "stage": result.stage,
+            "selected": list(result.selected),
+            "value": result.metric_value,
+        }
         header = ["stage", "selected", "value"]
-        row = [
-            str(result.stage),
-            ",".join(str(b) for b in result.selected),
-            _fmt_metric(result.metric_value),
-        ]
-        if config.out == "csv":
-            return _csv_text(header, [row])
-        title = f"budget-constrained plan on {config.case.name}, base {nu}"
-        return title + "\n\n" + _md_table(header, [row])
+        rows = [[result.stage, ",".join(str(b) for b in result.selected),
+                 _fmt_metric(result.metric_value)]]
+        title = f"budget-constrained plan on {name}, base {nu}"
 
-    comparison = compare_plans(
-        config.case, nu, metric, args.stages,
-        enum_cap=config.enum_cap, tie_tol=config.tol,
-    )
-    if config.out == "json":
-        payload = {"schema": "plan-compare/1", "case": config.case.name}
+    else:
+        comparison = compare_plans(
+            config.case, nu, metric, args.stages,
+            enum_cap=config.enum_cap, tie_tol=config.tol,
+        )
+        payload = {"schema": "plan-compare/1", "case": name}
         payload.update(comparison.to_dict())
-        return json.dumps(payload, indent=2)
-    header = [
-        "stage", "budget set", "budget value",
-        "greedy order", "greedy value", "differs", "worse",
-    ]
-    rows = []
-    for r in comparison.rows:
-        rows.append(
+        header = [
+            "stage", "budget set", "budget value",
+            "greedy order", "greedy value", "differs", "worse",
+        ]
+        rows = [
             [
-                str(r.stage),
+                r.stage,
                 ",".join(str(b) for b in r.budget.selected),
                 _fmt_metric(r.budget.metric_value),
                 ",".join(str(b) for b in comparison.greedy_order[: r.stage]),
@@ -382,11 +326,11 @@ def _cmd_plan(args, config: RunConfig) -> str:
                 "yes" if r.sets_differ else "no",
                 "yes" if r.greedy_strictly_worse else "no",
             ]
-        )
-    if config.out == "csv":
-        return _csv_text(header, rows)
-    title = f"plan comparison on {config.case.name}, base {list(comparison.base)}"
-    return title + "\n\n" + _md_table(header, rows)
+            for r in comparison.rows
+        ]
+        title = f"plan comparison on {name}, base {list(comparison.base)}"
+
+    return _render(config, payload, header, rows, title + "\n\n" + _md_table(header, rows))
 
 
 class ProcessPoolExecutor:
@@ -429,19 +373,10 @@ def _audit_shard(payload: tuple) -> tuple[ClassificationTally, int]:
     the failure's root cause.
     """
     (text, fmt, name, nu, a_size, b_size, tol, cap,
-     scope_value, sigma_v, sigma_i, dedupe, flat, channel_limit,
-     start, stop) = payload
+     scope_value, dedupe, channel_limit, start, stop) = payload
     case = parse_case(text, format=fmt, name=name)
-    metric = metric_function(
-        case,
-        scope=StateScope(scope_value),
-        sigma_v=sigma_v,
-        sigma_i=sigma_i,
-        dedupe=dedupe,
-        flat_branch_model=flat,
-        channel_limit=channel_limit,
-        gain=True,
-    )
+    metric = metric_function(case, scope=StateScope(scope_value), dedupe=dedupe,
+                             channel_limit=channel_limit, gain=True)
     try:
         tally = audit(case, metric, nu, a_size, b_size, tol=tol,
                       counterexample_cap=cap, start=start, stop=stop)
@@ -471,26 +406,18 @@ def _cmd_submod(args, config: RunConfig) -> str:
     nu = _resolve_nu(args, config)
     alpha = count_combinations(omega, len(nu), a_size, b_size)
 
-    if args.action == "count" or getattr(args, "count_only", False):
-        if config.out == "json":
-            return json.dumps(
-                {
-                    "schema": "submod-count/1",
-                    "case": config.case.name,
-                    "omega": omega,
-                    "nu_size": len(nu),
-                    "a_size": a_size,
-                    "b_size": b_size,
-                    "alpha": alpha,
-                },
-                indent=2,
-            )
-        if config.out == "csv":
-            return _csv_text(
-                ["omega", "nu_size", "a_size", "b_size", "alpha"],
-                [[omega, len(nu), a_size, b_size, alpha]],
-            )
-        return f"alpha = {alpha}"
+    if args.action == "count":
+        payload = {
+            "schema": "submod-count/1",
+            "case": config.case.name,
+            "omega": omega,
+            "nu_size": len(nu),
+            "a_size": a_size,
+            "b_size": b_size,
+            "alpha": alpha,
+        }
+        return _render(config, payload, ["omega", "nu_size", "a_size", "b_size", "alpha"],
+                       [[omega, len(nu), a_size, b_size, alpha]], f"alpha = {alpha}")
 
     _require_hostable_case(config.case, config.channel_limit, "the audit")
     cap = args.counterexamples
@@ -501,8 +428,7 @@ def _cmd_submod(args, config: RunConfig) -> str:
             (
                 config.case_text, config.case_format, config.case.name,
                 nu, a_size, b_size, config.tol, cap,
-                config.scope.value, config.sigma_v, config.sigma_i,
-                config.dedupe, config.flat, config.channel_limit,
+                config.scope.value, config.dedupe, config.channel_limit,
                 bounds[i], bounds[i + 1],
             )
             for i in range(workers)
@@ -523,69 +449,52 @@ def _cmd_submod(args, config: RunConfig) -> str:
         tally = merge_tallies(parts, counterexample_cap=cap)
         print(f"audited {alpha} triples across {workers} workers", file=sys.stderr)
     else:
-        metric = metric_function(
-            config.case,
-            scope=config.scope,
-            sigma_v=config.sigma_v,
-            sigma_i=config.sigma_i,
-            dedupe=config.dedupe,
-            flat_branch_model=config.flat,
-            channel_limit=config.channel_limit,
-            gain=True,
-        )
         tally = audit(
-            config.case, metric, nu, a_size, b_size,
+            config.case, _make_metric(config, gain=True), nu, a_size, b_size,
             tol=config.tol, counterexample_cap=cap, progress=_progress,
         )
 
-    if config.out == "json":
-        payload = {
-            "schema": "submod-audit/1",
-            "case": config.case.name,
-            "nu": nu,
-            "a_size": a_size,
-            "b_size": b_size,
-            "tol": config.tol,
-            "alpha": alpha,
-        }
-        payload.update(tally.to_dict())
-        return json.dumps(payload, indent=2)
-    if config.out == "csv":
-        return _csv_text(
-            ["case", "nu_size", "a_size", "b_size",
-             "total", "submodular", "supermodular", "ties"],
-            [[config.case.name, len(nu), a_size, b_size,
-              tally.total, tally.submodular, tally.supermodular, tally.ties]],
-        )
+    name = config.case.name
+    payload = {
+        "schema": "submod-audit/1",
+        "case": name,
+        "nu": nu,
+        "a_size": a_size,
+        "b_size": b_size,
+        "tol": config.tol,
+        "alpha": alpha,
+    }
+    payload.update(tally.to_dict())
     table = _md_table(
         ["case", "|nu|", "|A|", "|B|", "submodular", "supermodular", "ties"],
-        [[config.case.name, str(len(nu)), str(a_size), str(b_size),
-          str(tally.submodular), str(tally.supermodular), str(tally.ties)]],
+        [[name, len(nu), a_size, b_size, tally.submodular, tally.supermodular, tally.ties]],
     )
-    summary = (
+    md = "\n".join([
         f"{tally.total} triples: {tally.submodular} submodular, "
-        f"{tally.supermodular} supermodular, {tally.ties} ties"
-    )
-    check = f"alpha = {alpha}; audited = {tally.total}"
-    kept = (
+        f"{tally.supermodular} supermodular, {tally.ties} ties",
+        f"alpha = {alpha}; audited = {tally.total}",
+        "",
+        table,
+        "",
         f"counterexamples retained: {len(tally.counterexamples)} "
-        f"(use --out json for the records)"
+        f"(use --out json for the records)",
+    ])
+    return _render(
+        config, payload,
+        ["case", "nu_size", "a_size", "b_size", "total", "submodular", "supermodular", "ties"],
+        [[name, len(nu), a_size, b_size,
+          tally.total, tally.submodular, tally.supermodular, tally.ties]],
+        md,
     )
-    return "\n".join([summary, check, "", table, "", kept])
 
 
 def _sweep_rows(instance: KnapsackInstance, table) -> list[list[str]]:
-    rows = []
-    for r in table.rows:
-        labels = instance.label_items(r.items)
-        rows.append(
-            [
-                f"[{_fmt_num(r.lo)}, {_fmt_num(r.hi)})",
-                ", ".join(labels) if labels else "-",
-                _fmt_num(r.objective),
-            ]
-        )
-    return rows
+    return [
+        [f"[{_fmt_num(r.lo)}, {_fmt_num(r.hi)})",
+         ", ".join(instance.label_items(r.items)) or "-",
+         _fmt_num(r.objective)]
+        for r in table.rows
+    ]
 
 
 def _cmd_knapsack(args, config: RunConfig) -> str:
@@ -599,36 +508,29 @@ def _cmd_knapsack(args, config: RunConfig) -> str:
         instance = example_instance()
     optimal = budget_sweep(instance, "optimal")
     greedy = budget_sweep(instance, "greedy")
-    if config.out == "json":
-        return json.dumps(
-            {
-                "schema": "knapsack-demo/1",
-                "instance": {
-                    "values": list(instance.values),
-                    "weights": list(instance.weights),
-                    "labels": list(instance.labels),
-                },
-                "optimal": optimal.to_dict(instance),
-                "greedy": greedy.to_dict(instance),
-            },
-            indent=2,
-        )
-    if config.out == "csv":
-        rows = []
-        for method, table in (("optimal", optimal), ("greedy", greedy)):
-            for r in table.rows:
-                rows.append(
-                    [
-                        method,
-                        _fmt_num(r.lo),
-                        "" if math.isinf(r.hi) else _fmt_num(r.hi),
-                        " ".join(instance.label_items(r.items)),
-                        _fmt_num(r.objective),
-                    ]
-                )
-        return _csv_text(["method", "lo", "hi", "items", "objective"], rows)
+    payload = {
+        "schema": "knapsack-demo/1",
+        "instance": {
+            "values": list(instance.values),
+            "weights": list(instance.weights),
+            "labels": list(instance.labels),
+        },
+        "optimal": optimal.to_dict(instance),
+        "greedy": greedy.to_dict(instance),
+    }
+    rows = [
+        [
+            method,
+            _fmt_num(r.lo),
+            "" if math.isinf(r.hi) else _fmt_num(r.hi),
+            " ".join(instance.label_items(r.items)),
+            _fmt_num(r.objective),
+        ]
+        for method, table in (("optimal", optimal), ("greedy", greedy))
+        for r in table.rows
+    ]
     header = ["budget", "selection", "objective"]
-    parts = [
+    md = "\n".join([
         "re-optimized at every budget:",
         "",
         _md_table(header, _sweep_rows(instance, optimal)),
@@ -636,8 +538,8 @@ def _cmd_knapsack(args, config: RunConfig) -> str:
         "greedy growth (keeps earlier picks):",
         "",
         _md_table(header, _sweep_rows(instance, greedy)),
-    ]
-    return "\n".join(parts)
+    ])
+    return _render(config, payload, ["method", "lo", "hi", "items", "objective"], rows, md)
 
 
 # ------------------------------------------------------------------- plumbing
@@ -648,16 +550,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="bundled case name or a file path")
     parser.add_argument("--format", choices=["matpower-subset", "json"],
                         help="case file format (inferred from the extension)")
-    parser.add_argument("--scope", choices=["full", "paper-compat", "pmu-state"],
+    parser.add_argument("--scope", choices=["full", "paper-compat"],
                         default="paper-compat",
                         help="state scope: all buses, or sensor buses only")
     parser.add_argument("--dedupe", choices=["by-branch", "per-end"],
                         default="by-branch",
                         help="meter both-end branches once or per end")
     parser.add_argument("--sigma-v", type=float, default=1.0,
-                        help="voltage channel standard deviation")
+                        help="voltage channel standard deviation (metrics only)")
     parser.add_argument("--sigma-i", type=float, default=1.0,
-                        help="current channel standard deviation")
+                        help="current channel standard deviation (metrics only)")
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="tie / margin classification tolerance")
     parser.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
@@ -669,7 +571,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default="-",
                         help="write to a file instead of stdout")
     parser.add_argument("--flat-branch-model", action="store_true",
-                        help="ignore charging susceptance and off-nominal taps")
+                        help="metrics only: ignore charging and off-nominal taps")
     parser.add_argument("--channel-limit", type=int,
                         default=DEFAULT_CHANNEL_LIMIT,
                         help="max incident branches a sensor bus may have")
@@ -707,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submod.add_argument("--b-size", type=int, help="|B| (default omega-1)")
     p_submod.add_argument("--counterexamples", type=int, default=100,
                           help="max counterexample records retained")
-    p_submod.add_argument("--count-only", action="store_true",
-                          help="only report the triple count")
 
     p_knap = sub.add_parser("knapsack", help="sequential-investment demo")
     p_knap.add_argument("action", choices=["demo"])
@@ -722,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     if not (0 < args.sigma_v < math.inf and 0 < args.sigma_i < math.inf):
         raise ValueError("standard deviations must be finite and positive")
-    if args.tol < 0:
+    if not args.tol >= 0:
         raise ValueError("tolerance must be nonnegative")
     if args.enum_cap < 1:
         raise ValueError("enumeration cap must be positive")
@@ -735,7 +635,7 @@ def _config_from_args(args) -> RunConfig:
         case=case,
         case_text=text,
         case_format=fmt,
-        scope=_scope_from_flag(args.scope),
+        scope=StateScope.FULL if args.scope == "full" else StateScope.PMU,
         dedupe=args.dedupe,
         sigma_v=args.sigma_v,
         sigma_i=args.sigma_i,
@@ -777,17 +677,10 @@ def main(argv=None) -> int:
 
     try:
         config = _config_from_args(args)
-        if args.command == "case":
-            text = _cmd_case_info(args, config)
-        elif args.command == "metrics":
-            text = _cmd_metrics(args, config)
-        elif args.command == "plan":
-            text = _cmd_plan(args, config)
-        elif args.command == "submod":
-            text = _cmd_submod(args, config)
-        else:
-            text = _cmd_knapsack(args, config)
-    except EnumerationCapError as err:
+        command = {"case": _cmd_case_info, "metrics": _cmd_metrics, "plan": _cmd_plan,
+                   "submod": _cmd_submod, "knapsack": _cmd_knapsack}[args.command]
+        text = command(args, config)
+    except (EnumerationCapError, ItemLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_COMBINATORIAL
     except UnobservableStateError as err:
@@ -796,9 +689,6 @@ def main(argv=None) -> int:
     except (CandidateEvaluationError, AuditAbortedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _root_cause_code(err)
-    except ItemLimitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_COMBINATORIAL
     except (CaseFormatError, ChannelLimitError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

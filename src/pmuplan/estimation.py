@@ -21,8 +21,10 @@ score is ``br(Q) / (|Q| + br(Q))`` with ``br(Q)`` the metered branches
 (metered branch ends under per-end dedupe). In full-state
 scope rank(H) = 2N exactly when every bus hosts a PMU or neighbors one, and
 the score is ``1 - 2N/m``. :func:`placement_metric` therefore scores by
-counting; the Jacobian and SVD pipeline below serves the per-channel
-``metrics`` report and the tests that pin the count against it. Only that
+counting and takes neither the noise levels nor the branch model; the
+Jacobian and SVD pipeline below, which takes both, serves the per-channel
+``metrics`` report (:func:`sensitivity_report`) and the tests that pin the
+count against it. Only that
 pipeline imports numpy, inside its functions: the counting score, and the
 planners and audit that call it, are pure Python and never load it.
 
@@ -111,11 +113,6 @@ class Jacobian:
         return self.matrix.shape[1]
 
 
-def _check_sigmas(sigma_v: float, sigma_i: float) -> None:
-    if not (0.0 < sigma_v < math.inf and 0.0 < sigma_i < math.inf):
-        raise ValueError("standard deviations must be finite and strictly positive")
-
-
 @dataclass(frozen=True)
 class CovarianceModel:
     """Diagonal measurement covariance (per-channel variances)."""
@@ -135,7 +132,8 @@ class CovarianceModel:
         cls, mset: MeasurementSet, sigma_v: float = 1.0, sigma_i: float = 1.0
     ) -> "CovarianceModel":
         """Per-kind standard deviations expanded to a per-channel diagonal."""
-        _check_sigmas(sigma_v, sigma_i)
+        if not (0.0 < sigma_v < math.inf and 0.0 < sigma_i < math.inf):
+            raise ValueError("standard deviations must be finite and strictly positive")
         out = []
         for ch in mset.channels:
             sigma = sigma_v if ch.kind in (ChannelKind.VR, ChannelKind.VX) else sigma_i
@@ -338,10 +336,7 @@ def placement_metric(
     case: NetworkCase,
     placement: PmuPlacement,
     scope: StateScope = StateScope.PMU,
-    sigma_v: float = 1.0,
-    sigma_i: float = 1.0,
     dedupe: str = "by-branch",
-    flat_branch_model: bool = False,
 ) -> float:
     """Average of diag(S) for the placement's induced channels; lower is better.
 
@@ -349,9 +344,9 @@ def placement_metric(
     docstring): ``m`` is the channel count, ``n`` the state dimension, 2|Q|
     in pmu-state scope and 2N in full-state scope. It is computed as one
     exact integer division, so the result is the correctly rounded
-    rational; no channel list, Jacobian or SVD is built. ``sigma_v``,
-    ``sigma_i`` and ``flat_branch_model`` are validated but cannot move the
-    value.
+    rational; no channel list, Jacobian or SVD is built. The noise levels
+    and the branch model cannot move it, so it takes neither;
+    :func:`sensitivity_report` does.
 
     Raises
     ------
@@ -360,8 +355,7 @@ def placement_metric(
     ChannelLimitError
         A placement bus has more incident branches than the channel limit.
     ValueError
-        Unknown dedupe policy, empty placement, or a sigma that is not
-        finite and positive.
+        Unknown dedupe policy or empty placement.
     UnobservableStateError
         Full-state scope and some bus neither hosts a PMU nor neighbors
         one. The null dimension is ``n - m`` when there are fewer channels
@@ -370,7 +364,6 @@ def placement_metric(
     m = channel_count(case, placement, dedupe=dedupe)
     if m == 0:
         raise ValueError("measurement set is empty")
-    _check_sigmas(sigma_v, sigma_i)
     if scope == StateScope.FULL:
         n = 2 * len(case.buses)
         observable, unobserved = observability_check(case, placement)
@@ -384,13 +377,9 @@ def placement_metric(
 def metric_function(
     case: NetworkCase,
     scope: StateScope = StateScope.PMU,
-    sigma_v: float = 1.0,
-    sigma_i: float = 1.0,
     dedupe: str = "by-branch",
-    flat_branch_model: bool = False,
     channel_limit: int | None = None,
     gain: bool = False,
-    memoize: bool = True,
 ):
     """Bind placement_metric into a set function f(frozenset of buses) -> float.
 
@@ -398,29 +387,20 @@ def metric_function(
     ``gain=True`` returns the negated average, turning the minimize-sense
     accuracy score into the improvement function that grows as placements
     get richer; audits of diminishing returns run on that orientation.
-    Evaluations are cached per bus set when ``memoize`` is on.
+    Evaluations are cached per bus set.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
-    cache: dict[frozenset, float] | None = {} if memoize else None
+    cache: dict[frozenset, float] = {}
 
     def f(buses) -> float:
         key = frozenset(buses)
-        if cache is not None and key in cache:
+        if key in cache:
             return cache[key]
         placement = PmuPlacement.of(key, channel_limit=limit)
-        value = placement_metric(
-            case,
-            placement,
-            scope=scope,
-            sigma_v=sigma_v,
-            sigma_i=sigma_i,
-            dedupe=dedupe,
-            flat_branch_model=flat_branch_model,
-        )
+        value = placement_metric(case, placement, scope=scope, dedupe=dedupe)
         if gain:
             value = -value
-        if cache is not None:
-            cache[key] = value
+        cache[key] = value
         return value
 
     return f
@@ -437,6 +417,8 @@ def sensitivity_report(
 ) -> SensitivityReport:
     """Full pipeline convenience: placement in, SensitivityReport out.
 
+    ``sigma_v``, ``sigma_i`` and ``flat_branch_model`` move the entries of
+    diag(S) but not its average, which equals :func:`placement_metric`.
     Runs one whitened SVD and reads diag(S) from its left singular block,
     ``s_ii = 1 - ||u_i||^2`` (the diagonal of K is invariant to the diagonal
     whitening), without forming the m x m matrix.

@@ -59,6 +59,8 @@ class KnapsackInstance:
             raise ValueError("instance needs at least one item")
         if len(self.values) != len(self.weights):
             raise ValueError("values and weights must have equal length")
+        if not all(math.isfinite(x) for x in self.values + self.weights):
+            raise ValueError("values and weights must be finite numbers")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
         if not self.labels:

@@ -318,6 +318,9 @@ def _parse_json(text: str, name: str) -> NetworkCase:
         and isinstance(doc.get("branches"), list)
     ):
         raise CaseFormatError(f"{name}: JSON case needs 'buses' and 'branches' arrays")
+    case_name = doc.get("name", name)
+    if not isinstance(case_name, str):
+        raise CaseFormatError(f"{name}: case name must be a JSON string, got {json.dumps(case_name)}")
     buses = []
     first_entry: dict[int, int] = {}  # bus id -> entry that declares it
     for i, b in enumerate(doc["buses"]):
@@ -349,7 +352,7 @@ def _parse_json(text: str, name: str) -> NetworkCase:
             branches.append(branch)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CaseFormatError(f"{name}: malformed branch entry {i}: {exc}") from exc
-    return NetworkCase(name=str(doc.get("name", name)), buses=tuple(buses), branches=tuple(branches))
+    return NetworkCase(name=case_name, buses=tuple(buses), branches=tuple(branches))
 
 
 def parse_case(text: str, format: str = "matpower-subset", name: str = "case") -> NetworkCase:

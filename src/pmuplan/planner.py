@@ -169,6 +169,12 @@ def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(sorted(base_set)), free
 
 
+def _check_tie_tol(tie_tol: float) -> None:
+    # NaN fails this too; either would leave a stage's tie band empty
+    if not tie_tol >= 0.0:
+        raise ValueError(f"tie tolerance must be nonnegative, got {tie_tol}")
+
+
 def greedy_plan(
     case,
     nu: Iterable[int],
@@ -183,6 +189,7 @@ def greedy_plan(
     resolved to the lowest bus id. The recorded stage value is the chosen
     candidate's own evaluation.
     """
+    _check_tie_tol(tie_tol)
     base, free = _free_buses(case, nu)
     if not 0 <= stages <= len(free):
         raise ValueError(f"stages must be in 0..{len(free)}, got {stages}")
@@ -227,6 +234,7 @@ def budget_constrained_plan(
     wins, with ties resolved to the lexicographically smallest addition
     tuple. Refuses to start when C(free, k) exceeds ``enum_cap``.
     """
+    _check_tie_tol(tie_tol)
     base, free = _free_buses(case, nu)
     if not 1 <= k <= len(free):
         raise ValueError(f"k must be in 1..{len(free)}, got {k}")
@@ -271,6 +279,7 @@ def compare_plans(
     floating-point slack; that would mean the injected metric is not a
     function of the placement set.
     """
+    _check_tie_tol(tie_tol)
     if stages < 1:
         raise ValueError("comparison needs at least one stage")
     base = tuple(sorted(set(nu)))

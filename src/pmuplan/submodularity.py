@@ -227,7 +227,7 @@ def classify_triple(
     margin <= -tol, tie otherwise. Metric failures propagate with the
     offending triple and placement attached.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     a = triple.a_set
     b = triple.b_set
@@ -315,7 +315,7 @@ def audit(
     total = count_combinations(len(ids), len(nu_ids), a_size, b_size)
     if not nu_ids <= set(ids):
         raise ValueError("nu must be a subset of omega")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     if start < 0 or (stop is not None and stop < 0):
         raise ValueError("start and stop must be nonnegative")

@@ -282,6 +282,62 @@ def test_nu_entries_must_be_integers(tmp_path, capsys):
     assert "token 2 must be an integer bus id, got 'x'" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1e-9"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["submod", "audit", "--parallel", "1"],
+        ["plan", "greedy", "--stages", "2"],
+        ["plan", "budget", "--stages", "2"],
+        ["plan", "compare", "--stages", "2"],
+    ],
+    ids=" ".join,
+)
+def test_bad_tolerance_is_usage_error(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert (code, out, err) == (2, "", "error: tolerance must be nonnegative\n")
+
+
+# the noise flags move only `metrics`, but every command validates them
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--sigma-v", "--sigma-i"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["case", "info"],
+        ["metrics", "--nu", "2,6,7,9"],
+        ["plan", "greedy", "--stages", "2"],
+        ["submod", "audit", "--parallel", "1"],
+        ["knapsack", "demo"],
+    ],
+    ids=" ".join,
+)
+def test_bad_sigma_is_usage_error_on_every_command(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert (code, out) == (2, "")
+    assert err == "error: standard deviations must be finite and positive\n"
+
+
+@pytest.mark.parametrize("values, weights", [("nan,1", "1,1"), ("1,1", "inf,1"),
+                                             ("-inf,1", "1,1")])
+def test_knapsack_non_finite_numbers_are_usage_errors(capsys, values, weights):
+    code, out, err = run(capsys, "knapsack", "demo", f"--values={values}",
+                         f"--weights={weights}")
+    assert (code, out) == (2, "")
+    assert err == "error: values and weights must be finite numbers\n"
+
+
+def test_removed_spellings_are_usage_errors(capsys):
+    # `--scope pmu-state` duplicated `paper-compat`; `--count-only`, `submod count`
+    code, out, err = run(capsys, "metrics", "--nu", "2,6,7,9", "--scope", "pmu-state")
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err
+    assert all(name in err for name in ("pmu-state", "full", "paper-compat"))
+    code, out, err = run(capsys, "submod", "audit", "--count-only")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --count-only" in err
+
+
 def test_unrecognised_metric_failure_is_internal_error(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("bug inside the metric")

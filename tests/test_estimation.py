@@ -214,9 +214,8 @@ def test_flat_branch_model_changes_entries_not_average(ieee14):
     flat = build_jacobian(ieee14, mset, scope=StateScope.PMU, flat_branch_model=True)
     assert np.max(np.abs(dressed.matrix - flat.matrix)) > 1e-6
     # the average is rank-driven, so the shunt convention cannot move it
-    a = placement_metric(ieee14, nu)
-    b = placement_metric(ieee14, nu, flat_branch_model=True)
-    assert a == pytest.approx(b, abs=1e-12)
+    flat_report = sensitivity_report(ieee14, nu, flat_branch_model=True)
+    assert flat_report.average == pytest.approx(placement_metric(ieee14, nu), abs=1e-12)
 
 
 def test_metric_function_orientation_and_cache(ieee14):
@@ -226,8 +225,6 @@ def test_metric_function_orientation_and_cache(ieee14):
     assert improve(nu) == pytest.approx(-score(nu), abs=0.0)
     # cached value is reused for any iterable spelling the same set
     assert score([9, 7, 6, 2]) == score(nu)
-    plain = metric_function(ieee14, memoize=False)
-    assert plain(nu) == pytest.approx(score(nu), abs=0.0)
 
 
 def test_pmu_scope_never_unobservable_full_scope_can_be(ieee14):
@@ -262,12 +259,15 @@ def test_counting_score_matches_svd_pipeline(ieee14, ieee118, data):
     kw = dict(
         scope=data.draw(st.sampled_from(list(StateScope)), label="scope"),
         dedupe=data.draw(st.sampled_from(["by-branch", "per-end"]), label="dedupe"),
+    )
+    # the noise levels and the branch model reach only the oracle
+    noise = dict(
         flat_branch_model=data.draw(st.booleans(), label="flat"),
         sigma_v=data.draw(st.floats(0.1, 10.0), label="sigma_v"),
         sigma_i=data.draw(st.floats(0.1, 10.0), label="sigma_i"),
     )
     placement = PmuPlacement.of(buses, channel_limit=16)
-    expected, null_dimension = _svd_oracle(case, placement, **kw)
+    expected, null_dimension = _svd_oracle(case, placement, **kw, **noise)
     if null_dimension is not None:
         with pytest.raises(UnobservableStateError) as err:
             placement_metric(case, placement, **kw)
@@ -298,11 +298,12 @@ def test_counting_score_keeps_the_pipeline_validation(ieee14, ieee118):
         placement_metric(ieee14, nu, dedupe="sometimes")
     with pytest.raises(ValueError, match="measurement set is empty"):
         placement_metric(ieee14, PmuPlacement.of([]))
+    # the noise levels reach only the SVD pipeline, which validates them
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="standard deviations"):
-            placement_metric(ieee14, nu, sigma_v=bad)
+            sensitivity_report(ieee14, nu, sigma_v=bad)
         with pytest.raises(ValueError, match="standard deviations"):
-            placement_metric(ieee14, nu, sigma_i=bad)
+            sensitivity_report(ieee14, nu, sigma_i=bad)
 
 
 def test_unobservable_null_dimension_by_count(ieee14):

@@ -29,6 +29,14 @@ def test_instance_validation_and_labels():
         KnapsackInstance(values=(), weights=())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_instance_rejects_non_finite_numbers(bad):
+    with pytest.raises(ValueError, match="finite"):
+        KnapsackInstance(values=(bad, 1.0), weights=(1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        KnapsackInstance(values=(1.0, 1.0), weights=(1.0, bad))
+
+
 def test_optimal_point_solves():
     inst = example_instance()
     assert optimal_solve(inst, 0.0) == ((), 0.0)

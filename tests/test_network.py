@@ -267,6 +267,17 @@ def test_json_document_errors_name_the_document():
         parse_case("[" * 100_000, format="json", name="x")
 
 
+@pytest.mark.parametrize("name", [[1, True], 7, None, True, {"x": "y"}])
+def test_json_case_name_must_be_a_string(name):
+    doc = serialize_case(parse_case(MINI_CASE, name="mini"))
+    doc["name"] = name
+    with pytest.raises(CaseFormatError,
+                       match=rf"^x: case name must be a JSON string, got {re.escape(json.dumps(name))}$"):
+        parse_case(json.dumps(doc), format="json", name="x")
+    del doc["name"]
+    assert parse_case(json.dumps(doc), format="json", name="x").name == "x"
+
+
 def test_json_integral_ids_are_kept_exactly():
     doc = serialize_case(parse_case(MINI_CASE, name="mini"))
     doc["buses"][2]["id"] = 3.0
@@ -395,6 +406,7 @@ def _assert_round_trips_or_names_a_position(text, fmt, position):
     if fmt == "json":
         # an accepted document holds JSON numbers in every field the parser reads
         doc = json.loads(text)
+        assert isinstance(doc.get("name", ""), str), doc["name"]
         for table, keys in (("buses", ("id", "shunt_g", "shunt_b")),
                             ("branches", ("from", "to", "r", "x", "b", "tap", "shift"))):
             for entry in doc[table]:
@@ -416,5 +428,6 @@ def test_matpower_parser_fuzz(text):
 def test_json_parser_fuzz(text):
     _assert_round_trips_or_names_a_position(
         text, "json",
-        r"fuzz: (malformed (bus|branch) entry \d+: |invalid JSON at line \d+, column \d+$)",
+        r"fuzz: (malformed (bus|branch) entry \d+: |invalid JSON at line \d+, column \d+$"
+        r"|case name must be a JSON string, got )",
     )

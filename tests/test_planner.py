@@ -119,6 +119,18 @@ def test_comparison_serialization(ieee14, score):
     assert again.to_dict() == d
 
 
+@pytest.mark.parametrize("bad", [-1e-9, float("nan")])
+def test_planners_reject_a_bad_tie_tolerance(ieee14, score, bad):
+    # either would leave the tie band empty: StopIteration in greedy, an
+    # empty min() in the exhaustive stage
+    with pytest.raises(ValueError, match="tie tolerance must be nonnegative"):
+        greedy_plan(ieee14, NU, score, stages=2, tie_tol=bad)
+    with pytest.raises(ValueError, match="tie tolerance must be nonnegative"):
+        budget_constrained_plan(ieee14, NU, score, 2, tie_tol=bad)
+    with pytest.raises(ValueError, match="tie tolerance must be nonnegative"):
+        compare_plans(ieee14, NU, score, stages=2, tie_tol=bad)
+
+
 def test_stage_bounds(ieee14, score):
     assert greedy_plan(ieee14, NU, score, stages=0).order == ()
     with pytest.raises(ValueError, match="stages"):

@@ -310,7 +310,10 @@ def test_audit_rejects_bad_arguments(ieee14):
     f = metric_function(ieee14, gain=True)
     with pytest.raises(ValueError, match="subset of omega"):
         audit(ieee14, f, (2, 99), 12, 13)
-    with pytest.raises(ValueError, match="nonnegative"):
-        audit(ieee14, f, NU, 12, 13, tol=-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="nonnegative"):
+            audit(ieee14, f, NU, 12, 13, tol=bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            classify_triple(f, SubsetTriple(a=(2, 6, 7, 9), b=(1, 2, 6, 7, 9), s=3), tol=bad)
     with pytest.raises(ValueError, match="nonnegative"):
         audit(ieee14, f, NU, 12, 13, start=-1)
