@@ -630,6 +630,8 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError("channel limit must be positive")
     if args.parallel < 0:
         raise ValueError("parallel degree must be nonnegative")
+    if getattr(args, "counterexamples", 0) < 0:
+        raise ValueError(f"--counterexamples must be nonnegative, got {args.counterexamples}")
     case, text, fmt = _load_case(args.case, args.format)
     return RunConfig(
         case=case,

@@ -33,6 +33,15 @@ s lowers it only when the branches it newly meters, d(s|Q), number fewer
 than br(Q)/|Q|; in full-state scope every added bus raises it, since m
 grows with each new voltage phasor and newly metered branch while 2N stays
 fixed.
+
+Planners and the audit score placements that differ from a known one by a
+bus or a few, so :func:`metric_function` hands them the score's inputs as
+well as the set function: per hostable bus, a metered mask and a
+closed-neighborhood mask, whose ORs over a placement give ``br(Q)`` by
+popcount and its observed buses, and ``value(k, metered, observed)``, the
+same division on those integers. A placement grown by one bus then costs
+an OR and a popcount; the set function runs only where the mask form
+cannot score, so that it raises the error the placement deserves.
 """
 
 from __future__ import annotations
@@ -387,22 +396,63 @@ def metric_function(
     ``gain=True`` returns the negated average, turning the minimize-sense
     accuracy score into the improvement function that grows as placements
     get richer; audits of diminishing returns run on that orientation.
-    Evaluations are cached per bus set.
+    Nothing is cached: each call counts afresh.
+
+    The function also carries a mask form in its ``__dict__``, so that a
+    ``functools.wraps`` wrapper carries it too:
+
+    - ``metered_masks``: hostable bus id (at most ``channel_limit``
+      incident branches) -> the bits it meters, one per branch under
+      ``by-branch`` and one per branch end under ``per-end``, so that the
+      popcount of the OR over a placement is its metered count;
+    - ``closed_masks``: hostable bus id -> its closed-neighborhood mask over
+      bus positions, or None in pmu-state scope, where observability never
+      moves the score;
+    - ``value(k, metered, observed)``: f on a placement of ``k`` hostable
+      buses with ``metered`` metered bits whose closed masks OR to
+      ``observed`` (ignored in pmu-state scope). It returns the float f
+      returns, from the same integers, or None where f would raise: ``k``
+      is 0, or in full-state scope some bus is unobserved.
+
+    Callers score a placement that grows by one bus with one OR and one
+    popcount, and call f itself on whatever the mask form cannot score
+    (an unknown or over-limit bus, or value's None), so that the same
+    exception is raised. Unknown dedupe policies and nonpositive channel
+    limits leave ``metered_masks`` empty, so every placement goes to f.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
-    cache: dict[frozenset, float] = {}
 
     def f(buses) -> float:
-        key = frozenset(buses)
-        if key in cache:
-            return cache[key]
-        placement = PmuPlacement.of(key, channel_limit=limit)
+        placement = PmuPlacement.of(frozenset(buses), channel_limit=limit)
         value = placement_metric(case, placement, scope=scope, dedupe=dedupe)
-        if gain:
-            value = -value
-        cache[key] = value
-        return value
+        return -value if gain else value
 
+    index = case.incidence
+    hostable = [bus for bus, row in index.items() if row[1] <= limit] if limit > 0 else []
+    if dedupe == "by-branch":
+        f.metered_masks = {bus: index[bus][2] for bus in hostable}
+    elif dedupe == "per-end":
+        # bit 2i for branch i's from end, 2i + 1 for its to end
+        f.metered_masks = {
+            bus: sum(1 << (2 * i + (case.branches[i].from_bus != bus)) for i in index[bus][0])
+            for bus in hostable
+        }
+    else:
+        f.metered_masks = {}
+    full = scope == StateScope.FULL
+    f.closed_masks = {bus: index[bus][3] for bus in f.metered_masks} if full else None
+    everyone = (1 << len(case.buses)) - 1
+    n_full = 2 * len(case.buses)
+
+    def value(k: int, metered: int, observed: int) -> float | None:
+        # placement_metric's integers and division, without the placement
+        if k == 0 or (full and observed != everyone):
+            return None
+        m = 2 * k + 2 * metered
+        score = (m - (n_full if full else 2 * k)) / m
+        return -score if gain else score
+
+    f.value = value
     return f
 
 

@@ -69,6 +69,12 @@ class KnapsackInstance:
             )
         elif len(self.labels) != len(self.values):
             raise ValueError("one label per item required")
+        for i, (label, value) in enumerate(zip(self.labels, self.values)):
+            if value < 0:
+                raise ValueError(
+                    f"item {label} (index {i}) has negative value {value:g}; "
+                    f"values must be nonnegative"
+                )
 
     @property
     def n(self) -> int:

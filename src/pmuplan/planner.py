@@ -11,13 +11,24 @@ it produces an incremental priority list an operator can actually follow.
 Ties are broken deterministically: candidates whose values fall within
 ``tie_tol`` of the stage minimum form one group, and the lowest bus id
 (greedy) or lexicographically smallest addition set (budget) wins.
+
+When the metric carries the mask form of
+:func:`~pmuplan.estimation.metric_function` (``metered_masks``,
+``closed_masks`` and ``value`` in its ``__dict__``), a candidate is scored
+from unions of bus masks instead of a call on a frozenset: greedy carries
+the union of the current placement and ORs in one bus, the exhaustive
+planner ORs the union of each k-subset onto the base union. A candidate the
+mask form cannot score goes to the metric itself, so a failure raises the
+same :class:`CandidateEvaluationError` as it would without the mask form.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Callable, Iterable
 
 __all__ = [
@@ -165,8 +176,37 @@ def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ..
     missing = sorted(base_set.difference(case.bus_ids))
     if missing:
         raise ValueError(f"base buses not in the case: {missing}")
-    free = tuple(b for b in case.bus_ids if b not in base_set)
+    free = tuple(sorted(b for b in case.bus_ids if b not in base_set))
     return tuple(sorted(base_set)), free
+
+
+def _mask_scorer(metric, base: Iterable[int]):
+    """``score(added)``: the metric's value on ``base`` plus the buses
+    ``added`` (none of them in ``base``) from its mask form, or None when
+    the mask form cannot score that placement, as always when the metric
+    has no mask form or a base bus is not in it.
+    """
+    metered = getattr(metric, "metered_masks", None)
+    base = tuple(base)
+    if metered is None or not all(map(metered.__contains__, base)):
+        return lambda added: None
+    closed, value = metric.closed_masks, metric.value
+    k = len(base)
+    union = reduce(or_, map(metered.__getitem__, base), 0)
+    observed = reduce(or_, map(closed.__getitem__, base), 0) if closed is not None else 0
+
+    def score(added: tuple[int, ...]) -> float | None:
+        u, o = union, observed
+        for bus in added:
+            mask = metered.get(bus)
+            if mask is None:
+                return None
+            u |= mask
+            if closed is not None:
+                o |= closed[bus]
+        return value(k + len(added), u.bit_count(), o)
+
+    return score
 
 
 def _check_tie_tol(tie_tol: float) -> None:
@@ -187,7 +227,8 @@ def greedy_plan(
     Within a stage, every free bus is scored with the metric on the base
     plus prior picks plus that bus; the tie group around the minimum is
     resolved to the lowest bus id. The recorded stage value is the chosen
-    candidate's own evaluation.
+    candidate's own evaluation. With a mask form, the stage's placement is
+    held as mask unions and each candidate costs one OR and one popcount.
     """
     _check_tie_tol(tie_tol)
     base, free = _free_buses(case, nu)
@@ -198,14 +239,17 @@ def greedy_plan(
     values: list[float] = []
     current = frozenset(base)
     for stage in range(1, stages + 1):
+        score = _mask_scorer(metric, current)
         scored: list[tuple[int, float]] = []
         for candidate in free:
             if candidate in current:
                 continue
-            try:
-                value = float(metric(current | {candidate}))
-            except Exception as exc:
-                raise CandidateEvaluationError(stage, candidate) from exc
+            value = score((candidate,))
+            if value is None:
+                try:
+                    value = float(metric(current | {candidate}))
+                except Exception as exc:
+                    raise CandidateEvaluationError(stage, candidate) from exc
             scored.append((candidate, value))
         vmin = min(v for _, v in scored)
         # candidates are scanned in ascending id order, so the first hit
@@ -232,7 +276,8 @@ def budget_constrained_plan(
 
     Every k-subset of the free buses is evaluated; the minimum-value subset
     wins, with ties resolved to the lexicographically smallest addition
-    tuple. Refuses to start when C(free, k) exceeds ``enum_cap``.
+    tuple. Refuses to start when C(free, k) exceeds ``enum_cap``. With a
+    mask form, each subset's masks are ORed onto the base's union.
     """
     _check_tie_tol(tie_tol)
     base, free = _free_buses(case, nu)
@@ -243,14 +288,17 @@ def budget_constrained_plan(
         raise EnumerationCapError(candidates, enum_cap, k)
 
     base_set = frozenset(base)
+    score = _mask_scorer(metric, base)
     best_value = float("inf")
     # (combo, value) pairs currently inside the tie band around best_value
     band: list[tuple[tuple[int, ...], float]] = []
     for combo in itertools.combinations(free, k):
-        try:
-            value = float(metric(base_set | set(combo)))
-        except Exception as exc:
-            raise CandidateEvaluationError(k, combo) from exc
+        value = score(combo)
+        if value is None:
+            try:
+                value = float(metric(base_set | set(combo)))
+            except Exception as exc:
+                raise CandidateEvaluationError(k, combo) from exc
         if value < best_value - tie_tol:
             best_value = value
             band = [(combo, value)]

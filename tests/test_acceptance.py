@@ -159,6 +159,16 @@ def test_criterion_7_large_audit_completes(ieee118):
     assert (tally.total, tally.submodular, tally.supermodular, tally.ties) == (6480, 6390, 90, 0)
 
 
+def test_dense_118_audit_is_pinned(ieee118):
+    # every |A| = 115 placement over the 37-bus cover: 85,320 sets A, each
+    # with three B and two probes per B
+    cover = greedy_observable_cover(ieee118, channel_limit=8)
+    metric = metric_function(ieee118, gain=True, channel_limit=16)
+    tally = audit(ieee118, metric, cover.buses, 115, 116)
+    assert (tally.total, tally.submodular, tally.supermodular, tally.ties) == (
+        511920, 504808, 7112, 0)
+
+
 def _identity_checks(case, placement, scope, rng):
     mset = enumerate_channels(case, placement)
     H = build_jacobian(case, mset, scope=scope)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import pmuplan.cli
 import pmuplan.estimation
 from pmuplan.cases import bundled_case_text, load_case
 from pmuplan.cli import main
@@ -327,6 +328,18 @@ def test_knapsack_non_finite_numbers_are_usage_errors(capsys, values, weights):
     assert err == "error: values and weights must be finite numbers\n"
 
 
+def test_negative_counterexample_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "submod", "audit", "--counterexamples=-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --counterexamples must be nonnegative, got -1\n"
+
+
+def test_knapsack_negative_value_names_the_item(capsys):
+    code, out, err = run(capsys, "knapsack", "demo", "--values=-1,2", "--weights", "1,2")
+    assert (code, out) == (2, "")
+    assert err == "error: item x1 (index 0) has negative value -1; values must be nonnegative\n"
+
+
 def test_removed_spellings_are_usage_errors(capsys):
     # `--scope pmu-state` duplicated `paper-compat`; `--count-only`, `submod count`
     code, out, err = run(capsys, "metrics", "--nu", "2,6,7,9", "--scope", "pmu-state")
@@ -338,11 +351,27 @@ def test_removed_spellings_are_usage_errors(capsys):
     assert "unrecognized arguments: --count-only" in err
 
 
-def test_unrecognised_metric_failure_is_internal_error(monkeypatch, capsys):
-    def broken(*args, **kwargs):
-        raise RuntimeError("bug inside the metric")
+def _fail_metric(monkeypatch, exc, on=None):
+    """Make the CLI's metric raise ``exc`` on the placement ``on`` (on every
+    placement when None). The metric is a plain set function with no mask
+    form, so planners and audits call it on every placement."""
+    real = pmuplan.cli.metric_function
 
-    monkeypatch.setattr(pmuplan.estimation, "placement_metric", broken)
+    def factory(*args, **kwargs):
+        metric = real(*args, **kwargs)
+
+        def failing(placement):
+            if on is None or placement == on:
+                raise exc
+            return metric(placement)
+
+        return failing
+
+    monkeypatch.setattr(pmuplan.cli, "metric_function", factory)
+
+
+def test_unrecognised_metric_failure_is_internal_error(monkeypatch, capsys):
+    _fail_metric(monkeypatch, RuntimeError("bug inside the metric"))
     code, out, err = run(capsys, "plan", "greedy", "--stages", "2")
     assert (code, out) == (1, "")
     assert "metric failed at stage 1" in err
@@ -369,15 +398,7 @@ def test_parallel_audit_failures_match_serial(monkeypatch, capsys):
                    "(0 submodular / 0 supermodular / 0 ties so far)\n")
 
     # fails in the second of two shards (7560 triples, split at 3780)
-    original = pmuplan.estimation.placement_metric
-    bad = frozenset((2, 6, 7, 9, 5, 8))
-
-    def flaky(case, placement, **kwargs):
-        if placement.bus_set == bad:
-            raise UnobservableStateError(2)
-        return original(case, placement, **kwargs)
-
-    monkeypatch.setattr(pmuplan.estimation, "placement_metric", flaky)
+    _fail_metric(monkeypatch, UnobservableStateError(2), on=frozenset((2, 6, 7, 9, 5, 8)))
     code, out, err = both("submod", "audit", "--a-size", "6", "--b-size", "8")
     assert (code, out) == (3, "")
     assert err.splitlines() == [f"audited {k}/7560" for k in range(500, 4001, 500)] + [
@@ -385,10 +406,8 @@ def test_parallel_audit_failures_match_serial(monkeypatch, capsys):
         "(3015 submodular / 1017 supermodular / 0 ties so far)"
     ]
 
-    def broken(*args, **kwargs):
-        raise RuntimeError("bug inside the metric")
-
-    monkeypatch.setattr(pmuplan.estimation, "placement_metric", broken)
+    monkeypatch.undo()
+    _fail_metric(monkeypatch, RuntimeError("bug inside the metric"))
     code, out, err = both("submod", "audit")
     assert (code, out) == (1, "")
     assert err.startswith("error: audit aborted after 0 triples")

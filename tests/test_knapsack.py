@@ -37,6 +37,15 @@ def test_instance_rejects_non_finite_numbers(bad):
         KnapsackInstance(values=(1.0, 1.0), weights=(1.0, bad))
 
 
+def test_instance_rejects_negative_values_naming_the_item():
+    with pytest.raises(ValueError, match=r"item x1 \(index 0\) has negative value -1"):
+        KnapsackInstance(values=(-1.0, 2.0), weights=(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"item pmu-b \(index 1\) has negative value -0.5"):
+        KnapsackInstance(values=(1.0, -0.5), weights=(1.0, 2.0), labels=("pmu-a", "pmu-b"))
+    # a zero value is a legitimate item that never pays off
+    assert KnapsackInstance(values=(0.0, 2.0), weights=(1.0, 2.0)).n == 2
+
+
 def test_optimal_point_solves():
     inst = example_instance()
     assert optimal_solve(inst, 0.0) == ((), 0.0)

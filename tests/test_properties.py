@@ -3,9 +3,10 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmuplan.cases import load_case
 from pmuplan.estimation import placement_metric, sensitivity_report
 from pmuplan.knapsack import KnapsackInstance, greedy_solve, optimal_solve
-from pmuplan.measurements import PmuPlacement
+from pmuplan.measurements import PmuPlacement, enumerate_channels
 from pmuplan.submodularity import (
     MarginClass,
     SubsetTriple,
@@ -91,6 +92,36 @@ def test_accuracy_score_matches_branch_count_form(ieee14, buses):
     expected = touching / (len(q) + touching)
     got = placement_metric(case, PmuPlacement.of(q))
     assert abs(got - expected) <= 1e-12
+
+
+CASES = {name: load_case(name) for name in ("ieee14", "ieee118")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CASES)), st.sampled_from(["by-branch", "per-end"]), st.data())
+def test_added_bus_lowers_the_pmu_score_iff_it_meters_few_branches(name, dedupe, data):
+    # In pmu-state scope the score is br/(|Q| + br), br(Q) the metered
+    # branches (branch ends under per-end). Adding s raises br by d(s|Q), and
+    # (br + d)/(|Q| + 1 + br + d) < br/(|Q| + br) exactly when d*|Q| < br.
+    case = CASES[name]
+    ids = sorted(case.bus_ids)
+    q = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6, unique=True))
+    s = data.draw(st.sampled_from([b for b in ids if b not in q]))
+
+    def placement(buses):
+        return PmuPlacement.of(buses, channel_limit=64)
+
+    def metered(buses):
+        # counted from the explicit channel list, not the score's own counts
+        channels = enumerate_channels(case, placement(buses), dedupe=dedupe)
+        return (len(channels) - 2 * len(buses)) // 2
+
+    br = metered(q)
+    d = metered(q + [s]) - br
+    before = placement_metric(case, placement(q), dedupe=dedupe)
+    after = placement_metric(case, placement(q + [s]), dedupe=dedupe)
+    assert (after < before) == (d * len(q) < br)
+    assert (after == before) == (d * len(q) == br)
 
 
 @settings(max_examples=30, deadline=None)

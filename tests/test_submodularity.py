@@ -134,6 +134,10 @@ def test_sliced_audits_merge_to_the_serial_tally(ieee14):
         assert merge_tallies(parts).to_dict() == whole.to_dict()
     with pytest.raises(ValueError):
         merge_tallies([])
+    with pytest.raises(ValueError, match="counterexample cap must be nonnegative, got -1"):
+        merge_tallies(parts, counterexample_cap=-1)
+    with pytest.raises(ValueError, match="counterexample cap must be nonnegative, got -1"):
+        audit(ieee14, f, NU, 12, 13, counterexample_cap=-1)
 
 
 def test_cardinality_metric_ties_everywhere(ieee14):
