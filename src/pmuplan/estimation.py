@@ -34,14 +34,11 @@ than br(Q)/|Q|; in full-state scope every added bus raises it, since m
 grows with each new voltage phasor and newly metered branch while 2N stays
 fixed.
 
-Planners and the audit score placements that differ from a known one by a
-bus or a few, so :func:`metric_function` hands them the score's inputs as
-well as the set function: per hostable bus, a metered mask and a
-closed-neighborhood mask, whose ORs over a placement give ``br(Q)`` by
-popcount and its observed buses, and ``value(k, metered, observed)``, the
-same division on those integers. A placement grown by one bus then costs
-an OR and a popcount; the set function runs only where the mask form
-cannot score, so that it raises the error the placement deserves.
+The planners score placements that differ from a known one by a bus or a
+few. :func:`metric_function` therefore also hands out the score's inputs
+per bus (its mask form), and :func:`mask_scorer` scores a base plus added
+buses from them at one OR and one popcount per added bus. The audit still
+calls the set function once per distinct placement.
 """
 
 from __future__ import annotations
@@ -49,15 +46,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .measurements import (
     DEFAULT_CHANNEL_LIMIT,
     ChannelKind,
     MeasurementSet,
     PmuPlacement,
-    channel_count,
     enumerate_channels,
+    metered_mask,
     observability_check,
 )
 from .network import NetworkCase, metered_admittances
@@ -79,6 +76,7 @@ __all__ = [
     "placement_metric",
     "sensitivity_report",
     "metric_function",
+    "mask_scorer",
 ]
 
 # singular values below RANK_RTOL * sigma_max count as zero
@@ -370,16 +368,29 @@ def placement_metric(
         one. The null dimension is ``n - m`` when there are fewer channels
         than states, else twice the number of unobserved buses.
     """
-    m = channel_count(case, placement, dedupe=dedupe)
+    metered = metered_mask(case, placement, dedupe).bit_count()
+    unobserved = 0
+    if scope == StateScope.FULL:
+        unobserved = len(observability_check(case, placement)[1])
+    return _counted_score(case, scope, len(placement.buses), metered, unobserved)
+
+
+def _counted_score(
+    case: NetworkCase, scope: StateScope, k: int, metered: int, unobserved: int
+) -> float:
+    """placement_metric's count for ``k`` PMUs with ``metered`` metered
+    branches (branch ends) that leave ``unobserved`` buses unobserved, a
+    number pmu-state scope ignores; raises what placement_metric raises
+    for such a placement."""
+    m = 2 * k + 2 * metered
     if m == 0:
         raise ValueError("measurement set is empty")
     if scope == StateScope.FULL:
         n = 2 * len(case.buses)
-        observable, unobserved = observability_check(case, placement)
-        if not observable:
-            raise UnobservableStateError(n - m if m < n else 2 * len(unobserved))
+        if unobserved:
+            raise UnobservableStateError(n - m if m < n else 2 * unobserved)
     else:
-        n = 2 * len(placement)
+        n = 2 * k
     return (m - n) / m
 
 
@@ -396,64 +407,81 @@ def metric_function(
     ``gain=True`` returns the negated average, turning the minimize-sense
     accuracy score into the improvement function that grows as placements
     get richer; audits of diminishing returns run on that orientation.
-    Nothing is cached: each call counts afresh.
+    Evaluations are cached per bus set.
 
-    The function also carries a mask form in its ``__dict__``, so that a
-    ``functools.wraps`` wrapper carries it too:
-
-    - ``metered_masks``: hostable bus id (at most ``channel_limit``
-      incident branches) -> the bits it meters, one per branch under
-      ``by-branch`` and one per branch end under ``per-end``, so that the
-      popcount of the OR over a placement is its metered count;
-    - ``closed_masks``: hostable bus id -> its closed-neighborhood mask over
-      bus positions, or None in pmu-state scope, where observability never
-      moves the score;
-    - ``value(k, metered, observed)``: f on a placement of ``k`` hostable
-      buses with ``metered`` metered bits whose closed masks OR to
-      ``observed`` (ignored in pmu-state scope). It returns the float f
-      returns, from the same integers, or None where f would raise: ``k``
-      is 0, or in full-state scope some bus is unobserved.
-
-    Callers score a placement that grows by one bus with one OR and one
-    popcount, and call f itself on whatever the mask form cannot score
-    (an unknown or over-limit bus, or value's None), so that the same
-    exception is raised. Unknown dedupe policies and nonpositive channel
-    limits leave ``metered_masks`` empty, so every placement goes to f.
+    f also carries a mask form in its ``__dict__``, which a
+    ``functools.wraps`` wrapper copies; only :func:`mask_scorer` reads it.
+    ``metered_masks`` maps every bus that can host a PMU on its own (its
+    one-bus placement validates) to its
+    :func:`~pmuplan.measurements.metered_mask`, ``closed_masks``
+    maps the same buses to their closed-neighborhood masks, and
+    ``value(k, metered, observed)`` is f on ``k``
+    such buses with ``metered`` set bits in their metered union and
+    ``observed`` their closed union, or None where f raises.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
+    cache: dict[frozenset, float] = {}
 
     def f(buses) -> float:
-        placement = PmuPlacement.of(frozenset(buses), channel_limit=limit)
+        key = frozenset(buses)
+        if key in cache:
+            return cache[key]
+        placement = PmuPlacement.of(key, channel_limit=limit)
         value = placement_metric(case, placement, scope=scope, dedupe=dedupe)
-        return -value if gain else value
+        if gain:
+            value = -value
+        cache[key] = value
+        return value
 
-    index = case.incidence
-    hostable = [bus for bus, row in index.items() if row[1] <= limit] if limit > 0 else []
-    if dedupe == "by-branch":
-        f.metered_masks = {bus: index[bus][2] for bus in hostable}
-    elif dedupe == "per-end":
-        # bit 2i for branch i's from end, 2i + 1 for its to end
-        f.metered_masks = {
-            bus: sum(1 << (2 * i + (case.branches[i].from_bus != bus)) for i in index[bus][0])
-            for bus in hostable
-        }
-    else:
-        f.metered_masks = {}
+    f.metered_masks, f.closed_masks = {}, {}
+    for bus in case.bus_ids:
+        try:
+            f.metered_masks[bus] = metered_mask(case, PmuPlacement.of((bus,), channel_limit=limit),
+                                                dedupe)
+        except ValueError:  # over the limit, or a bad limit or dedupe: f raises there
+            continue
+        f.closed_masks[bus] = case.incidence[bus][3]
     full = scope == StateScope.FULL
-    f.closed_masks = {bus: index[bus][3] for bus in f.metered_masks} if full else None
     everyone = (1 << len(case.buses)) - 1
-    n_full = 2 * len(case.buses)
 
     def value(k: int, metered: int, observed: int) -> float | None:
-        # placement_metric's integers and division, without the placement
-        if k == 0 or (full and observed != everyone):
+        unobserved = (everyone & ~observed).bit_count() if full else 0
+        try:
+            score = _counted_score(case, scope, k, metered, unobserved)
+        except ValueError:
             return None
-        m = 2 * k + 2 * metered
-        score = (m - (n_full if full else 2 * k)) / m
         return -score if gain else score
 
     f.value = value
     return f
+
+
+def mask_scorer(metric, base: Iterable[int]) -> Callable[[tuple[int, ...]], float | None]:
+    """``score(added)``: the metric on ``base`` plus the buses ``added``
+    (none in ``base``), from :func:`metric_function`'s mask form, or None
+    where that cannot score it (no mask form, a bus it lacks, or ``value``
+    None); the caller then calls the metric, which raises as it should.
+    """
+    metered = getattr(metric, "metered_masks", None)
+    base = tuple(base)
+    if metered is None or not all(map(metered.__contains__, base)):
+        return lambda added: None
+    closed, value = metric.closed_masks, metric.value
+    union = observed = 0
+    for bus in base:
+        union |= metered[bus]
+        observed |= closed[bus]
+
+    def score(added: tuple[int, ...]) -> float | None:
+        u, o = union, observed
+        for bus in added:
+            if bus not in metered:
+                return None
+            u |= metered[bus]
+            o |= closed[bus]
+        return value(len(base) + len(added), u.bit_count(), o)
+
+    return score
 
 
 def sensitivity_report(

@@ -23,6 +23,7 @@ __all__ = [
     "MeasurementChannel",
     "MeasurementSet",
     "enumerate_channels",
+    "metered_mask",
     "channel_count",
     "observability_check",
     "greedy_observable_cover",
@@ -185,29 +186,38 @@ def enumerate_channels(
     return MeasurementSet(channels=tuple(channels), placement=placement, dedupe=dedupe)
 
 
-def channel_count(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-branch") -> int:
-    """Channel total m without materializing the channel list.
-
-    Validates exactly what :func:`enumerate_channels` validates, with the
-    same error for the same first offending bus, and equals the length of
-    its result under either dedupe policy. The count reads the case's
-    incidence rows: ``by-branch`` meters the popcount of the OR of the
-    buses' branch masks, ``per-end`` the sum of their degrees.
+def metered_mask(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-branch") -> int:
+    """The OR over the placement's buses of what each PMU meters: their
+    ``branch_mask`` under ``by-branch`` and their ``end_mask`` under
+    ``per-end`` (see :attr:`~pmuplan.network.NetworkCase.incidence`), one
+    bit per metered branch or branch end, so that
+    ``m = 2|Q| + 2 * popcount``. Validates exactly what
+    :func:`enumerate_channels` validates, with the same error for the same
+    first offending bus.
     """
     _check_dedupe(dedupe)
     index = case.incidence
     limit = placement.channel_limit
+    column = 2 if dedupe == "by-branch" else 4  # branch_mask or end_mask
     metered = 0
     for bus in placement.buses:
         row = index.get(bus)
         if row is None or row[1] > limit:
             _check_limits(case, placement)  # raises, naming this same bus
-        metered |= row[2]
-    if dedupe == "by-branch":
-        ends = metered.bit_count()
-    else:
-        ends = sum(index[bus][1] for bus in placement.buses)
-    return 2 * len(placement.buses) + 2 * ends
+        metered |= row[column]
+    return metered
+
+
+def channel_count(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-branch") -> int:
+    """Channel total m without materializing the channel list.
+
+    Validates exactly what :func:`enumerate_channels` validates and equals
+    the length of its result under either dedupe policy: two voltage
+    channels per PMU and two current channels per bit of
+    :func:`metered_mask`.
+    """
+    metered = metered_mask(case, placement, dedupe=dedupe)
+    return 2 * len(placement.buses) + 2 * metered.bit_count()
 
 
 def observability_check(case: NetworkCase, placement: PmuPlacement) -> tuple[bool, list[int]]:

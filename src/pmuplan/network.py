@@ -100,11 +100,13 @@ class NetworkCase:
     Construction validates the topology and builds the one incidence index
     every lookup below reads, in O(buses + branches): bus id -> position in
     ``buses``, and bus id -> the row ``(branches, degree, branch_mask,
-    closed_mask)`` of :attr:`incidence`. ``branches`` are the indices of the
-    incident branches and ``degree`` their number; ``branch_mask`` sets bit
-    i for each incident branch i, and ``closed_mask`` sets the position bit
-    of the bus and of every neighbor. Scoring a placement is then one OR
-    over its buses' masks and one popcount, with no per-branch work.
+    closed_mask, end_mask)`` of :attr:`incidence`. ``branches`` are the
+    indices of the incident branches and ``degree`` their number;
+    ``branch_mask`` sets bit i for each incident branch i, ``closed_mask``
+    sets the position bit of the bus and of every neighbor, and
+    ``end_mask`` sets bit 2i where the bus is branch i's from end and
+    2i + 1 where it is the to end. Scoring a placement is then one OR over
+    its buses' masks and one popcount, with no per-branch work.
     """
 
     name: str
@@ -119,6 +121,7 @@ class NetworkCase:
             raise CaseFormatError(f"duplicate bus id(s): {dup}")
         incident: dict[int, list[int]] = {bus: [] for bus in position}
         closed = {bus: 1 << pos for bus, pos in position.items()}
+        ends = dict.fromkeys(position, 0)
         for i, br in enumerate(self.branches):
             for end in (br.from_bus, br.to_bus):
                 if end not in incident:
@@ -128,10 +131,12 @@ class NetworkCase:
                 incident[end].append(i)
             closed[br.from_bus] |= 1 << position[br.to_bus]
             closed[br.to_bus] |= 1 << position[br.from_bus]
+            ends[br.from_bus] |= 1 << (2 * i)
+            ends[br.to_bus] |= 1 << (2 * i + 1)
         # derived indexes, not fields: equality and hashing stay on the data
         object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_incidence", {
-            bus: (tuple(ix), len(ix), sum(1 << i for i in ix), closed[bus])
+            bus: (tuple(ix), len(ix), sum(1 << i for i in ix), closed[bus], ends[bus])
             for bus, ix in incident.items()
         })
 
@@ -140,8 +145,8 @@ class NetworkCase:
         return tuple(self._position)
 
     @property
-    def incidence(self) -> dict[int, tuple[tuple[int, ...], int, int, int]]:
-        """Bus id -> ``(branches, degree, branch_mask, closed_mask)``; read-only.
+    def incidence(self) -> dict[int, tuple[tuple[int, ...], int, int, int, int]]:
+        """Bus id -> ``(branches, degree, branch_mask, closed_mask, end_mask)``; read-only.
 
         Rows are plain tuples so hot loops can index them cheaply. Bits of
         ``closed_mask`` are bus positions; :meth:`buses_in` decodes them.

@@ -12,24 +12,19 @@ Ties are broken deterministically: candidates whose values fall within
 ``tie_tol`` of the stage minimum form one group, and the lowest bus id
 (greedy) or lexicographically smallest addition set (budget) wins.
 
-When the metric carries the mask form of
-:func:`~pmuplan.estimation.metric_function` (``metered_masks``,
-``closed_masks`` and ``value`` in its ``__dict__``), a candidate is scored
-from unions of bus masks instead of a call on a frozenset: greedy carries
-the union of the current placement and ORs in one bus, the exhaustive
-planner ORs the union of each k-subset onto the base union. A candidate the
-mask form cannot score goes to the metric itself, so a failure raises the
-same :class:`CandidateEvaluationError` as it would without the mask form.
+Candidates are scored with :func:`~pmuplan.estimation.mask_scorer` when
+the metric has a mask form, else, and wherever that cannot score, by
+calling the metric, so failures raise as they would without it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from math import comb
-from operator import or_
 from typing import Callable, Iterable
+
+from .estimation import mask_scorer
 
 __all__ = [
     "StageResult",
@@ -180,35 +175,6 @@ def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(sorted(base_set)), free
 
 
-def _mask_scorer(metric, base: Iterable[int]):
-    """``score(added)``: the metric's value on ``base`` plus the buses
-    ``added`` (none of them in ``base``) from its mask form, or None when
-    the mask form cannot score that placement, as always when the metric
-    has no mask form or a base bus is not in it.
-    """
-    metered = getattr(metric, "metered_masks", None)
-    base = tuple(base)
-    if metered is None or not all(map(metered.__contains__, base)):
-        return lambda added: None
-    closed, value = metric.closed_masks, metric.value
-    k = len(base)
-    union = reduce(or_, map(metered.__getitem__, base), 0)
-    observed = reduce(or_, map(closed.__getitem__, base), 0) if closed is not None else 0
-
-    def score(added: tuple[int, ...]) -> float | None:
-        u, o = union, observed
-        for bus in added:
-            mask = metered.get(bus)
-            if mask is None:
-                return None
-            u |= mask
-            if closed is not None:
-                o |= closed[bus]
-        return value(k + len(added), u.bit_count(), o)
-
-    return score
-
-
 def _check_tie_tol(tie_tol: float) -> None:
     # NaN fails this too; either would leave a stage's tie band empty
     if not tie_tol >= 0.0:
@@ -239,7 +205,7 @@ def greedy_plan(
     values: list[float] = []
     current = frozenset(base)
     for stage in range(1, stages + 1):
-        score = _mask_scorer(metric, current)
+        score = mask_scorer(metric, current)
         scored: list[tuple[int, float]] = []
         for candidate in free:
             if candidate in current:
@@ -288,7 +254,7 @@ def budget_constrained_plan(
         raise EnumerationCapError(candidates, enum_cap, k)
 
     base_set = frozenset(base)
-    score = _mask_scorer(metric, base)
+    score = mask_scorer(metric, base)
     best_value = float("inf")
     # (combo, value) pairs currently inside the tie band around best_value
     band: list[tuple[tuple[int, ...], float]] = []

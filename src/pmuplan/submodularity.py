@@ -21,14 +21,10 @@ reproducible run to run and mergeable across work slices.
 enumerate_triples and classify_triple state the definition one triple at a
 time. audit computes the same tally without an object per triple: it holds
 placements as int bitmasks over the sorted bus ids, walks (A, B) blocks with
-f(A) and f(B) read once per block, and builds records only for the
-counterexamples it keeps. A metric with the mask form of
-estimation.metric_function is scored from unions of its bus masks: the
-union of A once per A, of B once per block, and two ORs and two popcounts
-per probe. Any other metric, and any placement the mask form cannot score,
-goes through the metric on frozensets, its values cached by mask; a
-placement is decoded into a frozenset only on a cache miss: the block's A
-or B once, and A+s or B+s as that set plus one bus.
+f(A) and f(B) read once per block, caches metric values by mask, and builds
+records only for the counterexamples it keeps. A placement is decoded into a
+frozenset only on a cache miss: the block's A or B once, and A+s or B+s as
+that set plus one bus.
 """
 
 from __future__ import annotations
@@ -36,9 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from math import comb
-from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -267,11 +261,9 @@ def classify_triple(
 
 def _blocks(
     bits: Sequence[int], nu_mask: int, a_extra: int, b_extra: int, skip: int
-) -> Iterator[tuple[int, int, list[int], tuple[int, ...], tuple[int, ...]]]:
-    """Yield ``(A, B, probes, extra_a, extra_b)`` as bitmasks for every
-    (A, B) block from block number ``skip`` on, in the order of
-    enumerate_triples; ``extra_a`` holds the bits A adds to nu and
-    ``extra_b`` those B adds to A.
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield ``(A, B, probes)`` as bitmasks for every (A, B) block from block
+    number ``skip`` on, in the order of enumerate_triples.
 
     Every block holds the same number of probes and every A the same number
     of blocks, so the skipped prefix is found by division and never built.
@@ -283,66 +275,8 @@ def _blocks(
         rest = [bit for bit in free if not bit & a]
         for extra_b in itertools.islice(itertools.combinations(rest, b_extra), skip_b, None):
             b = a + sum(extra_b)
-            yield a, b, [bit for bit in rest if not bit & b], extra_a, extra_b
+            yield a, b, [bit for bit in rest if not bit & b]
         skip_b = 0
-
-
-class _SizeTable(dict):
-    """Popcount -> the mask form's value on placements of one size; each
-    entry is computed on first use."""
-
-    def __init__(self, value, k: int, observed: int):
-        super().__init__()
-        self.value, self.k, self.observed = value, k, observed
-
-    def __missing__(self, metered: int) -> float | None:
-        score = self[metered] = self.value(self.k, metered, self.observed)
-        return score
-
-
-class _MaskForm:
-    """An audit's view of a metric's mask form (see
-    estimation.metric_function), keyed by the audit's bus bits.
-
-    ``masks`` and ``seen`` map each bit to its bus's metered and closed
-    masks (0 for a bus the mask form lacks, which ``unscorable`` flags;
-    ``seen`` is None in pmu-state scope), and ``nu_union`` and ``nu_seen``
-    are their ORs over nu. ``tables`` holds one _SizeTable per size of A+s,
-    B and B+s; they are built from the first A the mask form scores, whose
-    closed union stands for all of them: in full-state scope an observed A
-    makes every superset observed, and in pmu-state scope the closed union
-    is never read. So ``value`` must return a float on every superset of a
-    placement it scores, as metric_function's does.
-    """
-
-    def __init__(self, metric, ids, bits, nu_mask: int, a_size: int, b_size: int):
-        self.value, self.a_size, self.b_size = metric.value, a_size, b_size
-        metered, closed = metric.metered_masks, metric.closed_masks
-        zeros = itertools.repeat(0)
-        self.masks = dict(zip(bits, map(metered.get, ids, zeros)))
-        self.unscorable = sum(bit for bus, bit in zip(ids, bits) if bus not in metered)
-        self.tables = None
-        nu_bits = [bit for bit in bits if bit & nu_mask]
-        self.nu_union = reduce(or_, map(self.masks.__getitem__, nu_bits), 0)
-        self.seen = None
-        if closed is not None:
-            self.seen = dict(zip(bits, map(closed.get, ids, zeros)))
-            self.nu_seen = reduce(or_, map(self.seen.__getitem__, nu_bits), 0)
-
-    def score_a(self, a: int, extra_a: tuple[int, ...]) -> tuple[float | None, int]:
-        """``(f(A) or None, U_A)``: None when the mask form cannot score A."""
-        if a & self.unscorable:
-            return None, 0
-        union = reduce(or_, map(self.masks.__getitem__, extra_a), self.nu_union)
-        seen = 0
-        if self.seen is not None:
-            seen = reduce(or_, map(self.seen.__getitem__, extra_a), self.nu_seen)
-        f_a = self.value(self.a_size, union.bit_count(), seen)
-        if f_a is not None and self.tables is None:
-            by_size = {k: _SizeTable(self.value, k, seen)
-                       for k in (self.a_size + 1, self.b_size, self.b_size + 1)}
-            self.tables = by_size[self.a_size + 1], by_size[self.b_size], by_size[self.b_size + 1]
-        return f_a, union
 
 
 def audit(
@@ -360,27 +294,21 @@ def audit(
     """Classify every triple over the case's bus set and tally the verdicts.
 
     ``metric`` is any set function mapping a frozenset of bus ids to a real
-    number. ``start``/``stop`` restrict the run to a contiguous slice of
+    number. It runs once per distinct placement: values are cached for the
+    duration of the call, keyed by the placement's bitmask over the sorted
+    bus ids. ``start``/``stop`` restrict the run to a contiguous slice of
     the lexicographic triple stream so external drivers can split the work;
     partial tallies recombine with merge_tallies. ``progress(done, planned)``
     is called every PROGRESS_INTERVAL triples and after the last one.
 
     The verdicts, values and counterexample order are those of
     classify_triple applied to enumerate_triples, but no object is built
-    per triple: the walk runs over (A, B) blocks of int bitmasks over the
-    sorted bus ids and builds a MarginRecord only for a counterexample it
-    keeps.
-
-    A metric with the mask form of estimation.metric_function is scored
-    from unions of its bus masks (see _MaskForm). A block holding a
-    placement the mask form cannot score (a bus it lacks, or A on which
-    ``value`` is None) is scored like any other metric's: by calling the
-    metric once per distinct placement, values cached by mask for the
-    duration of the call. Placements are called in classify_triple's order,
-    f(A), f(A+s), f(B), f(B+s), so on a metric failure the audit aborts
-    with the same offending triple and placement, and the tally
-    accumulated so far attached, whichever path runs. A successful run of
-    metric_function's own metric never calls it on a frozenset.
+    per triple: the walk runs over (A, B) blocks of int bitmasks, reads f(A)
+    and f(B) once per block, and builds a MarginRecord only for a
+    counterexample it keeps. Placements are evaluated lazily in
+    classify_triple's order, f(A), f(A+s), f(B), f(B+s), so on a metric
+    failure the audit aborts with the same offending triple and placement,
+    and the tally accumulated so far attached.
     """
     ids = tuple(sorted(case.bus_ids))
     nu_ids = set(nu)
@@ -421,13 +349,6 @@ def audit(
             raise MetricEvaluationError(triple(a, b, s), placement) from exc
         return value
 
-    form = None
-    if hasattr(metric, "metered_masks"):
-        form = _MaskForm(metric, ids, bits, nu_mask, a_size, b_size)
-        masks, unscorable = form.masks, form.unscorable
-    masked = False
-    last_a = None
-
     lookup = cache.get
     submod = supermod = ties = 0
     counterexamples: list[MarginRecord] = []
@@ -436,47 +357,27 @@ def audit(
     block, offset = divmod(first, len(ids) - b_size)
     blocks = _blocks(bits, nu_mask, a_size - len(nu_ids), b_size - a_size, block)
     try:
-        for a, b, probes, extra_a, extra_b in blocks:
+        for a, b, probes in blocks:
             if processed >= planned:
                 break
             probes = probes[offset : offset + planned - processed]
             offset = 0
-            if form is not None:
-                if a != last_a:
-                    last_a = a
-                    f_a_masked, u_a = form.score_a(a, extra_a)
-                    if f_a_masked is not None:
-                        t_a_s, t_b, t_b_s = form.tables
-                masked = f_a_masked is not None and not (
-                    unscorable and (b | sum(probes)) & unscorable)
-                if masked:
-                    f_a = f_a_masked
-                    u_b = u_a
-                    for bit in extra_b:
-                        u_b |= masks[bit]
-                    f_b = t_b[u_b.bit_count()]
-            if not masked:
-                decoded.clear()
-                f_a = lookup(a)
-                if f_a is None:
-                    f_a = evaluate(a, 0, a, b, probes[0])
-                f_b = None
+            decoded.clear()
+            f_a = lookup(a)
+            if f_a is None:
+                f_a = evaluate(a, 0, a, b, probes[0])
+            f_b = None
             for s in probes:
-                if masked:
-                    mask = masks[s]
-                    f_a_s = t_a_s[(u_a | mask).bit_count()]
-                    f_b_s = t_b_s[(u_b | mask).bit_count()]
-                else:
-                    f_a_s = lookup(a | s)
-                    if f_a_s is None:
-                        f_a_s = evaluate(a, s, a, b, s)
+                f_a_s = lookup(a | s)
+                if f_a_s is None:
+                    f_a_s = evaluate(a, s, a, b, s)
+                if f_b is None:
+                    f_b = lookup(b)
                     if f_b is None:
-                        f_b = lookup(b)
-                        if f_b is None:
-                            f_b = evaluate(b, 0, a, b, s)
-                    f_b_s = lookup(b | s)
-                    if f_b_s is None:
-                        f_b_s = evaluate(b, s, a, b, s)
+                        f_b = evaluate(b, 0, a, b, s)
+                f_b_s = lookup(b | s)
+                if f_b_s is None:
+                    f_b_s = evaluate(b, s, a, b, s)
                 lhs = f_a_s - f_a
                 rhs = f_b_s - f_b
                 margin = lhs - rhs

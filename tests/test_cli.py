@@ -351,27 +351,16 @@ def test_removed_spellings_are_usage_errors(capsys):
     assert "unrecognized arguments: --count-only" in err
 
 
-def _fail_metric(monkeypatch, exc, on=None):
-    """Make the CLI's metric raise ``exc`` on the placement ``on`` (on every
-    placement when None). The metric is a plain set function with no mask
-    form, so planners and audits call it on every placement."""
-    real = pmuplan.cli.metric_function
-
-    def factory(*args, **kwargs):
-        metric = real(*args, **kwargs)
-
-        def failing(placement):
-            if on is None or placement == on:
-                raise exc
-            return metric(placement)
-
-        return failing
-
-    monkeypatch.setattr(pmuplan.cli, "metric_function", factory)
-
-
 def test_unrecognised_metric_failure_is_internal_error(monkeypatch, capsys):
-    _fail_metric(monkeypatch, RuntimeError("bug inside the metric"))
+    # the planners score from the metric's mask form, so the failure goes
+    # into a plain set function, which they call on every candidate
+    def broken(*args, **kwargs):
+        def metric(placement):
+            raise RuntimeError("bug inside the metric")
+
+        return metric
+
+    monkeypatch.setattr(pmuplan.cli, "metric_function", broken)
     code, out, err = run(capsys, "plan", "greedy", "--stages", "2")
     assert (code, out) == (1, "")
     assert "metric failed at stage 1" in err
@@ -398,7 +387,15 @@ def test_parallel_audit_failures_match_serial(monkeypatch, capsys):
                    "(0 submodular / 0 supermodular / 0 ties so far)\n")
 
     # fails in the second of two shards (7560 triples, split at 3780)
-    _fail_metric(monkeypatch, UnobservableStateError(2), on=frozenset((2, 6, 7, 9, 5, 8)))
+    original = pmuplan.estimation.placement_metric
+    bad = frozenset((2, 6, 7, 9, 5, 8))
+
+    def flaky(case, placement, **kwargs):
+        if placement.bus_set == bad:
+            raise UnobservableStateError(2)
+        return original(case, placement, **kwargs)
+
+    monkeypatch.setattr(pmuplan.estimation, "placement_metric", flaky)
     code, out, err = both("submod", "audit", "--a-size", "6", "--b-size", "8")
     assert (code, out) == (3, "")
     assert err.splitlines() == [f"audited {k}/7560" for k in range(500, 4001, 500)] + [
@@ -406,8 +403,10 @@ def test_parallel_audit_failures_match_serial(monkeypatch, capsys):
         "(3015 submodular / 1017 supermodular / 0 ties so far)"
     ]
 
-    monkeypatch.undo()
-    _fail_metric(monkeypatch, RuntimeError("bug inside the metric"))
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug inside the metric")
+
+    monkeypatch.setattr(pmuplan.estimation, "placement_metric", broken)
     code, out, err = both("submod", "audit")
     assert (code, out) == (1, "")
     assert err.startswith("error: audit aborted after 0 triples")

@@ -218,12 +218,12 @@ def test_flat_branch_model_changes_entries_not_average(ieee14):
     assert flat_report.average == pytest.approx(placement_metric(ieee14, nu), abs=1e-12)
 
 
-def test_metric_function_orientation_and_spelling(ieee14):
+def test_metric_function_orientation_and_cache(ieee14):
     score = metric_function(ieee14)
     improve = metric_function(ieee14, gain=True)
     nu = frozenset({2, 6, 7, 9})
     assert improve(nu) == pytest.approx(-score(nu), abs=0.0)
-    # any iterable spelling the same set scores the same
+    # cached value is reused for any iterable spelling the same set
     assert score([9, 7, 6, 2]) == score(nu)
 
 

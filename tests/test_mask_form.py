@@ -1,10 +1,10 @@
 """The mask form of metric_function against the frozenset path it replaces.
 
-Planners and the audit score a metric that carries a mask form from unions
-of its bus masks. A plain function that calls the same metric hides the
-mask form and sends every placement through the frozenset path, which is the
-oracle here: both must give the same results, bit for bit, and fail at the
-same place with the same exception.
+The planners score a metric that carries a mask form from unions of its bus
+masks. A plain function that calls the same metric hides the mask form and
+sends every placement through the frozenset path, which is the oracle here:
+both must give the same results, bit for bit, and fail at the same place
+with the same exception.
 """
 
 import functools
@@ -18,7 +18,6 @@ from pmuplan.cases import load_case
 from pmuplan.estimation import StateScope, metric_function
 from pmuplan.network import Branch, Bus, NetworkCase
 from pmuplan.planner import CandidateEvaluationError, budget_constrained_plan, greedy_plan
-from pmuplan.submodularity import AuditAbortedError, audit, count_combinations
 
 IEEE14 = load_case("ieee14")
 
@@ -68,44 +67,11 @@ def metrics(draw):
     return case, metric
 
 
-def _audit_outcome(run):
-    try:
-        return run().to_dict()
-    except AuditAbortedError as err:
-        cause = err.__cause__
-        return ("aborted", err.processed, err.partial.to_dict(), cause.triple,
-                cause.placement, repr(cause.__cause__))
-
-
 def _plan_outcome(run):
     try:
         return run()
     except CandidateEvaluationError as err:
         return ("failed", err.stage, err.candidate, repr(err.__cause__))
-
-
-@settings(max_examples=200, deadline=None)
-@given(metrics(), st.data())
-def test_mask_audit_matches_the_frozenset_audit(setup, data):
-    case, metric = setup
-    ids = sorted(case.bus_ids)
-    # at most eight free buses keep the frozenset run to a few thousand triples
-    nu_size = data.draw(st.integers(max(0, len(ids) - 8), len(ids) - 1))
-    nu = data.draw(st.permutations(ids))[:nu_size]
-    a_size = data.draw(st.integers(nu_size, len(ids) - 1))
-    b_size = data.draw(st.integers(a_size, len(ids) - 1))
-    total = count_combinations(len(ids), nu_size, a_size, b_size)
-    kwargs = dict(
-        tol=data.draw(st.sampled_from([0.0, 1e-9, 0.01])),
-        counterexample_cap=data.draw(st.integers(0, 6)),
-        start=data.draw(st.integers(0, total + 1)),
-        stop=data.draw(st.one_of(st.none(), st.integers(0, total + 1))),
-    )
-    calls = []
-    got = _audit_outcome(lambda: audit(case, counted(metric, calls), nu, a_size, b_size, **kwargs))
-    assert got == _audit_outcome(lambda: audit(case, plain(metric), nu, a_size, b_size, **kwargs))
-    if isinstance(got, dict):
-        assert calls == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -131,45 +97,20 @@ def test_mask_planners_match_the_frozenset_planners(setup, data):
 
 @pytest.mark.parametrize("scope", list(StateScope))
 @pytest.mark.parametrize("dedupe", ["by-branch", "per-end"])
-def test_mask_paths_never_build_a_placement(monkeypatch, ieee14, scope, dedupe):
-    """Successful runs score every placement from masks: the metric's own
+def test_mask_planners_never_build_a_placement(monkeypatch, ieee14, scope, dedupe):
+    """Successful plans score every candidate from masks: the metric's own
     frozenset path, and so placement_metric, is never reached."""
-    metric = metric_function(ieee14, scope=scope, dedupe=dedupe, gain=True)
+    metric = metric_function(ieee14, scope=scope, dedupe=dedupe)
     calls = []
     real = pmuplan.estimation.placement_metric
     monkeypatch.setattr(pmuplan.estimation, "placement_metric",
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-    tally = audit(ieee14, metric, (2, 6, 7, 9), 11, 12)
-    assert tally.total == count_combinations(14, 4, 11, 12)
     greedy_plan(ieee14, (2, 6, 7, 9), metric, 10)
     budget_constrained_plan(ieee14, (2, 6, 7, 9), metric, 3)
     assert calls == []
     # the frozenset path itself still scores through placement_metric
     metric(frozenset((2, 6, 7, 9)))
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize(
-    "nu, a_size, b_size, kwargs, cause",
-    [
-        # empty A: no channels at all
-        ((), 0, 1, {}, "measurement set is empty"),
-        # full scope, A = {1} leaves most buses unobserved
-        ((1,), 1, 2, {"scope": StateScope.FULL}, "not observable"),
-        # bus 4 has five branches: A holds it, then only B does, then only s
-        ((4,), 1, 2, {"channel_limit": 4}, "bus 4 has 5 incident branches"),
-        ((1, 2, 3), 3, 4, {"channel_limit": 4}, "bus 4 has 5 incident branches"),
-        ((1,), 1, 1, {"channel_limit": 4}, "bus 4 has 5 incident branches"),
-    ],
-)
-def test_mask_audit_aborts_where_the_frozenset_audit_does(ieee14, nu, a_size, b_size, kwargs,
-                                                         cause):
-    metric = metric_function(ieee14, gain=True, **kwargs)
-    runs = [_audit_outcome(lambda f=f: audit(ieee14, f, nu, a_size, b_size))
-            for f in (metric, plain(metric))]
-    assert runs[0] == runs[1]
-    assert runs[0][0] == "aborted"
-    assert cause in runs[0][-1]
 
 
 def test_mask_form_values_equal_the_frozenset_values(ieee14):
@@ -182,8 +123,7 @@ def test_mask_form_values_equal_the_frozenset_values(ieee14):
             observed = 0
             for bus in placement:
                 metered |= metric.metered_masks[bus]
-                if metric.closed_masks is not None:
-                    observed |= metric.closed_masks[bus]
+                observed |= metric.closed_masks[bus]
             assert metric.value(4, metered.bit_count(), observed) == metric(placement)
             assert metric.value(0, 0, 0) is None
     full = metric_function(ieee14, scope=StateScope.FULL)
