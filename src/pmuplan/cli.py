@@ -69,7 +69,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_COMBINATORIAL = 4
 
-# canonical observable core tried first when --nu is omitted
+# observable core of the bundled ieee14 case, its default base when --nu is omitted
 FALLBACK_NU = (2, 6, 7, 9)
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -138,21 +138,21 @@ def _parse_nu(raw: str) -> list[int]:
 
 
 def _resolve_nu(args, config: RunConfig) -> list[int]:
-    """Explicit --nu wins; otherwise the canonical core, else a greedy cover.
+    """Explicit --nu wins; otherwise the bundled ieee14 case's core, else a
+    greedy cover.
 
     Host selection for the default cover respects the stock device limit
     even when --channel-limit is raised: a higher evaluation limit widens
     what the metric may score, not which buses make sensible hosts.
     """
-    ids = set(config.case.bus_ids)
     if getattr(args, "nu", None):
         nu = sorted(set(_parse_nu(args.nu)))
-        missing = sorted(set(nu) - ids)
+        missing = sorted(set(nu) - set(config.case.bus_ids))
         if missing:
             raise ValueError(f"nu buses not in the case: {missing}")
         return nu
     host_limit = min(config.channel_limit, DEFAULT_CHANNEL_LIMIT)
-    if set(FALLBACK_NU) <= ids:
+    if args.case == "ieee14":
         try:
             placement = PmuPlacement.of(FALLBACK_NU, channel_limit=host_limit)
             observable, _ = observability_check(config.case, placement)

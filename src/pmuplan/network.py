@@ -97,16 +97,19 @@ class Branch:
 class NetworkCase:
     """An immutable network case: named, ordered buses and branches.
 
-    Construction validates the topology and builds the one incidence index
-    every lookup below reads, in O(buses + branches): bus id -> position in
-    ``buses``, and bus id -> the row ``(branches, degree, branch_mask,
-    closed_mask, end_mask)`` of :attr:`incidence`. ``branches`` are the
-    indices of the incident branches and ``degree`` their number;
-    ``branch_mask`` sets bit i for each incident branch i, ``closed_mask``
-    sets the position bit of the bus and of every neighbor, and
-    ``end_mask`` sets bit 2i where the bus is branch i's from end and
-    2i + 1 where it is the to end. Scoring a placement is then one OR over
-    its buses' masks and one popcount, with no per-branch work.
+    Construction validates the topology and builds the indexes every lookup
+    below reads, in O(buses + branches): bus id -> position in ``buses``;
+    bus id -> the row ``(branches, degree, branch_mask, closed_mask,
+    end_mask)`` of :attr:`incidence`; and bus id -> position bit, in
+    ascending id order, :attr:`position_bits`. ``branches`` are the indices
+    of the incident branches and ``degree`` their number; ``branch_mask``
+    sets bit i for each incident branch i, ``closed_mask`` sets the
+    position bit of the bus and of every neighbor, and ``end_mask`` sets
+    bit 2i where the bus is branch i's from end and 2i + 1 where it is the
+    to end. Scoring a placement is then one OR over its buses' masks and
+    one popcount, with no per-branch work. Masks of position bits list
+    their buses in id order by a walk of :attr:`position_bits`; a single set
+    bit decodes to its bus as ``buses[bit.bit_length() - 1]``.
     """
 
     name: str
@@ -135,6 +138,7 @@ class NetworkCase:
             ends[br.to_bus] |= 1 << (2 * i + 1)
         # derived indexes, not fields: equality and hashing stay on the data
         object.__setattr__(self, "_position", position)
+        object.__setattr__(self, "_bits", {bus: 1 << position[bus] for bus in sorted(position)})
         object.__setattr__(self, "_incidence", {
             bus: (tuple(ix), len(ix), sum(1 << i for i in ix), closed[bus], ends[bus])
             for bus, ix in incident.items()
@@ -153,6 +157,15 @@ class NetworkCase:
         """
         return self._incidence
 
+    @property
+    def position_bits(self) -> dict[int, int]:
+        """Bus id -> position bit, in ascending id order; read-only.
+
+        The same bits as :meth:`buses_in` and ``closed_mask`` read, listed so
+        that a walk over it visits the buses sorted by id.
+        """
+        return self._bits
+
     def bus_index(self, bus: int) -> int:
         """Position of a bus id in the case's bus ordering."""
         try:
@@ -162,7 +175,7 @@ class NetworkCase:
 
     def buses_in(self, mask: int) -> list[int]:
         """Sorted ids of the buses whose position bits are set in ``mask``."""
-        return sorted(bus for bus, pos in self._position.items() if mask >> pos & 1)
+        return [bus for bus, bit in self._bits.items() if mask & bit]
 
     def incident_branches(self, bus: int) -> tuple[int, ...]:
         """Indices (into ``branches``) of all branches touching ``bus``."""

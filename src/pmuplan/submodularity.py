@@ -20,11 +20,12 @@ reproducible run to run and mergeable across work slices.
 
 enumerate_triples and classify_triple state the definition one triple at a
 time. audit computes the same tally without an object per triple: it holds
-placements as int bitmasks over the sorted bus ids, walks (A, B) blocks with
-f(A) and f(B) read once per block, caches metric values by mask, and builds
-records only for the counterexamples it keeps. A placement is decoded into a
-frozenset only on a cache miss: the block's A or B once, and A+s or B+s as
-that set plus one bus.
+placements as int masks of the case's position bits, walks (A, B) blocks in
+ascending-id order with f(A) and f(B) read once per block, caches metric
+values by mask, and builds records only for the counterexamples it keeps.
+Its cost follows the bits that change, not the bus count: a set of buses
+is decoded only for a cache miss or a kept record, and then from the
+nearest set already decoded (the last A, the last B or nu).
 """
 
 from __future__ import annotations
@@ -260,15 +261,15 @@ def classify_triple(
 
 
 def _blocks(
-    bits: Sequence[int], nu_mask: int, a_extra: int, b_extra: int, skip: int
+    free: Sequence[int], nu_mask: int, a_extra: int, b_extra: int, skip: int
 ) -> Iterator[tuple[int, int, list[int]]]:
     """Yield ``(A, B, probes)`` as bitmasks for every (A, B) block from block
-    number ``skip`` on, in the order of enumerate_triples.
+    number ``skip`` on, in the order of enumerate_triples. ``free`` holds
+    the bits of the buses outside nu in ascending id order.
 
     Every block holds the same number of probes and every A the same number
     of blocks, so the skipped prefix is found by division and never built.
     """
-    free = [bit for bit in bits if not bit & nu_mask]
     skip_a, skip_b = divmod(skip, comb(len(free) - a_extra, b_extra))
     for extra_a in itertools.islice(itertools.combinations(free, a_extra), skip_a, None):
         a = nu_mask + sum(extra_a)
@@ -295,11 +296,12 @@ def audit(
 
     ``metric`` is any set function mapping a frozenset of bus ids to a real
     number. It runs once per distinct placement: values are cached for the
-    duration of the call, keyed by the placement's bitmask over the sorted
-    bus ids. ``start``/``stop`` restrict the run to a contiguous slice of
-    the lexicographic triple stream so external drivers can split the work;
-    partial tallies recombine with merge_tallies. ``progress(done, planned)``
-    is called every PROGRESS_INTERVAL triples and after the last one.
+    duration of the call, keyed by the placement's mask of position bits
+    (:attr:`~pmuplan.network.NetworkCase.position_bits`). ``start``/``stop``
+    restrict the run to a contiguous slice of the lexicographic triple
+    stream so external drivers can split the work; partial tallies
+    recombine with merge_tallies. ``progress(done, planned)`` is called
+    every PROGRESS_INTERVAL triples and after the last one.
 
     The verdicts, values and counterexample order are those of
     classify_triple applied to enumerate_triples, but no object is built
@@ -309,12 +311,23 @@ def audit(
     classify_triple's order, f(A), f(A+s), f(B), f(B+s), so on a metric
     failure the audit aborts with the same offending triple and placement,
     and the tally accumulated so far attached.
+
+    The cost follows the bits that change, not the bus count. Set-up looks
+    up the position bits of nu's buses and reads the free buses off the
+    complement of their mask, sorted by id. A block's A or B is decoded
+    into a frozenset only when a placement built on it misses the cache, or
+    when a record needs its ids, and then from the nearest set already
+    decoded: the last A, the last B or nu, whichever differs from it in
+    the fewest bits, by removing and adding the buses of those bits. A+s
+    and B+s are that set plus one bus.
     """
-    ids = tuple(sorted(case.bus_ids))
-    nu_ids = set(nu)
-    total = count_combinations(len(ids), len(nu_ids), a_size, b_size)
-    if not nu_ids <= set(ids):
-        raise ValueError("nu must be a subset of omega")
+    bits = case.position_bits  # bus id -> position bit, ascending ids
+    nu_ids = frozenset(nu)
+    total = count_combinations(len(bits), len(nu_ids), a_size, b_size)
+    try:
+        nu_mask = sum(map(bits.__getitem__, nu_ids))
+    except KeyError:
+        raise ValueError("nu must be a subset of omega") from None
     if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
     if counterexample_cap < 0:
@@ -324,25 +337,44 @@ def audit(
     first = min(start, total)
     planned = (total if stop is None else min(stop, total)) - first
 
-    bits = [1 << i for i in range(len(ids))]
-    nu_mask = sum(bit for bus, bit in zip(ids, bits) if bus in nu_ids)
+    nu_decoded = (nu_mask, nu_ids)
+    decoded = [nu_decoded, nu_decoded]  # the last A and the last B decoded, with their masks
     cache: dict[int, float] = {}
 
-    def buses(mask: int) -> list[int]:
-        return [bus for bus, bit in zip(ids, bits) if mask & bit]
+    def ids_in(mask: int) -> Iterator[int]:
+        while mask:
+            bit = mask & -mask
+            yield case.buses[bit.bit_length() - 1].id
+            mask ^= bit
+
+    def members(mask: int, slot: int) -> frozenset:
+        """The buses of ``mask``, a block's A (slot 0) or B (slot 1)."""
+        known, buses = decoded[slot]
+        if known == mask:
+            return buses
+        nearest, fewest = nu_decoded, (nu_mask ^ mask).bit_count()
+        for pair in decoded:
+            differ = (pair[0] ^ mask).bit_count()
+            if differ < fewest:
+                nearest, fewest = pair, differ
+        known, buses = nearest
+        gone, new = known & ~mask, mask & ~known
+        if gone:
+            buses = buses.difference(ids_in(gone))
+        if new:
+            buses = buses.union(ids_in(new))
+        decoded[slot] = (mask, buses)
+        return buses
 
     def triple(a: int, b: int, s: int) -> SubsetTriple:
-        return SubsetTriple(a=tuple(buses(a)), b=tuple(buses(b)), s=ids[s.bit_length() - 1])
-
-    decoded: dict[int, frozenset] = {}  # the block's A and B, decoded on a miss
+        return SubsetTriple(a=tuple(sorted(members(a, 0))), b=tuple(sorted(members(b, 1))),
+                            s=case.buses[s.bit_length() - 1].id)
 
     def evaluate(base: int, plus: int, a: int, b: int, s: int) -> float:
         """Score the missed placement base + plus, where base is the block's A
         or B and plus is 0 or the probe bit."""
-        members = decoded.get(base)
-        if members is None:
-            members = decoded[base] = frozenset(buses(base))
-        placement = members | {ids[plus.bit_length() - 1]} if plus else members
+        buses = members(base, 0 if base == a else 1)
+        placement = buses | {case.buses[plus.bit_length() - 1].id} if plus else buses
         try:
             value = cache[base | plus] = float(metric(placement))
         except Exception as exc:
@@ -354,15 +386,15 @@ def audit(
     counterexamples: list[MarginRecord] = []
     processed = 0
     report = min(PROGRESS_INTERVAL, planned) if progress is not None else -1
-    block, offset = divmod(first, len(ids) - b_size)
-    blocks = _blocks(bits, nu_mask, a_size - len(nu_ids), b_size - a_size, block)
+    block, offset = divmod(first, len(bits) - b_size)
+    free = [bits[bus] for bus in sorted(ids_in(((1 << len(bits)) - 1) ^ nu_mask))]
+    blocks = _blocks(free, nu_mask, a_size - len(nu_ids), b_size - a_size, block)
     try:
         for a, b, probes in blocks:
             if processed >= planned:
                 break
             probes = probes[offset : offset + planned - processed]
             offset = 0
-            decoded.clear()
             f_a = lookup(a)
             if f_a is None:
                 f_a = evaluate(a, 0, a, b, probes[0])

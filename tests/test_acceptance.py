@@ -11,6 +11,7 @@ any drift in either direction still trips the gate.
 import math
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -157,6 +158,11 @@ def test_criterion_7_large_audit_completes(ieee118):
     tally = audit(ieee118, metric, cover.buses, 116, 117)
     assert time.perf_counter() - t0 < 300.0
     assert (tally.total, tally.submodular, tally.supermodular, tally.ties) == (6480, 6390, 90, 0)
+    _assert_first_counterexamples(ieee118, tally, [
+        (115, [114, 115], [115]),
+        (114, [114, 115], [114]),
+        (109, [108, 109], [109]),
+    ])
 
 
 def test_dense_118_audit_is_pinned(ieee118):
@@ -167,6 +173,33 @@ def test_dense_118_audit_is_pinned(ieee118):
     tally = audit(ieee118, metric, cover.buses, 115, 116)
     assert (tally.total, tally.submodular, tally.supermodular, tally.ties) == (
         511920, 504808, 7112, 0)
+    _assert_first_counterexamples(ieee118, tally, [
+        (115, [114, 115, 118], [115, 118]),
+        (114, [114, 115, 118], [114, 118]),
+        (115, [114, 115, 117], [115, 117]),
+    ])
+
+
+def _gain(case, buses):
+    """The audited gain -br(Q) / (|Q| + br(Q)) from the README closed form,
+    correctly rounded; br(Q) counts the lines with an end in Q."""
+    q = set(buses)
+    br = sum(1 for b in case.branches if b.from_bus in q or b.to_bus in q)
+    return -float(Fraction(br, len(q) + br))
+
+
+def _assert_first_counterexamples(case, tally, expected):
+    """The first records as (s, buses outside A, buses outside B), and each
+    of their four values exactly the closed form's."""
+    omega = set(case.bus_ids)
+    first = tally.counterexamples[: len(expected)]
+    got = [(r.triple.s, sorted(omega - r.triple.a_set), sorted(omega - r.triple.b_set))
+           for r in first]
+    assert got == expected
+    for r in first:
+        a, b, s = r.triple.a, r.triple.b, r.triple.s
+        assert (r.f_a, r.f_a_s, r.f_b, r.f_b_s) == (
+            _gain(case, a), _gain(case, a + (s,)), _gain(case, b), _gain(case, b + (s,)))
 
 
 def _identity_checks(case, placement, scope, rng):

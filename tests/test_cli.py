@@ -204,6 +204,20 @@ def test_json_case_round_trips_through_cli(tmp_path, capsys):
     assert again == out
 
 
+def test_default_base_is_the_core_on_bundled_ieee14_only(tmp_path, capsys):
+    copy = tmp_path / "grid14.json"
+    copy.write_text(json.dumps({**serialize_case(load_case("ieee14")), "name": "grid14"}))
+    bases = {}
+    for case in ("ieee14", str(copy)):
+        code, out, _ = run(capsys, "plan", "greedy", "--stages", "1", "--case", case,
+                           "--out", "json")
+        assert code == 0
+        bases[case] = json.loads(out)["base"]
+    assert bases["ieee14"] == [2, 6, 7, 9]
+    # the greedy observable cover of ieee14, although 2, 6, 7, 9 observe this copy too
+    assert bases[str(copy)] == [1, 4, 6, 7, 9]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -311,6 +311,18 @@ def test_incidence_lookups_match_scans(ieee118):
         case.incident_branches(119)
 
 
+def test_position_bits_list_ids_in_order_with_their_positions():
+    case = NetworkCase(
+        name="scrambled",
+        buses=tuple(Bus(i) for i in (30, 4, 17, 9)),
+        branches=(Branch(30, 4, 0.0, 0.1), Branch(17, 9, 0.0, 0.1), Branch(4, 9, 0.0, 0.1)),
+    )
+    assert case.position_bits == {4: 2, 9: 8, 17: 4, 30: 1}
+    assert list(case.position_bits) == [4, 9, 17, 30]
+    assert case.buses_in(1 | 4 | 8) == [9, 17, 30]
+    assert case.buses_in(case.incidence[9][3]) == [4, 9, 17]
+
+
 # ---- parser fuzzing -----------------------------------------------------------
 # Every input either parses to a case that survives serialize_case -> JSON ->
 # parse unchanged, or raises CaseFormatError naming the offending position.

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pmuplan.cases import load_case
 from pmuplan.estimation import metric_function
+from pmuplan.measurements import greedy_observable_cover
 from pmuplan.network import Branch, Bus, NetworkCase
 from pmuplan.submodularity import (
     AuditAbortedError,
@@ -308,6 +309,26 @@ def test_audit_matches_the_per_triple_reference(setup, gain, tol, cap, data):
     if placements:
         for poison in data.draw(st.lists(st.sampled_from(placements), max_size=4, unique=True)):
             runs(poison)
+
+
+def test_audit_does_not_depend_on_the_listing_order(ieee14, ieee118):
+    """The README audit and criterion 7 on each bundled case and on a copy
+    listing its buses and branches in reverse, so that position bits no
+    longer follow the ids: the same tally, records and metric calls."""
+    cover = greedy_observable_cover(ieee118, channel_limit=8).buses
+    for case, nu, a_size, b_size, limit in (
+        (ieee14, NU, 12, 13, 8),
+        (ieee118, cover, 116, 117, 16),
+    ):
+        flipped = NetworkCase(case.name, case.buses[::-1], case.branches[::-1])
+        assert flipped.position_bits[min(case.bus_ids)] == 1 << (len(case.buses) - 1)
+        runs = []
+        for c in (case, flipped):
+            calls = []
+            metric = _recording(metric_function(c, gain=True, channel_limit=limit), calls)
+            runs.append((audit(c, metric, nu, a_size, b_size).to_dict(), calls))
+        assert runs[0] == runs[1]
+        assert runs[0][0]["supermodular"] > 0
 
 
 def test_audit_rejects_bad_arguments(ieee14):
