@@ -5,6 +5,9 @@ Subcommands: ``case info``, ``metrics``, ``plan greedy|budget|compare``,
 tables by default, or as versioned JSON / CSV via ``--out``. All heavy
 fan-out (the parallel audit) lives here; library modules stay serial.
 
+A command imports the planner, the audit or the knapsack module when it
+runs, so a process loads only the modules its command uses.
+
 Exit codes: 0 success, 1 internal error (a metric failed for a reason
 none of the others names), 2 usage/parse/validation, 3 numerical
 infeasibility, 4 combinatorial cap.
@@ -22,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .cases import BUNDLED, bundled_case_text
 from .estimation import (
@@ -29,12 +33,6 @@ from .estimation import (
     UnobservableStateError,
     metric_function,
     sensitivity_report,
-)
-from .knapsack import (
-    ItemLimitError,
-    KnapsackInstance,
-    budget_sweep,
-    example_instance,
 )
 from .measurements import (
     DEFAULT_CHANNEL_LIMIT,
@@ -44,22 +42,10 @@ from .measurements import (
     observability_check,
 )
 from .network import CaseFormatError, NetworkCase, parse_case
-from .planner import (
-    DEFAULT_ENUM_CAP,
-    CandidateEvaluationError,
-    EnumerationCapError,
-    budget_constrained_plan,
-    compare_plans,
-    greedy_plan,
-)
-from .submodularity import (
-    PROGRESS_INTERVAL,
-    AuditAbortedError,
-    ClassificationTally,
-    audit,
-    count_combinations,
-    merge_tallies,
-)
+
+if TYPE_CHECKING:
+    from .knapsack import KnapsackInstance
+    from .submodularity import ClassificationTally
 
 __all__ = ["main"]
 
@@ -68,6 +54,12 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_COMBINATORIAL = 4
+
+# Under --parallel 0 an audit of fewer triples than this runs serially: on
+# ieee118 audits timed on a 2-vCPU host, forking a pool and merging its
+# shards cost more than the second worker saved up to 35,904 triples, and
+# less from 39,270 on.
+AUTO_POOL_MIN_TRIPLES = 36_000
 
 # observable core of the bundled ieee14 case, its default base when --nu is omitted
 FALLBACK_NU = (2, 6, 7, 9)
@@ -87,8 +79,8 @@ class RunConfig:
     sigma_v: float
     sigma_i: float
     tol: float
-    enum_cap: int
-    parallel: int
+    enum_cap: int | None  # None: the planner's default
+    parallel: int  # 0: chosen per audit by _audit_workers
     out: str
     output: str
     flat: bool
@@ -145,7 +137,7 @@ def _resolve_nu(args, config: RunConfig) -> list[int]:
     even when --channel-limit is raised: a higher evaluation limit widens
     what the metric may score, not which buses make sensible hosts.
     """
-    if getattr(args, "nu", None):
+    if args.nu is not None:
         nu = sorted(set(_parse_nu(args.nu)))
         missing = sorted(set(nu) - set(config.case.bus_ids))
         if missing:
@@ -270,6 +262,9 @@ def _make_metric(config: RunConfig, gain: bool = False):
 
 
 def _cmd_plan(args, config: RunConfig) -> str:
+    from .planner import DEFAULT_ENUM_CAP, budget_constrained_plan, compare_plans, greedy_plan
+
+    enum_cap = DEFAULT_ENUM_CAP if config.enum_cap is None else config.enum_cap
     _require_hostable_case(config.case, config.channel_limit, "planning")
     nu = _resolve_nu(args, config)
     metric = _make_metric(config)
@@ -290,7 +285,7 @@ def _cmd_plan(args, config: RunConfig) -> str:
     elif args.mode == "budget":
         result = budget_constrained_plan(
             config.case, nu, metric, args.stages,
-            enum_cap=config.enum_cap, tie_tol=config.tol,
+            enum_cap=enum_cap, tie_tol=config.tol,
         )
         payload = {
             "schema": "plan-budget/1",
@@ -308,7 +303,7 @@ def _cmd_plan(args, config: RunConfig) -> str:
     else:
         comparison = compare_plans(
             config.case, nu, metric, args.stages,
-            enum_cap=config.enum_cap, tie_tol=config.tol,
+            enum_cap=enum_cap, tie_tol=config.tol,
         )
         payload = {"schema": "plan-compare/1", "case": name}
         payload.update(comparison.to_dict())
@@ -372,6 +367,8 @@ def _audit_shard(payload: tuple) -> tuple[ClassificationTally, int]:
     partial tally (its total is the triples processed) and the exit code of
     the failure's root cause.
     """
+    from .submodularity import AuditAbortedError, audit
+
     (text, fmt, name, nu, a_size, b_size, tol, cap,
      scope_value, dedupe, channel_limit, start, stop) = payload
     case = parse_case(text, format=fmt, name=name)
@@ -392,6 +389,8 @@ def _progress(done: int, total: int) -> None:
 def _replay_progress(before: int, after: int, total: int) -> None:
     """The progress lines a serial audit prints while its count of
     processed triples moves from ``before`` to ``after``."""
+    from .submodularity import PROGRESS_INTERVAL
+
     first = (before // PROGRESS_INTERVAL + 1) * PROGRESS_INTERVAL
     for done in range(first, min(after + 1, total), PROGRESS_INTERVAL):
         _progress(done, total)
@@ -399,7 +398,20 @@ def _replay_progress(before: int, after: int, total: int) -> None:
         _progress(total, total)
 
 
+def _audit_workers(parallel: int, alpha: int) -> int:
+    """Worker processes for an audit of ``alpha`` triples: ``--parallel N``
+    asks for N; 0 runs serially below AUTO_POOL_MIN_TRIPLES, where starting
+    a pool costs more than it saves, else asks for one worker per CPU."""
+    if parallel:
+        return parallel
+    if alpha < AUTO_POOL_MIN_TRIPLES:
+        return 1
+    return os.cpu_count() or 1
+
+
 def _cmd_submod(args, config: RunConfig) -> str:
+    from .submodularity import AuditAbortedError, audit, count_combinations, merge_tallies
+
     omega = len(config.case.bus_ids)
     a_size = args.a_size if args.a_size is not None else omega - 2
     b_size = args.b_size if args.b_size is not None else omega - 1
@@ -421,7 +433,7 @@ def _cmd_submod(args, config: RunConfig) -> str:
 
     _require_hostable_case(config.case, config.channel_limit, "the audit")
     cap = args.counterexamples
-    workers = config.parallel
+    workers = _audit_workers(config.parallel, alpha)
     if workers > 1 and alpha >= 8 * workers:
         bounds = [alpha * i // workers for i in range(workers + 1)]
         payloads = [
@@ -498,6 +510,8 @@ def _sweep_rows(instance: KnapsackInstance, table) -> list[list[str]]:
 
 
 def _cmd_knapsack(args, config: RunConfig) -> str:
+    from .knapsack import KnapsackInstance, budget_sweep, example_instance
+
     if args.values or args.weights:
         if not (args.values and args.weights):
             raise ValueError("custom instances need both --values and --weights")
@@ -562,10 +576,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="current channel standard deviation (metrics only)")
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="tie / margin classification tolerance")
-    parser.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP,
+    parser.add_argument("--enum-cap", type=int,
                         help="max subsets an exhaustive stage may evaluate")
     parser.add_argument("--parallel", type=int, default=0,
-                        help="worker processes (0 = all cores)")
+                        help="worker processes (0 = serial for a small audit, "
+                             "else all cores)")
     parser.add_argument("--out", choices=["md", "json", "csv"], default="md",
                         help="output format")
     parser.add_argument("--output", default="-",
@@ -624,7 +639,7 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError("standard deviations must be finite and positive")
     if not args.tol >= 0:
         raise ValueError("tolerance must be nonnegative")
-    if args.enum_cap < 1:
+    if args.enum_cap is not None and args.enum_cap < 1:
         raise ValueError("enumeration cap must be positive")
     if args.channel_limit < 1:
         raise ValueError("channel limit must be positive")
@@ -643,12 +658,26 @@ def _config_from_args(args) -> RunConfig:
         sigma_i=args.sigma_i,
         tol=args.tol,
         enum_cap=args.enum_cap,
-        parallel=args.parallel or os.cpu_count() or 1,
+        parallel=args.parallel,
         out=args.out,
         output=args.output,
         flat=args.flat_branch_model,
         channel_limit=args.channel_limit,
     )
+
+
+def _loaded(*names: str) -> tuple[type, ...]:
+    """The classes, named ``module.Class``, whose pmuplan module is loaded.
+
+    ``main`` maps exceptions to exit codes by class; a class whose module
+    never loaded cannot have been raised, so it is skipped, not imported."""
+    found = []
+    for name in names:
+        module, _, cls = name.partition(".")
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            found.append(getattr(loaded, cls))
+    return tuple(found)
 
 
 def _root_cause_code(err: Exception) -> int:
@@ -660,7 +689,7 @@ def _root_cause_code(err: Exception) -> int:
         seen.add(id(cause))
         if isinstance(cause, UnobservableStateError):
             return EXIT_NUMERIC
-        if isinstance(cause, EnumerationCapError):
+        if isinstance(cause, _loaded("planner.EnumerationCapError")):
             return EXIT_COMBINATORIAL
         if isinstance(cause, (ChannelLimitError, CaseFormatError)):
             return EXIT_USAGE
@@ -682,13 +711,13 @@ def main(argv=None) -> int:
         command = {"case": _cmd_case_info, "metrics": _cmd_metrics, "plan": _cmd_plan,
                    "submod": _cmd_submod, "knapsack": _cmd_knapsack}[args.command]
         text = command(args, config)
-    except (EnumerationCapError, ItemLimitError) as err:
+    except _loaded("planner.EnumerationCapError", "knapsack.ItemLimitError") as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_COMBINATORIAL
     except UnobservableStateError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (CandidateEvaluationError, AuditAbortedError) as err:
+    except _loaded("planner.CandidateEvaluationError", "submodularity.AuditAbortedError") as err:
         print(f"error: {err}", file=sys.stderr)
         return _root_cause_code(err)
     except (CaseFormatError, ChannelLimitError, ValueError, OSError) as err:

@@ -218,6 +218,17 @@ def test_default_base_is_the_core_on_bundled_ieee14_only(tmp_path, capsys):
     assert bases[str(copy)] == [1, 4, 6, 7, 9]
 
 
+def test_given_empty_nu_is_the_empty_base(capsys):
+    # an empty --nu is given, so it is not replaced by the default base
+    for nu in ("", ","):
+        assert run(capsys, "submod", "count", "--nu", nu) == (0, "alpha = 182\n", "")
+        code, out, _ = run(capsys, "plan", "greedy", "--nu", nu, "--stages", "2",
+                           "--out", "json")
+        assert code == 0
+        assert json.loads(out)["base"] == []
+    assert run(capsys, "submod", "count") == (0, "alpha = 90\n", "")
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -432,51 +443,113 @@ def test_parallel_audit_stderr_is_serial_plus_one_line(capsys):
     assert fanned == serial + "audited 90 triples across 2 workers\n"
 
 
-# Each README command in a fresh interpreter, reporting which of the two
-# heavy modules it loaded: numpy (only ``metrics`` needs it) and the process
-# pool (only a sharded audit needs it).
+def test_parallel0_audits_serially_below_the_break_even(monkeypatch, capsys):
+    """``--parallel 0`` on the README audit (90 triples) starts no pool; at
+    and above the break-even it asks for one worker per CPU. The upper side
+    is checked on the same audit by moving the break-even to 90 triples and
+    running the shards in this process, so no large audit runs and no
+    process starts."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            pass
+
+    cli = pmuplan.cli
+    assert cli._audit_workers(0, cli.AUTO_POOL_MIN_TRIPLES - 1) == 1
+    for alpha in (cli.AUTO_POOL_MIN_TRIPLES, 10**9):
+        assert cli._audit_workers(0, alpha) == (os.cpu_count() or 1)
+    assert [cli._audit_workers(n, 10**9) for n in (1, 2, 3)] == [1, 2, 3]
+    assert [cli._audit_workers(n, 90) for n in (1, 2, 3)] == [1, 2, 3]
+
+    _, out, serial = run(capsys, "submod", "audit", "--parallel", "1")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run(capsys, "submod", "audit") == (0, out, serial)
+    assert started == []
+    monkeypatch.setattr(cli, "AUTO_POOL_MIN_TRIPLES", 90)
+    assert run(capsys, "submod", "audit") == (
+        0, out, serial + "audited 90 triples across 2 workers\n")
+    assert started == [2]
+
+
+# Each README command in a fresh interpreter, reporting which of the modules
+# a command may do without it loaded: the planner, the audit and the knapsack
+# module (each loaded only by its own command), numpy (only ``metrics``) and
+# the process pool (only a sharded audit).
 _IMPORT_PROBE = """
 import json, sys
 from pmuplan.cli import main
 code = main(sys.argv[1:])
-heavy = ("numpy", "concurrent.futures.process")
+heavy = ("pmuplan.planner", "pmuplan.submodularity", "pmuplan.knapsack", "numpy",
+         "concurrent.futures.process")
 print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}),
       file=sys.stderr)
 """
 _AUDIT = ["submod", "audit", "--case", "ieee14", "--nu", "2,6,7,9", "--a-size", "12",
           "--b-size", "13"]
 _README_ROW = "| 2,6,7,9 | 36 | 8 | 8 | 0.2451 | 0.9971 | 28.0000 | 0.7778 |"
+_PLANNER, _AUDITOR, _POOL = "pmuplan.planner", "pmuplan.submodularity", "concurrent.futures.process"
+
+
+def _probe(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``argv`` in a fresh interpreter on this source tree."""
+    src = Path(pmuplan.estimation.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "loaded"),
     [
-        ["case", "info", "--case", "ieee14"],
-        ["metrics", "--nu", "2,6,7,9"],
-        ["plan", "compare", "--nu", "2,6,7,9", "--stages", "10"],
-        ["plan", "greedy", "--nu", "2,6,7,9", "--stages", "4"],
-        ["plan", "budget", "--nu", "2,6,7,9", "--stages", "3"],
-        _AUDIT,  # --parallel 0: one worker per CPU, serial on a one-CPU host
-        _AUDIT + ["--parallel", "1"],
-        _AUDIT + ["--parallel", "2"],
-        ["submod", "count", "--case", "ieee118"],
-        ["knapsack", "demo"],
+        pytest.param(argv, loaded, id=" ".join(argv))
+        for argv, loaded in [
+            (["case", "info", "--case", "ieee14"], []),
+            (["metrics", "--nu", "2,6,7,9"], ["numpy"]),
+            (["plan", "compare", "--nu", "2,6,7,9", "--stages", "10"], [_PLANNER]),
+            (["plan", "greedy", "--nu", "2,6,7,9", "--stages", "4"], [_PLANNER]),
+            (["plan", "budget", "--nu", "2,6,7,9", "--stages", "3"], [_PLANNER]),
+            # --parallel 0: 90 triples are under the break-even, so no pool
+            (_AUDIT, [_AUDITOR]),
+            (_AUDIT + ["--parallel", "1"], [_AUDITOR]),
+            (_AUDIT + ["--parallel", "2"], [_AUDITOR, _POOL]),
+            (["submod", "count", "--case", "ieee118"], [_AUDITOR]),
+            (["knapsack", "demo"], ["pmuplan.knapsack"]),
+        ]
     ],
-    ids=" ".join,
 )
-def test_only_metrics_loads_numpy(argv):
-    src = Path(pmuplan.estimation.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+def test_only_metrics_loads_numpy(argv, loaded):
+    proc = _probe(_IMPORT_PROBE, *argv)
     report = json.loads(proc.stderr.splitlines()[-1])
     assert report["code"] == 0
+    assert report["loaded"] == loaded
     if argv[0] == "metrics":
-        assert "numpy" in report["loaded"]
         assert _README_ROW in proc.stdout.splitlines()
-    else:
-        assert "numpy" not in report["loaded"]
-    if argv[-2:] == ["--parallel", "2"]:
-        assert "concurrent.futures.process" in report["loaded"]
-    elif argv is not _AUDIT:
-        assert "concurrent.futures.process" not in report["loaded"]
+
+
+@pytest.mark.parametrize(
+    ("module", "loaded"),
+    [
+        ("pmuplan", ["pmuplan"]),
+        ("pmuplan.cli", ["pmuplan", "pmuplan.cases", "pmuplan.cli", "pmuplan.estimation",
+                         "pmuplan.measurements", "pmuplan.network"]),
+    ],
+)
+def test_import_loads_no_command_module(module, loaded):
+    proc = _probe(
+        f"import json, sys, {module}\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('pmuplan') or m == 'numpy')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == loaded
