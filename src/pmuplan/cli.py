@@ -637,8 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     if not (0 < args.sigma_v < math.inf and 0 < args.sigma_i < math.inf):
         raise ValueError("standard deviations must be finite and positive")
-    if not args.tol >= 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not 0 <= args.tol < math.inf:
+        raise ValueError("tolerance must be nonnegative and finite")
     if args.enum_cap is not None and args.enum_cap < 1:
         raise ValueError("enumeration cap must be positive")
     if args.channel_limit < 1:

@@ -37,8 +37,8 @@ fixed.
 The planners score placements that differ from a known one by a bus or a
 few. :func:`metric_function` therefore also hands out the score's inputs
 per bus (its mask form), and :func:`mask_scorer` scores a base plus added
-buses from them at one OR and one popcount per added bus. The audit still
-calls the set function once per distinct placement.
+buses from them at one OR and one popcount per added bus. The audit calls
+the set function, keeping its values in the score table f carries.
 """
 
 from __future__ import annotations
@@ -407,10 +407,13 @@ def metric_function(
     ``gain=True`` returns the negated average, turning the minimize-sense
     accuracy score into the improvement function that grows as placements
     get richer; audits of diminishing returns run on that orientation.
-    Evaluations are cached per bus set.
+    f keeps nothing itself.
 
-    f also carries a mask form in its ``__dict__``, which a
-    ``functools.wraps`` wrapper copies; only :func:`mask_scorer` reads it.
+    Its ``__dict__``, which a ``functools.wraps`` wrapper copies (so one
+    that changes f's values must not), holds the score table ``scores``
+    that :func:`~pmuplan.submodularity.audit` shares across audits of
+    ``case``, keyed by masks of its position bits, and a mask form that
+    only :func:`mask_scorer` reads.
     ``metered_masks`` maps every bus that can host a PMU on its own (its
     one-bus placement validates) to its
     :func:`~pmuplan.measurements.metered_mask`, ``closed_masks``
@@ -420,19 +423,13 @@ def metric_function(
     ``observed`` their closed union, or None where f raises.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
-    cache: dict[frozenset, float] = {}
 
     def f(buses) -> float:
-        key = frozenset(buses)
-        if key in cache:
-            return cache[key]
-        placement = PmuPlacement.of(key, channel_limit=limit)
-        value = placement_metric(case, placement, scope=scope, dedupe=dedupe)
-        if gain:
-            value = -value
-        cache[key] = value
-        return value
+        value = placement_metric(case, PmuPlacement.of(buses, channel_limit=limit),
+                                 scope=scope, dedupe=dedupe)
+        return -value if gain else value
 
+    f.scores, f.case = {}, case
     f.metered_masks, f.closed_masks = {}, {}
     for bus in case.bus_ids:
         try:

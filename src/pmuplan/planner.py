@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Callable, Iterable
 
 from .estimation import mask_scorer
@@ -176,9 +176,9 @@ def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ..
 
 
 def _check_tie_tol(tie_tol: float) -> None:
-    # NaN fails this too; either would leave a stage's tie band empty
-    if not tie_tol >= 0.0:
-        raise ValueError(f"tie tolerance must be nonnegative, got {tie_tol}")
+    # NaN or a negative tol would empty a stage's tie band; inf would tie every candidate
+    if not 0.0 <= tie_tol < inf:
+        raise ValueError(f"tie tolerance must be nonnegative and finite, got {tie_tol}")
 
 
 def greedy_plan(

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -228,8 +228,8 @@ def classify_triple(
     margin <= -tol, tie otherwise. Metric failures propagate with the
     offending triple and placement attached.
     """
-    if not tol >= 0.0:
-        raise ValueError("tolerance must be nonnegative")
+    if not 0.0 <= tol < inf:
+        raise ValueError("tolerance must be nonnegative and finite")
     a = triple.a_set
     b = triple.b_set
     evals = {}
@@ -295,9 +295,12 @@ def audit(
     """Classify every triple over the case's bus set and tally the verdicts.
 
     ``metric`` is any set function mapping a frozenset of bus ids to a real
-    number. It runs once per distinct placement: values are cached for the
-    duration of the call, keyed by the placement's mask of position bits
-    (:attr:`~pmuplan.network.NetworkCase.position_bits`). ``start``/``stop``
+    number. It runs once per distinct placement, and a value it returns is
+    cached, keyed by the placement's mask of position bits
+    (:attr:`~pmuplan.network.NetworkCase.position_bits`): in
+    ``metric.scores`` if ``metric.case`` is ``case`` itself, so audits of
+    one :func:`~pmuplan.estimation.metric_function` share one table, else
+    for the call. ``start``/``stop``
     restrict the run to a contiguous slice of the lexicographic triple
     stream so external drivers can split the work; partial tallies
     recombine with merge_tallies. ``progress(done, planned)`` is called
@@ -328,8 +331,8 @@ def audit(
         nu_mask = sum(map(bits.__getitem__, nu_ids))
     except KeyError:
         raise ValueError("nu must be a subset of omega") from None
-    if not tol >= 0.0:
-        raise ValueError("tolerance must be nonnegative")
+    if not 0.0 <= tol < inf:
+        raise ValueError("tolerance must be nonnegative and finite")
     if counterexample_cap < 0:
         raise ValueError(f"counterexample cap must be nonnegative, got {counterexample_cap}")
     if start < 0 or (stop is not None and stop < 0):
@@ -339,7 +342,7 @@ def audit(
 
     nu_decoded = (nu_mask, nu_ids)
     decoded = [nu_decoded, nu_decoded]  # the last A and the last B decoded, with their masks
-    cache: dict[int, float] = {}
+    cache = metric.scores if getattr(metric, "case", None) is case else {}
 
     def ids_in(mask: int) -> Iterator[int]:
         while mask:

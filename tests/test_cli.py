@@ -308,7 +308,8 @@ def test_nu_entries_must_be_integers(tmp_path, capsys):
     assert "token 2 must be an integer bus id, got 'x'" in err
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1e-9"])
+# inf would make every audit triple a tie and print a "tol" that is not JSON
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf", "1e999"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -321,7 +322,7 @@ def test_nu_entries_must_be_integers(tmp_path, capsys):
 )
 def test_bad_tolerance_is_usage_error(capsys, argv, tol):
     code, out, err = run(capsys, *argv, f"--tol={tol}")
-    assert (code, out, err) == (2, "", "error: tolerance must be nonnegative\n")
+    assert (code, out, err) == (2, "", "error: tolerance must be nonnegative and finite\n")
 
 
 # the noise flags move only `metrics`, but every command validates them

@@ -103,6 +103,16 @@ def test_cli_output_is_byte_identical(golden, command):
     assert run(command) == golden[command]
 
 
+def _reject(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if "--out json" in c])
+def test_json_output_is_strict_json(golden, command):
+    assert golden[command]["exit"] == 0
+    json.loads(golden[command]["stdout"], parse_constant=_reject)
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps([run(c) for c in COMMANDS], indent=1) + "\n")

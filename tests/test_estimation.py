@@ -223,7 +223,7 @@ def test_metric_function_orientation_and_cache(ieee14):
     improve = metric_function(ieee14, gain=True)
     nu = frozenset({2, 6, 7, 9})
     assert improve(nu) == pytest.approx(-score(nu), abs=0.0)
-    # cached value is reused for any iterable spelling the same set
+    # any iterable spelling the same set scores the same
     assert score([9, 7, 6, 2]) == score(nu)
 
 

@@ -119,10 +119,10 @@ def test_comparison_serialization(ieee14, score):
     assert again.to_dict() == d
 
 
-@pytest.mark.parametrize("bad", [-1e-9, float("nan")])
+@pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf")])
 def test_planners_reject_a_bad_tie_tolerance(ieee14, score, bad):
-    # either would leave the tie band empty: StopIteration in greedy, an
-    # empty min() in the exhaustive stage
+    # the first two would leave the tie band empty (StopIteration in greedy,
+    # an empty min() in the exhaustive stage); inf would tie every candidate
     with pytest.raises(ValueError, match="tie tolerance must be nonnegative"):
         greedy_plan(ieee14, NU, score, stages=2, tie_tol=bad)
     with pytest.raises(ValueError, match="tie tolerance must be nonnegative"):

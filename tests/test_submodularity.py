@@ -1,9 +1,11 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmuplan.estimation as estimation
 from pmuplan.cases import load_case
 from pmuplan.estimation import metric_function
 from pmuplan.measurements import greedy_observable_cover
@@ -331,14 +333,97 @@ def test_audit_does_not_depend_on_the_listing_order(ieee14, ieee118):
         assert runs[0][0]["supermodular"] > 0
 
 
+# ---- the score table one metric_function shares across audits --------------
+
+SWEEP = tuple((a, b) for a in range(4, 14) for b in range(a, 14))
+
+
+def test_sweep_at_the_tie_boundary_matches_the_reference(ieee14):
+    """All 55 (|A|, |B|) pairs over NU through one metric, at tol 0, where a
+    zero margin counts as submodular, and at 1e-9, where it is a tie."""
+    f = metric_function(ieee14, gain=True)
+    classes = {}
+    for tol in (0.0, 1e-9):
+        tally = [0, 0, 0]
+        for a_size, b_size in SWEEP:
+            got = audit(ieee14, f, NU, a_size, b_size, tol=tol)
+            ref = _reference_audit(ieee14, f, NU, a_size, b_size, tol, 100, 0, None)
+            assert got.to_dict() == ref.to_dict(), (tol, a_size, b_size)
+            tally = [t + n for t, n in zip(tally, (got.submodular, got.supermodular, got.ties))]
+        classes[tol] = tuple(tally)
+    # 5,736 margins are exactly 0.0 and 94 more lie strictly inside the band
+    assert classes == {0.0: (132_551, 64_279, 0), 1e-9: (126_815, 64_185, 5_830)}
+
+
+def test_one_metric_scores_each_placement_once_across_a_sweep(ieee14, monkeypatch):
+    scored = []
+    placement_metric = estimation.placement_metric
+    monkeypatch.setattr(estimation, "placement_metric", lambda case, placement, **kw: (
+        scored.append(placement.buses) or placement_metric(case, placement, **kw)))
+    f = metric_function(ieee14, gain=True)
+    for a_size, b_size in SWEEP:
+        audit(ieee14, f, NU, a_size, b_size)
+    # every superset of NU, once each
+    assert len(scored) == len(set(scored)) == len(f.scores) == 2**10
+
+
+def test_a_copy_of_the_case_never_reads_the_table(ieee14):
+    f = metric_function(ieee14, gain=True)
+    audit(ieee14, f, NU, 12, 13)
+    poisoned = dict.fromkeys(f.scores, 0.0)  # every margin would tie
+    f.scores.update(poisoned)
+    for copy in (NetworkCase(ieee14.name, ieee14.buses, ieee14.branches),
+                 NetworkCase(ieee14.name, ieee14.buses[::-1], ieee14.branches[::-1])):
+        tally = audit(copy, f, NU, 12, 13)
+        assert (tally.submodular, tally.supermodular, tally.ties) == (78, 12, 0)
+        assert tally == audit(copy, metric_function(copy, gain=True), NU, 12, 13)
+    assert f.scores == poisoned
+
+
+def test_wraps_wrappers_share_the_table(ieee14):
+    f = metric_function(ieee14, gain=True)
+    calls = []
+
+    @functools.wraps(f)
+    def traced(*args, **kwargs):  # the shape of a tracing span
+        calls.append(args[0])
+        return f(*args, **kwargs)
+
+    assert traced.scores is f.scores and traced.case is ieee14
+    first = audit(ieee14, traced, NU, 10, 11)
+    assert len(calls) == len(set(calls)) == len(f.scores) > 0
+    calls.clear()
+    assert audit(ieee14, traced, NU, 10, 11) == first
+    assert audit(ieee14, f, NU, 12, 13) == audit(ieee14, traced, NU, 12, 13)
+    assert calls == []  # every placement was already in the table
+
+
+def test_a_failing_placement_is_never_cached(ieee14):
+    f = metric_function(ieee14, gain=True)
+    poison = frozenset(range(2, 14))  # an A of the README audit, met midway
+
+    @functools.wraps(f)
+    def poisoned(placement):
+        if placement == poison:
+            raise RuntimeError("poisoned placement")
+        return f(placement)
+
+    args = (NU, 12, 13)
+    expected = _outcome(lambda: _reference_audit(ieee14, poisoned, *args, 1e-9, 100, 0, None))
+    assert expected[0] == "aborted" and expected[1] > 0
+    for _ in range(2):  # the second run reads the first run's values
+        assert _outcome(lambda: audit(ieee14, poisoned, *args)) == expected
+    assert sum(map(ieee14.position_bits.__getitem__, poison)) not in f.scores
+
+
 def test_audit_rejects_bad_arguments(ieee14):
     f = metric_function(ieee14, gain=True)
     with pytest.raises(ValueError, match="subset of omega"):
         audit(ieee14, f, (2, 99), 12, 13)
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="nonnegative"):
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
             audit(ieee14, f, NU, 12, 13, tol=bad)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
             classify_triple(f, SubsetTriple(a=(2, 6, 7, 9), b=(1, 2, 6, 7, 9), s=3), tol=bad)
     with pytest.raises(ValueError, match="nonnegative"):
         audit(ieee14, f, NU, 12, 13, start=-1)
