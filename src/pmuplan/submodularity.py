@@ -298,9 +298,9 @@ def audit(
     number. It runs once per distinct placement, and a value it returns is
     cached, keyed by the placement's mask of position bits
     (:attr:`~pmuplan.network.NetworkCase.position_bits`): in
-    ``metric.scores`` if ``metric.case`` is ``case`` itself, so audits of
-    one :func:`~pmuplan.estimation.metric_function` share one table, else
-    for the call. ``start``/``stop``
+    ``metric.scores``, if there is one and ``metric.case`` is ``case``
+    itself, so audits of one :func:`~pmuplan.estimation.metric_function`
+    share one table, else for the call. ``start``/``stop``
     restrict the run to a contiguous slice of the lexicographic triple
     stream so external drivers can split the work; partial tallies
     recombine with merge_tallies. ``progress(done, planned)`` is called
@@ -342,7 +342,7 @@ def audit(
 
     nu_decoded = (nu_mask, nu_ids)
     decoded = [nu_decoded, nu_decoded]  # the last A and the last B decoded, with their masks
-    cache = metric.scores if getattr(metric, "case", None) is case else {}
+    cache = getattr(metric, "scores", {}) if getattr(metric, "case", None) is case else {}
 
     def ids_in(mask: int) -> Iterator[int]:
         while mask:

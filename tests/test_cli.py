@@ -325,6 +325,18 @@ def test_bad_tolerance_is_usage_error(capsys, argv, tol):
     assert (code, out, err) == (2, "", "error: tolerance must be nonnegative and finite\n")
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_largest_finite_tolerance_prints_strict_json(capsys):
+    code, out, _ = run(capsys, "submod", "audit", "--nu", "2,6,7,9", "--a-size", "12",
+                       "--b-size", "13", "--parallel", "1", "--tol", repr(sys.float_info.max),
+                       "--out", "json")
+    assert code == 0
+    assert json.loads(out, parse_constant=_not_json)["tol"] == sys.float_info.max
+
+
 # the noise flags move only `metrics`, but every command validates them
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("flag", ["--sigma-v", "--sigma-i"])

@@ -398,6 +398,19 @@ def test_wraps_wrappers_share_the_table(ieee14):
     assert calls == []  # every placement was already in the table
 
 
+def test_a_metric_with_a_case_but_no_table_gets_one_per_call(ieee14):
+    f = metric_function(ieee14, gain=True)
+    calls = []
+
+    def scored(placement):
+        calls.append(placement)
+        return f(placement)
+
+    scored.case = ieee14
+    assert audit(ieee14, scored, NU, 12, 13) == audit(ieee14, f, NU, 12, 13)
+    assert len(calls) == len(set(calls)) > 0 and not hasattr(scored, "scores")
+
+
 def test_a_failing_placement_is_never_cached(ieee14):
     f = metric_function(ieee14, gain=True)
     poison = frozenset(range(2, 14))  # an A of the README audit, met midway
