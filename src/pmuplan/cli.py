@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .cases import BUNDLED, bundled_case_text
+from .cases import BUNDLED, load_case
 from .estimation import (
     StateScope,
     UnobservableStateError,
@@ -72,8 +72,6 @@ class RunConfig:
     """Validated run parameters shared by the computing subcommands."""
 
     case: NetworkCase
-    case_text: str
-    case_format: str
     scope: StateScope
     dedupe: str
     sigma_v: float
@@ -87,17 +85,15 @@ class RunConfig:
     channel_limit: int
 
 
-def _load_case(name_or_path: str, fmt: str | None) -> tuple[NetworkCase, str, str]:
+def _load_case(name_or_path: str, fmt: str | None) -> NetworkCase:
     if name_or_path in BUNDLED:
-        text = bundled_case_text(name_or_path)
-        return parse_case(text, format="matpower-subset", name=name_or_path), text, "matpower-subset"
+        return load_case(name_or_path)
     path = Path(name_or_path)
     if not path.is_file():
         raise ValueError(f"case file not found: {name_or_path}")
-    text = path.read_text()
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "matpower-subset"
-    return parse_case(text, format=fmt, name=path.stem), text, fmt
+    return parse_case(path.read_text(), format=fmt, name=path.stem)
 
 
 def _parse_nu(raw: str) -> list[int]:
@@ -361,7 +357,7 @@ class _WorkerFailure(Exception):
 
 
 def _audit_shard(payload: tuple) -> tuple[ClassificationTally, int]:
-    """Worker entry: rebuild everything from plain values and audit a slice.
+    """Worker entry: audit the ``start``/``stop`` slice of the run's audit.
 
     Returns the slice's tally and EXIT_OK, or, when the metric fails, the
     partial tally (its total is the triples processed) and the exit code of
@@ -369,14 +365,10 @@ def _audit_shard(payload: tuple) -> tuple[ClassificationTally, int]:
     """
     from .submodularity import AuditAbortedError, audit
 
-    (text, fmt, name, nu, a_size, b_size, tol, cap,
-     scope_value, dedupe, channel_limit, start, stop) = payload
-    case = parse_case(text, format=fmt, name=name)
-    metric = metric_function(case, scope=StateScope(scope_value), dedupe=dedupe,
-                             channel_limit=channel_limit, gain=True)
+    config, nu, a_size, b_size, cap, start, stop = payload
     try:
-        tally = audit(case, metric, nu, a_size, b_size, tol=tol,
-                      counterexample_cap=cap, start=start, stop=stop)
+        tally = audit(config.case, _make_metric(config, gain=True), nu, a_size, b_size,
+                      tol=config.tol, counterexample_cap=cap, start=start, stop=stop)
     except AuditAbortedError as err:
         return err.partial, _root_cause_code(err)
     return tally, EXIT_OK
@@ -437,12 +429,7 @@ def _cmd_submod(args, config: RunConfig) -> str:
     if workers > 1 and alpha >= 8 * workers:
         bounds = [alpha * i // workers for i in range(workers + 1)]
         payloads = [
-            (
-                config.case_text, config.case_format, config.case.name,
-                nu, a_size, b_size, config.tol, cap,
-                config.scope.value, config.dedupe, config.channel_limit,
-                bounds[i], bounds[i + 1],
-            )
+            (config, nu, a_size, b_size, cap, bounds[i], bounds[i + 1])
             for i in range(workers)
             if bounds[i] < bounds[i + 1]
         ]
@@ -509,15 +496,26 @@ def _sweep_rows(instance: KnapsackInstance, table) -> list[list[str]]:
     ]
 
 
+def _parse_numbers(flag: str, raw: str) -> tuple[float, ...]:
+    """The comma-separated numbers of ``--values`` or ``--weights``; the
+    first token that is not one is named by its number (from 1)."""
+    numbers = []
+    for k, token in enumerate(raw.split(","), start=1):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            raise ValueError(f"{flag} {raw}: token {k} must be a number, got {token!r}") from None
+    return tuple(numbers)
+
+
 def _cmd_knapsack(args, config: RunConfig) -> str:
     from .knapsack import KnapsackInstance, budget_sweep, example_instance
 
     if args.values or args.weights:
         if not (args.values and args.weights):
             raise ValueError("custom instances need both --values and --weights")
-        values = tuple(float(v) for v in args.values.split(","))
-        weights = tuple(float(w) for w in args.weights.split(","))
-        instance = KnapsackInstance(values=values, weights=weights)
+        instance = KnapsackInstance(values=_parse_numbers("--values", args.values),
+                                    weights=_parse_numbers("--weights", args.weights))
     else:
         instance = example_instance()
     optimal = budget_sweep(instance, "optimal")
@@ -647,11 +645,8 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError("parallel degree must be nonnegative")
     if getattr(args, "counterexamples", 0) < 0:
         raise ValueError(f"--counterexamples must be nonnegative, got {args.counterexamples}")
-    case, text, fmt = _load_case(args.case, args.format)
     return RunConfig(
-        case=case,
-        case_text=text,
-        case_format=fmt,
+        case=_load_case(args.case, args.format),
         scope=StateScope.FULL if args.scope == "full" else StateScope.PMU,
         dedupe=args.dedupe,
         sigma_v=args.sigma_v,

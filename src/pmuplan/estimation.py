@@ -35,10 +35,11 @@ grows with each new voltage phasor and newly metered branch while 2N stays
 fixed.
 
 The planners score placements that differ from a known one by a bus or a
-few. :func:`metric_function` therefore also hands out the score's inputs
-per bus (its mask form), and :func:`mask_scorer` scores a base plus added
-buses from them at one OR and one popcount per added bus. The audit calls
-the set function, keeping its values in the score table f carries.
+few. The set function :func:`metric_function` returns therefore carries an
+incremental scorer: it ORs a base's masks out of
+:attr:`~pmuplan.network.NetworkCase.incidence` once, then scores each
+addition at one OR and one popcount per added bus. The audit calls the set
+function, keeping its values in the score table f carries.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ __all__ = [
     "placement_metric",
     "sensitivity_report",
     "metric_function",
-    "mask_scorer",
 ]
 
 # singular values below RANK_RTOL * sigma_max count as zero
@@ -236,16 +236,23 @@ def build_jacobian(
     return Jacobian(matrix=H, rows=mset.channels, cols=tuple(cols))
 
 
-def _whitened_svd(H: Jacobian | np.ndarray, R: CovarianceModel | None):
-    """SVD of R^-1/2 H with the rank rule applied.
+def _whitened_svd(H: Jacobian, R: CovarianceModel | None):
+    """SVD of R^-1/2 H with the rank rule applied, for a full-column-rank H.
 
-    Returns ``(U, s, Vt, w, rank)`` where ``w`` is the per-row whitening
-    vector diag(R^-1/2).
+    Returns ``(U, s, Vt, w)`` where ``w`` is the per-row whitening vector
+    diag(R^-1/2).
+
+    Raises
+    ------
+    UnobservableStateError
+        With null dimension ``n - m`` when H has fewer rows than columns,
+        else ``n - rank`` when the rank falls short of n.
     """
     import numpy as np
 
-    mat = H.matrix if isinstance(H, Jacobian) else np.asarray(H, dtype=float)
-    m = mat.shape[0]
+    m, n = H.m, H.n
+    if m < n:
+        raise UnobservableStateError(n - m)
     if R is None:
         w = np.ones(m)
     else:
@@ -253,12 +260,14 @@ def _whitened_svd(H: Jacobian | np.ndarray, R: CovarianceModel | None):
         if var.shape != (m,):
             raise ValueError(f"covariance has {var.shape[0]} entries for {m} channels")
         w = 1.0 / np.sqrt(var)
-    U, s, Vt = np.linalg.svd(w[:, None] * mat, full_matrices=False)
+    U, s, Vt = np.linalg.svd(w[:, None] * H.matrix, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
         rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    return U, s, Vt, w, rank
+    if rank < n:
+        raise UnobservableStateError(n - rank)
+    return U, s, Vt, w
 
 
 def wls_estimate(H: Jacobian, R: CovarianceModel | None, dz: np.ndarray) -> np.ndarray:
@@ -275,11 +284,7 @@ def wls_estimate(H: Jacobian, R: CovarianceModel | None, dz: np.ndarray) -> np.n
     dz = np.asarray(dz, dtype=float)
     if dz.shape != (H.m,):
         raise ValueError(f"dz has shape {dz.shape}, expected ({H.m},)")
-    if H.m < H.n:
-        raise UnobservableStateError(H.n - H.m)
-    U, s, Vt, w, rank = _whitened_svd(H, R)
-    if rank < H.n:
-        raise UnobservableStateError(H.n - rank)
+    U, s, Vt, w = _whitened_svd(H, R)
     return Vt.T @ ((U.T @ (w * dz)) / s)
 
 
@@ -290,11 +295,7 @@ def projection_matrix(H: Jacobian, R: CovarianceModel | None = None) -> np.ndarr
     K = W^-1 U U' W, which is numerically stable and makes the projection
     identities (idempotency, trace = rank) hold to machine precision.
     """
-    if H.m < H.n:
-        raise UnobservableStateError(H.n - H.m)
-    U, _, _, w, rank = _whitened_svd(H, R)
-    if rank < H.n:
-        raise UnobservableStateError(H.n - rank)
+    U, _, _, w = _whitened_svd(H, R)
     return (U / w[:, None]) @ (U.T * w[None, :])
 
 
@@ -412,15 +413,15 @@ def metric_function(
     Its ``__dict__``, which a ``functools.wraps`` wrapper copies (so one
     that changes f's values must not), holds the score table ``scores``
     that :func:`~pmuplan.submodularity.audit` shares across audits of
-    ``case``, keyed by masks of its position bits, and a mask form that
-    only :func:`mask_scorer` reads.
-    ``metered_masks`` maps every bus that can host a PMU on its own (its
-    one-bus placement validates) to its
-    :func:`~pmuplan.measurements.metered_mask`, ``closed_masks``
-    maps the same buses to their closed-neighborhood masks, and
-    ``value(k, metered, observed)`` is f on ``k``
-    such buses with ``metered`` set bits in their metered union and
-    ``observed`` their closed union, or None where f raises.
+    ``case``, keyed by masks of its position bits, and the planners'
+    incremental ``scorer``. ``scorer(base)`` returns ``score(added)``: f on
+    ``base`` plus the buses ``added`` (none in ``base``), counted from each
+    bus's row of :attr:`~pmuplan.network.NetworkCase.incidence` (the mask
+    column ``dedupe`` selects, the degree against the channel limit and
+    ``closed_mask``), or None where f raises: a bus unknown or over the
+    limit, an invalid limit or dedupe, an empty placement or, in full-state
+    scope, an unobservable one. The caller then calls f, which raises as
+    it should.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
 
@@ -429,56 +430,44 @@ def metric_function(
                                  scope=scope, dedupe=dedupe)
         return -value if gain else value
 
-    f.scores, f.case = {}, case
-    f.metered_masks, f.closed_masks = {}, {}
-    for bus in case.bus_ids:
-        try:
-            f.metered_masks[bus] = metered_mask(case, PmuPlacement.of((bus,), channel_limit=limit),
-                                                dedupe)
-        except ValueError:  # over the limit, or a bad limit or dedupe: f raises there
-            continue
-        f.closed_masks[bus] = case.incidence[bus][3]
-    full = scope == StateScope.FULL
-    everyone = (1 << len(case.buses)) - 1
+    index = case.incidence
+    column = {"by-branch": 2, "per-end": 4}.get(dedupe)  # branch_mask or end_mask
+    # the largest degree a bus may have to score: none scores under an invalid
+    # dedupe or limit, where f raises on every placement
+    max_degree = limit if column is not None and limit > 0 else -1
 
-    def value(k: int, metered: int, observed: int) -> float | None:
-        unobserved = (everyone & ~observed).bit_count() if full else 0
-        try:
-            score = _counted_score(case, scope, k, metered, unobserved)
-        except ValueError:
-            return None
-        return -score if gain else score
+    def scorer(base: Iterable[int]) -> Callable[[tuple[int, ...]], float | None]:
+        base = tuple(base)
+        union = observed = 0
+        for bus in base:
+            row = index.get(bus)
+            if row is None or row[1] > max_degree:
+                return lambda added: None
+            union |= row[column]
+            observed |= row[3]
+        full = scope == StateScope.FULL
+        everyone = (1 << len(index)) - 1
 
-    f.value = value
-    return f
-
-
-def mask_scorer(metric, base: Iterable[int]) -> Callable[[tuple[int, ...]], float | None]:
-    """``score(added)``: the metric on ``base`` plus the buses ``added``
-    (none in ``base``), from :func:`metric_function`'s mask form, or None
-    where that cannot score it (no mask form, a bus it lacks, or ``value``
-    None); the caller then calls the metric, which raises as it should.
-    """
-    metered = getattr(metric, "metered_masks", None)
-    base = tuple(base)
-    if metered is None or not all(map(metered.__contains__, base)):
-        return lambda added: None
-    closed, value = metric.closed_masks, metric.value
-    union = observed = 0
-    for bus in base:
-        union |= metered[bus]
-        observed |= closed[bus]
-
-    def score(added: tuple[int, ...]) -> float | None:
-        u, o = union, observed
-        for bus in added:
-            if bus not in metered:
+        def score(added: tuple[int, ...]) -> float | None:
+            u, o = union, observed
+            for bus in added:
+                row = index.get(bus)
+                if row is None or row[1] > max_degree:
+                    return None
+                u |= row[column]
+                o |= row[3]
+            unobserved = (everyone & ~o).bit_count() if full else 0
+            try:
+                value = _counted_score(case, scope, len(base) + len(added), u.bit_count(),
+                                       unobserved)
+            except ValueError:
                 return None
-            u |= metered[bus]
-            o |= closed[bus]
-        return value(len(base) + len(added), u.bit_count(), o)
+            return -value if gain else value
 
-    return score
+        return score
+
+    f.scores, f.case, f.scorer = {}, case, scorer
+    return f
 
 
 def sensitivity_report(
@@ -503,9 +492,5 @@ def sensitivity_report(
     mset = enumerate_channels(case, placement, dedupe=dedupe)
     H = build_jacobian(case, mset, scope=scope, flat_branch_model=flat_branch_model)
     R = CovarianceModel.for_channels(mset, sigma_v=sigma_v, sigma_i=sigma_i)
-    if H.m < H.n:
-        raise UnobservableStateError(H.n - H.m)
-    U, _, _, _, rank = _whitened_svd(H, R)
-    if rank < H.n:
-        raise UnobservableStateError(H.n - rank)
-    return _summarize(1.0 - np.einsum("ij,ij->i", U, U), n=H.n, rank=rank)
+    U = _whitened_svd(H, R)[0]
+    return _summarize(1.0 - np.einsum("ij,ij->i", U, U), n=H.n, rank=H.n)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 __all__ = [
     "KnapsackInstance",
@@ -148,16 +149,23 @@ def optimal_solve(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     _check_enumerable(instance)
-    best_items: tuple[int, ...] = ()
-    best_value = 0.0
-    for r in range(1, instance.n + 1):
-        for combo in itertools.combinations(range(instance.n), r):
-            if sum(instance.weights[i] for i in combo) > budget:
-                continue
-            value = sum(instance.values[i] for i in combo)
-            if value > best_value or (value == best_value and combo < best_items):
-                best_items = combo
-                best_value = value
+    return _best(instance, ((), 0.0), (
+        combo
+        for r in range(1, instance.n + 1)
+        for combo in itertools.combinations(range(instance.n), r)
+        if sum(instance.weights[i] for i in combo) <= budget
+    ))
+
+
+def _best(instance: KnapsackInstance, best: tuple[tuple[int, ...], float], combos):
+    """``best`` (items, objective) after folding in ``combos``: the higher
+    value wins, then the lexicographically smaller index tuple."""
+    best_items, best_value = best
+    for combo in combos:
+        value = sum(instance.values[i] for i in combo)
+        if value > best_value or (value == best_value and combo < best_items):
+            best_items = combo
+            best_value = value
     return best_items, best_value
 
 
@@ -193,25 +201,29 @@ def budget_sweep(instance: KnapsackInstance, method: str) -> BudgetBreakpointTab
 
     Either policy's selection can only change where some subset's total
     weight sits, so evaluating at every subset sum and merging runs of
-    identical solutions yields the exact intervals. Cost is exponential in
-    the item count; the exhaustive-enumeration guard applies.
+    identical solutions yields the exact intervals. The optimal policy
+    needs no re-solve per budget: over the subsets sorted by weight, the
+    optimum at a budget is the best of those it admits, in
+    :func:`optimal_solve`'s order, so one pass folds it in. Cost is
+    exponential in the item count; the exhaustive-enumeration guard
+    applies.
     """
-    if method == "optimal":
-        solve = optimal_solve
-    elif method == "greedy":
-        solve = greedy_solve
-    else:
+    if method not in ("optimal", "greedy"):
         raise ValueError(f"unknown method {method!r}, expected 'optimal' or 'greedy'")
     _check_enumerable(instance)
 
-    sums = {0.0}
-    for r in range(1, instance.n + 1):
-        for combo in itertools.combinations(range(instance.n), r):
-            sums.add(float(sum(instance.weights[i] for i in combo)))
-
+    subsets = sorted(
+        (float(sum(instance.weights[i] for i in combo)), combo)
+        for r in range(instance.n + 1)
+        for combo in itertools.combinations(range(instance.n), r)
+    )
+    best: tuple[tuple[int, ...], float] = ((), 0.0)
     rows: list[BudgetBreakpointRow] = []
-    for b in sorted(sums):
-        items, objective = solve(instance, b)
+    for b, group in itertools.groupby(subsets, key=itemgetter(0)):
+        if method == "greedy":
+            items, objective = greedy_solve(instance, b)
+        else:
+            items, objective = best = _best(instance, best, map(itemgetter(1), group))
         if rows and rows[-1].items == items and rows[-1].objective == objective:
             continue
         if rows:

@@ -12,9 +12,10 @@ Ties are broken deterministically: candidates whose values fall within
 ``tie_tol`` of the stage minimum form one group, and the lowest bus id
 (greedy) or lexicographically smallest addition set (budget) wins.
 
-Candidates are scored with :func:`~pmuplan.estimation.mask_scorer` when
-the metric has a mask form, else, and wherever that cannot score, by
-calling the metric, so failures raise as they would without it.
+Candidates are scored with the metric's incremental ``scorer`` (see
+:func:`~pmuplan.estimation.metric_function`) when it has one, else, and
+wherever that cannot score, by calling the metric, so failures raise as
+they would without it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import itertools
 from dataclasses import dataclass
 from math import comb, inf
 from typing import Callable, Iterable
-
-from .estimation import mask_scorer
 
 __all__ = [
     "StageResult",
@@ -175,6 +174,12 @@ def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(sorted(base_set)), free
 
 
+def _scorer(metric, base: Iterable[int]) -> Callable[[tuple[int, ...]], float | None]:
+    """The metric's ``scorer(base)``, or one that scores nothing when it has none."""
+    scorer = getattr(metric, "scorer", None)
+    return (lambda added: None) if scorer is None else scorer(base)
+
+
 def _check_tie_tol(tie_tol: float) -> None:
     # NaN or a negative tol would empty a stage's tie band; inf would tie every candidate
     if not 0.0 <= tie_tol < inf:
@@ -193,7 +198,7 @@ def greedy_plan(
     Within a stage, every free bus is scored with the metric on the base
     plus prior picks plus that bus; the tie group around the minimum is
     resolved to the lowest bus id. The recorded stage value is the chosen
-    candidate's own evaluation. With a mask form, the stage's placement is
+    candidate's own evaluation. With a scorer, the stage's placement is
     held as mask unions and each candidate costs one OR and one popcount.
     """
     _check_tie_tol(tie_tol)
@@ -205,7 +210,7 @@ def greedy_plan(
     values: list[float] = []
     current = frozenset(base)
     for stage in range(1, stages + 1):
-        score = mask_scorer(metric, current)
+        score = _scorer(metric, current)
         scored: list[tuple[int, float]] = []
         for candidate in free:
             if candidate in current:
@@ -243,7 +248,7 @@ def budget_constrained_plan(
     Every k-subset of the free buses is evaluated; the minimum-value subset
     wins, with ties resolved to the lexicographically smallest addition
     tuple. Refuses to start when C(free, k) exceeds ``enum_cap``. With a
-    mask form, each subset's masks are ORed onto the base's union.
+    scorer, each subset's masks are ORed onto the base's union.
     """
     _check_tie_tol(tie_tol)
     base, free = _free_buses(case, nu)
@@ -254,7 +259,7 @@ def budget_constrained_plan(
         raise EnumerationCapError(candidates, enum_cap, k)
 
     base_set = frozenset(base)
-    score = mask_scorer(metric, base)
+    score = _scorer(metric, base)
     best_value = float("inf")
     # (combo, value) pairs currently inside the tie band around best_value
     band: list[tuple[tuple[int, ...], float]] = []

@@ -366,6 +366,18 @@ def test_knapsack_non_finite_numbers_are_usage_errors(capsys, values, weights):
     assert err == "error: values and weights must be finite numbers\n"
 
 
+@pytest.mark.parametrize("flag, raw, message", [
+    ("--values", "1,,2", "--values 1,,2: token 2 must be a number, got ''"),
+    ("--weights", "1,2,x3", "--weights 1,2,x3: token 3 must be a number, got 'x3'"),
+    ("--values", " ", "--values  : token 1 must be a number, got ' '"),
+])
+def test_knapsack_bad_number_names_flag_and_token(capsys, flag, raw, message):
+    other = "--weights" if flag == "--values" else "--values"
+    code, out, err = run(capsys, "knapsack", "demo", f"{flag}={raw}", other, "1,2,3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_negative_counterexample_cap_is_a_usage_error(capsys):
     code, out, err = run(capsys, "submod", "audit", "--counterexamples=-1")
     assert (code, out) == (2, "")
@@ -390,7 +402,7 @@ def test_removed_spellings_are_usage_errors(capsys):
 
 
 def test_unrecognised_metric_failure_is_internal_error(monkeypatch, capsys):
-    # the planners score from the metric's mask form, so the failure goes
+    # the planners score from the metric's scorer, so the failure goes
     # into a plain set function, which they call on every candidate
     def broken(*args, **kwargs):
         def metric(placement):
@@ -454,6 +466,22 @@ def test_parallel_audit_stderr_is_serial_plus_one_line(capsys):
     _, _, serial = run(capsys, "submod", "audit", "--parallel", "1")
     _, _, fanned = run(capsys, "submod", "audit", "--parallel", "2")
     assert fanned == serial + "audited 90 triples across 2 workers\n"
+
+
+def test_parallel_audit_of_a_case_file_matches_serial(tmp_path, capsys):
+    """Pool workers audit the case the parent parsed from the file."""
+    path = tmp_path / "grid14.json"
+    path.write_text(json.dumps(serialize_case(load_case("ieee14"))))
+    for extra in ((), ("--a-size", "6", "--b-size", "8", "--out", "json")):
+        argv = ("submod", "audit", "--case", str(path), *extra)
+        code, serial_out, serial_err = run(capsys, *argv, "--parallel", "1")
+        assert code == 0
+        code, fanned_out, fanned_err = run(capsys, *argv, "--parallel", "2")
+        assert code == 0
+        assert fanned_out == serial_out
+        alpha = json.loads(run(capsys, "submod", "count", "--case", str(path), *extra[:4],
+                               "--out", "json")[1])["alpha"]
+        assert fanned_err == serial_err + f"audited {alpha} triples across 2 workers\n"
 
 
 def test_parallel0_audits_serially_below_the_break_even(monkeypatch, capsys):

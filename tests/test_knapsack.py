@@ -1,6 +1,10 @@
+import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmuplan.knapsack import (
     BudgetBreakpointRow,
@@ -99,6 +103,53 @@ def test_greedy_sweep_has_five_regimes():
         (9.0, 15.0, (1, 2, 0), 16.0),
         (15.0, math.inf, (1, 2, 0, 3), 17.0),
     ]
+
+
+def _per_budget_optimal_table(instance):
+    """The optimal sweep by definition: optimal_solve at every subset sum,
+    runs of equal solutions merged."""
+    sums = sorted({
+        float(sum(instance.weights[i] for i in combo))
+        for r in range(instance.n + 1)
+        for combo in itertools.combinations(range(instance.n), r)
+    })
+    rows = []
+    for b in sums:
+        items, objective = optimal_solve(instance, b)
+        if rows and rows[-1][2:] == (items, objective):
+            continue
+        if rows:
+            rows[-1] = (rows[-1][0], b, *rows[-1][2:])
+        rows.append((b, math.inf, items, objective))
+    return rows
+
+
+# few distinct numbers, so that values, weights and subset sums tie often
+_numbers = st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.just(0.0), _numbers), _numbers),
+                min_size=1, max_size=7))
+def test_optimal_sweep_equals_per_budget_optimal_solve(items):
+    instance = KnapsackInstance(values=tuple(v for v, _ in items),
+                                weights=tuple(w for _, w in items))
+    table = budget_sweep(instance, "optimal")
+    got = [(r.lo, r.hi, r.items, r.objective) for r in table.rows]
+    assert got == _per_budget_optimal_table(instance)
+
+
+def test_sixteen_item_optimal_sweep():
+    """One enumeration of 2^16 subsets, where a solve per subset sum would
+    take 2^32 steps; the rows agree with point solves at their budgets."""
+    rng = random.Random(16)
+    instance = KnapsackInstance(values=tuple(rng.uniform(0, 10) for _ in range(16)),
+                                weights=tuple(rng.uniform(0.5, 5) for _ in range(16)))
+    rows = budget_sweep(instance, "optimal").rows
+    assert rows[-1].items == tuple(range(16))
+    for row in (rows[1], rows[len(rows) // 2], rows[-2]):
+        assert optimal_solve(instance, row.lo) == (row.items, row.objective)
+        assert optimal_solve(instance, math.nextafter(row.hi, 0.0)) == (row.items, row.objective)
 
 
 def test_greedy_never_beats_optimal():

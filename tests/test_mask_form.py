@@ -1,13 +1,14 @@
-"""The mask form of metric_function against the frozenset path it replaces.
+"""metric_function's incremental scorer against the frozenset path it replaces.
 
-The planners score a metric that carries a mask form from unions of its bus
-masks. A plain function that calls the same metric hides the mask form and
-sends every placement through the frozenset path, which is the oracle here:
-both must give the same results, bit for bit, and fail at the same place
-with the same exception.
+The planners score a metric that carries a scorer from unions of the bus
+masks in ``NetworkCase.incidence``. A plain function that calls the same
+metric hides the scorer and sends every placement through the frozenset
+path, which is the oracle here: both must give the same results, bit for
+bit, and fail at the same place with the same exception.
 """
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +24,13 @@ IEEE14 = load_case("ieee14")
 
 
 def plain(metric):
-    """The same set function without the mask form."""
+    """The same set function without the scorer."""
     return lambda placement: metric(placement)
 
 
 def counted(metric, calls):
     """A ``functools.wraps`` wrapper, as a tracer installs one: it carries
-    the mask form over and records every call on a frozenset."""
+    the scorer over and records every call on a frozenset."""
 
     @functools.wraps(metric)
     def wrapper(placement):
@@ -113,22 +114,64 @@ def test_mask_planners_never_build_a_placement(monkeypatch, ieee14, scope, dedup
     assert len(calls) == 1
 
 
-def test_mask_form_values_equal_the_frozenset_values(ieee14):
-    """``value`` returns f's float from the same integers, or None where f raises."""
-    for scope in StateScope:
-        for gain in (False, True):
-            metric = metric_function(ieee14, scope=scope, gain=gain)
-            placement = frozenset((2, 6, 7, 9))
-            metered = 0
-            observed = 0
-            for bus in placement:
-                metered |= metric.metered_masks[bus]
-                observed |= metric.closed_masks[bus]
-            assert metric.value(4, metered.bit_count(), observed) == metric(placement)
-            assert metric.value(0, 0, 0) is None
-    full = metric_function(ieee14, scope=StateScope.FULL)
-    assert full.value(1, 3, full.closed_masks[1]) is None
-    # over-limit buses and invalid settings are left to the frozenset path
-    assert 4 not in metric_function(ieee14, channel_limit=4).metered_masks
-    assert metric_function(ieee14, channel_limit=0).metered_masks == {}
-    assert metric_function(ieee14, dedupe="bogus").metered_masks == {}
+def _scorer_agrees(metric, base, added):
+    """The scorer returns f's float, bit for bit, where f returns, and None
+    exactly where f raises."""
+    got = metric.scorer(base)(tuple(added))
+    try:
+        want = metric(frozenset(base) | frozenset(added))
+    except (KeyError, ValueError):
+        assert got is None
+    else:
+        assert got is not None and got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("scope", list(StateScope))
+@pytest.mark.parametrize("dedupe", ["by-branch", "per-end", "bogus"])
+@pytest.mark.parametrize("channel_limit", [None, 4, 0])
+def test_scorer_values_equal_the_frozenset_values(ieee14, scope, dedupe, channel_limit):
+    """On every placement of at most three buses, alone and on top of the
+    core, over the unknown bus 99 too; bus 4 is over a limit of 4."""
+    for gain in (False, True):
+        metric = metric_function(ieee14, scope=scope, dedupe=dedupe,
+                                 channel_limit=channel_limit, gain=gain)
+        assert sorted(vars(metric)) == ["case", "scorer", "scores"]
+        buses = (*ieee14.bus_ids, 99)
+        for r in range(4):
+            for added in itertools.combinations(buses, r):
+                _scorer_agrees(metric, (), added)
+                _scorer_agrees(metric, added, ())
+        core = (2, 6, 7, 9)
+        for r in range(3):
+            for added in itertools.combinations(sorted(set(buses) - set(core)), r):
+                _scorer_agrees(metric, core, added)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(IEEE14), cases()), st.data())
+def test_scorer_values_equal_the_frozenset_values_on_drawn_cases(case, data):
+    metric = metric_function(
+        case,
+        scope=data.draw(st.sampled_from(list(StateScope))),
+        dedupe=data.draw(st.sampled_from(["by-branch", "per-end", "bogus"])),
+        channel_limit=data.draw(st.sampled_from([0, 1, 2, 3, 4, 64])),
+        gain=data.draw(st.booleans()),
+    )
+    # bus 0 is never in a case
+    buses = data.draw(st.permutations((*case.bus_ids, 0)))
+    cut = data.draw(st.integers(0, len(buses)))
+    end = data.draw(st.integers(cut, len(buses)))
+    _scorer_agrees(metric, buses[:cut], buses[cut:end])
+
+
+@pytest.mark.parametrize("scope", list(StateScope))
+def test_scorer_scores_no_isolated_bus_under_a_zero_limit(scope):
+    """A bus with no branch is within any limit but 0, where f raises on
+    every placement; the scorer leaves those to f too."""
+    case = NetworkCase(name="isolated", buses=(Bus(1), Bus(2), Bus(3)),
+                       branches=(Branch(1, 2, 0.0, 0.5),))
+    for limit in (0, 1):
+        metric = metric_function(case, scope=scope, channel_limit=limit)
+        for r in range(4):
+            for base in itertools.combinations((1, 2, 3), r):
+                _scorer_agrees(metric, base, ())
