@@ -37,9 +37,10 @@ fixed.
 The planners score placements that differ from a known one by a bus or a
 few. The set function :func:`metric_function` returns therefore carries an
 incremental scorer: it ORs a base's masks out of
-:attr:`~pmuplan.network.NetworkCase.incidence` once, then scores each
-addition at one OR and one popcount per added bus. The audit calls the set
-function, keeping its values in the score table f carries.
+:attr:`~pmuplan.network.NetworkCase.incidence` once, and each call ORs the
+buses a stage or prefix adds once, then scores a batch of candidate buses
+at one OR and one popcount each. The audit calls the set function, keeping
+its values in the score table f carries.
 """
 
 from __future__ import annotations
@@ -370,29 +371,42 @@ def placement_metric(
         than states, else twice the number of unobserved buses.
     """
     metered = metered_mask(case, placement, dedupe).bit_count()
-    unobserved = 0
+    unobserved = None
     if scope == StateScope.FULL:
-        unobserved = len(observability_check(case, placement)[1])
-    return _counted_score(case, scope, len(placement.buses), metered, unobserved)
+        unobserved = [len(observability_check(case, placement)[1])]
+    (value,), errors = _counted_scores(case, scope, len(placement.buses), [metered], unobserved)
+    if errors:
+        raise errors[0]
+    return value
 
 
-def _counted_score(
-    case: NetworkCase, scope: StateScope, k: int, metered: int, unobserved: int
-) -> float:
-    """placement_metric's count for ``k`` PMUs with ``metered`` metered
-    branches (branch ends) that leave ``unobserved`` buses unobserved, a
-    number pmu-state scope ignores; raises what placement_metric raises
-    for such a placement."""
-    m = 2 * k + 2 * metered
-    if m == 0:
-        raise ValueError("measurement set is empty")
-    if scope == StateScope.FULL:
-        n = 2 * len(case.buses)
-        if unobserved:
-            raise UnobservableStateError(n - m if m < n else 2 * unobserved)
-    else:
-        n = 2 * k
-    return (m - n) / m
+def _counted_scores(
+    case: NetworkCase,
+    scope: StateScope,
+    k: int,
+    metered: list[int],
+    unobserved: list[int] | None,
+) -> tuple[list[float | None], dict[int, Exception]]:
+    """placement_metric's count for placements of ``k`` PMUs, one per entry
+    of ``metered``, the placement's metered branches (branch ends); in
+    full-state scope ``unobserved`` holds the matching numbers of
+    unobserved buses, and in pmu-state scope it is None.
+
+    Returns the values, None where placement_metric raises, and the
+    exceptions it raises there, by entry.
+    """
+    n = 2 * len(case.buses) if scope == StateScope.FULL else 2 * k
+    channels = [2 * k + 2 * count for count in metered]
+    values = [(m - n) / m if m else None for m in channels]
+    errors: dict[int, Exception] = {}
+    if None in values or unobserved and any(unobserved):
+        for i, m in enumerate(channels):
+            if m == 0:
+                errors[i] = ValueError("measurement set is empty")
+            elif unobserved and unobserved[i]:
+                errors[i] = UnobservableStateError(n - m if m < n else 2 * unobserved[i])
+                values[i] = None
+    return values, errors
 
 
 def metric_function(
@@ -414,14 +428,17 @@ def metric_function(
     that changes f's values must not), holds the score table ``scores``
     that :func:`~pmuplan.submodularity.audit` shares across audits of
     ``case``, keyed by masks of its position bits, and the planners'
-    incremental ``scorer``. ``scorer(base)`` returns ``score(added)``: f on
-    ``base`` plus the buses ``added`` (none in ``base``), counted from each
-    bus's row of :attr:`~pmuplan.network.NetworkCase.incidence` (the mask
-    column ``dedupe`` selects, the degree against the channel limit and
-    ``closed_mask``), or None where f raises: a bus unknown or over the
-    limit, an invalid limit or dedupe, an empty placement or, in full-state
-    scope, an unobservable one. The caller then calls f, which raises as
-    it should.
+    incremental ``scorer``. ``scorer(base)`` returns
+    ``score(added, candidates)``: the list of f's values on ``base`` plus
+    the buses ``added`` plus each bus of ``candidates`` in turn (no bus
+    listed twice across the three), counted from each bus's row of
+    :attr:`~pmuplan.network.NetworkCase.incidence` (the mask column
+    ``dedupe`` selects, the degree against the channel limit and
+    ``closed_mask``), with None where f raises: a bus unknown or over the
+    limit, an invalid limit or dedupe or, in full-state scope, an
+    unobservable placement. A call ORs ``added`` onto the base's union once,
+    then costs one OR and one popcount per candidate. The caller calls f
+    where it gets None, and f raises as it should.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
 
@@ -435,34 +452,46 @@ def metric_function(
     # the largest degree a bus may have to score: none scores under an invalid
     # dedupe or limit, where f raises on every placement
     max_degree = limit if column is not None and limit > 0 else -1
+    # then a candidate needs only to be in the case to score
+    hosts_all = all(row[1] <= max_degree for row in index.values())
 
-    def scorer(base: Iterable[int]) -> Callable[[tuple[int, ...]], float | None]:
+    def scorer(base: Iterable[int]) -> Callable[[Iterable[int], list[int]], list]:
         base = tuple(base)
         union = observed = 0
         for bus in base:
             row = index.get(bus)
             if row is None or row[1] > max_degree:
-                return lambda added: None
+                return lambda added, candidates: [None] * len(candidates)
             union |= row[column]
             observed |= row[3]
         full = scope == StateScope.FULL
         everyone = (1 << len(index)) - 1
 
-        def score(added: tuple[int, ...]) -> float | None:
-            u, o = union, observed
+        def score(added: Iterable[int], candidates: list[int]) -> list[float | None]:
+            u, o, k = union, observed, len(base) + 1
             for bus in added:
                 row = index.get(bus)
                 if row is None or row[1] > max_degree:
-                    return None
+                    return [None] * len(candidates)
                 u |= row[column]
                 o |= row[3]
-            unobserved = (everyone & ~o).bit_count() if full else 0
-            try:
-                value = _counted_score(case, scope, len(base) + len(added), u.bit_count(),
-                                       unobserved)
-            except ValueError:
-                return None
-            return -value if gain else value
+                k += 1
+            rows = list(map(index.get, candidates))
+            if None in rows or not hosts_all:
+                # None marks a candidate f raises for before it counts
+                rows = [row if row is not None and row[1] <= max_degree else None
+                        for row in rows]
+            metered = [(u | row[column]).bit_count() if row else 0 for row in rows]
+            unobserved = None
+            if full:
+                unobserved = [(everyone ^ (o | row[3])).bit_count() if row else 0
+                              for row in rows]
+            values = _counted_scores(case, scope, k, metered, unobserved)[0]
+            if None in rows:
+                values = [value if row else None for row, value in zip(rows, values)]
+            if gain:
+                values = [None if value is None else -value for value in values]
+            return values
 
         return score
 

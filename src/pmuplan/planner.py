@@ -12,10 +12,12 @@ Ties are broken deterministically: candidates whose values fall within
 ``tie_tol`` of the stage minimum form one group, and the lowest bus id
 (greedy) or lexicographically smallest addition set (budget) wins.
 
-Candidates are scored with the metric's incremental ``scorer`` (see
-:func:`~pmuplan.estimation.metric_function`) when it has one, else, and
-wherever that cannot score, by calling the metric, so failures raise as
-they would without it.
+Candidates are scored in batches with the metric's incremental ``scorer``
+(see :func:`~pmuplan.estimation.metric_function`) when it has one: one call
+per greedy stage, and one per exhaustive (k-1)-prefix over the buses after
+it. Without one, and wherever it cannot score, the planners call the
+metric, in the order they would without it, so failures raise at the same
+candidate.
 """
 
 from __future__ import annotations
@@ -170,14 +172,16 @@ def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ..
     missing = sorted(base_set.difference(case.bus_ids))
     if missing:
         raise ValueError(f"base buses not in the case: {missing}")
-    free = tuple(sorted(b for b in case.bus_ids if b not in base_set))
+    free = tuple(sorted(set(case.bus_ids).difference(base_set)))
     return tuple(sorted(base_set)), free
 
 
-def _scorer(metric, base: Iterable[int]) -> Callable[[tuple[int, ...]], float | None]:
+def _scorer(metric, base: Iterable[int]) -> Callable[[Iterable[int], list[int]], list]:
     """The metric's ``scorer(base)``, or one that scores nothing when it has none."""
     scorer = getattr(metric, "scorer", None)
-    return (lambda added: None) if scorer is None else scorer(base)
+    if scorer is None:
+        return lambda added, candidates: [None] * len(candidates)
+    return scorer(base)
 
 
 def _check_tie_tol(tie_tol: float) -> None:
@@ -198,39 +202,34 @@ def greedy_plan(
     Within a stage, every free bus is scored with the metric on the base
     plus prior picks plus that bus; the tie group around the minimum is
     resolved to the lowest bus id. The recorded stage value is the chosen
-    candidate's own evaluation. With a scorer, the stage's placement is
-    held as mask unions and each candidate costs one OR and one popcount.
+    candidate's own evaluation. With a scorer, one call per stage scores
+    every candidate, at one OR and one popcount each.
     """
     _check_tie_tol(tie_tol)
     base, free = _free_buses(case, nu)
     if not 0 <= stages <= len(free):
         raise ValueError(f"stages must be in 0..{len(free)}, got {stages}")
 
+    score = _scorer(metric, base)
     chosen: list[int] = []
     values: list[float] = []
-    current = frozenset(base)
+    remaining = list(free)
     for stage in range(1, stages + 1):
-        score = _scorer(metric, current)
-        scored: list[tuple[int, float]] = []
-        for candidate in free:
-            if candidate in current:
-                continue
-            value = score((candidate,))
-            if value is None:
-                try:
-                    value = float(metric(current | {candidate}))
-                except Exception as exc:
-                    raise CandidateEvaluationError(stage, candidate) from exc
-            scored.append((candidate, value))
-        vmin = min(v for _, v in scored)
+        scored = score(chosen, remaining)
+        if None in scored:
+            placed = frozenset(base).union(chosen)
+            for i, candidate in enumerate(remaining):
+                if scored[i] is None:
+                    try:
+                        scored[i] = float(metric(placed | {candidate}))
+                    except Exception as exc:
+                        raise CandidateEvaluationError(stage, candidate) from exc
+        ceiling = min(scored) + tie_tol
         # candidates are scanned in ascending id order, so the first hit
         # inside the tie band is the lowest-id winner
-        winner, winner_value = next(
-            (c, v) for c, v in scored if v <= vmin + tie_tol
-        )
-        chosen.append(winner)
-        values.append(winner_value)
-        current = current | {winner}
+        i = next(i for i, v in enumerate(scored) if v <= ceiling)
+        chosen.append(remaining.pop(i))
+        values.append(scored[i])
 
     return PriorityList(base=base, order=tuple(chosen), stage_values=tuple(values))
 
@@ -248,7 +247,10 @@ def budget_constrained_plan(
     Every k-subset of the free buses is evaluated; the minimum-value subset
     wins, with ties resolved to the lexicographically smallest addition
     tuple. Refuses to start when C(free, k) exceeds ``enum_cap``. With a
-    scorer, each subset's masks are ORed onto the base's union.
+    scorer, the subsets are scored one call per (k-1)-prefix of the free
+    buses, over the free buses after its last, in
+    ``itertools.combinations(free, k)`` order; a call whose minimum lies
+    above the tie band is passed over whole.
     """
     _check_tie_tol(tie_tol)
     base, free = _free_buses(case, nu)
@@ -260,26 +262,31 @@ def budget_constrained_plan(
 
     base_set = frozenset(base)
     score = _scorer(metric, base)
-    best_value = float("inf")
+    best_value = ceiling = float("inf")
     # (combo, value) pairs currently inside the tie band around best_value
     band: list[tuple[tuple[int, ...], float]] = []
-    for combo in itertools.combinations(free, k):
-        value = score(combo)
-        if value is None:
-            try:
-                value = float(metric(base_set | set(combo)))
-            except Exception as exc:
-                raise CandidateEvaluationError(k, combo) from exc
-        if value < best_value - tie_tol:
-            best_value = value
-            band = [(combo, value)]
-            continue
-        if value < best_value:
-            best_value = value
-        if value <= best_value + tie_tol:
-            band.append((combo, value))
+    # each (k-1)-prefix with a non-empty tail, in lexicographic order, so the
+    # combos come in itertools.combinations(free, k) order
+    for prefix in itertools.combinations(range(len(free) - 1), k - 1):
+        added = tuple(free[i] for i in prefix)
+        tail = free[prefix[-1] + 1 :] if prefix else free
+        scored = score(added, tail)
+        if None not in scored and min(scored) > ceiling:
+            continue  # nothing here can enter the band or move its minimum
+        for bus, value in zip(tail, scored):
+            if value is None:
+                try:
+                    value = float(metric(base_set.union(added, (bus,))))
+                except Exception as exc:
+                    raise CandidateEvaluationError(k, (*added, bus)) from exc
+            if value < best_value - tie_tol:
+                band = []
+            if value < best_value:
+                best_value, ceiling = value, value + tie_tol
+            if value <= ceiling:
+                band.append(((*added, bus), value))
     # the minimum may have tightened after entries joined the band
-    band = [(c, v) for c, v in band if v <= best_value + tie_tol]
+    band = [(c, v) for c, v in band if v <= ceiling]
     winner, winner_value = min(band, key=lambda cv: cv[0])
     return StageResult(stage=k, selected=winner, metric_value=winner_value)
 

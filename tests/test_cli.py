@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -182,6 +183,19 @@ def test_knapsack_custom_instance(capsys):
     assert "| [1, 3) | x1 | 3 |" in out
     code, _, err = run(capsys, "knapsack", "demo", "--values", "1,2", "--weights", "1")
     assert code == 2
+
+
+def test_knapsack_demo_past_the_sweep_limit_exits_4_at_once(capsys):
+    from pmuplan.knapsack import MAX_SWEEP_ITEMS
+
+    items = ",".join(["1"] * (MAX_SWEEP_ITEMS + 1))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "knapsack", "demo", "--values", items, "--weights", items)
+    # a sweep of 2^21 subsets would take seconds, not milliseconds
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (4, "")
+    assert err == (f"error: {MAX_SWEEP_ITEMS + 1} items cannot be enumerated exhaustively "
+                   f"(limit {MAX_SWEEP_ITEMS})\n")
 
 
 def test_output_file_emission(tmp_path, capsys):

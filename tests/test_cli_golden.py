@@ -3,7 +3,8 @@ of commands against ``tests/golden/cli.json``.
 
 The set covers the README block in every output format plus its variants
 (full scope, per-end, noise and branch-model flags, ieee118, a serial and a
-sharded audit) and the exit 2, 3 and 4 paths. Audits pin ``--parallel``,
+sharded audit, a three-stage ieee118 comparison whose exhaustive stages walk
+thousands of prefixes) and the exit 2, 3 and 4 paths. Audits pin ``--parallel``,
 since the default shards over every core and names their count on stderr.
 argparse's own errors stay out: their wording moves between Python versions.
 
@@ -49,6 +50,7 @@ COMMANDS = [
     "plan greedy --nu 2,6,7,9 --stages 4 --sigma-v 0.5 --sigma-i 3 --flat-branch-model",
     "plan greedy --case ieee118 --channel-limit 16 --stages 5 --out json",
     "plan compare --case ieee118 --channel-limit 16 --stages 2",
+    "plan compare --case ieee118 --channel-limit 16 --stages 3 --out json",
     "plan budget --stages 2 --scope full --out json",
     _AUDIT + " --parallel 1",
     _AUDIT + " --parallel 1 --out json --counterexamples 3",

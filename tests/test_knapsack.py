@@ -1,12 +1,19 @@
 import itertools
 import math
 import random
+import tracemalloc
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmuplan.knapsack
 from pmuplan.knapsack import (
+    MAX_EXHAUSTIVE_ITEMS,
+    MAX_SWEEP_ITEMS,
+    SWEEP_BYTES_PER_SUBSET,
+    SWEEP_MEMORY_BUDGET,
     BudgetBreakpointRow,
     BudgetBreakpointTable,
     ItemLimitError,
@@ -181,6 +188,106 @@ def test_item_limit_guard():
     # greedy point solves stay cheap at any size
     picked, value = greedy_solve(big, 3.0)
     assert (len(picked), value) == (3, 3.0)
+
+
+def test_sweep_limit_is_set_by_memory(monkeypatch):
+    """The sweep's limit is the most items whose subsets fit the memory
+    budget; one more raises before any subset is enumerated, naming that
+    limit, while the point solves still take up to 25 items."""
+    assert MAX_SWEEP_ITEMS < MAX_EXHAUSTIVE_ITEMS == 25
+    assert 2**MAX_SWEEP_ITEMS * SWEEP_BYTES_PER_SUBSET <= SWEEP_MEMORY_BUDGET
+    assert 2 ** (MAX_SWEEP_ITEMS + 1) * SWEEP_BYTES_PER_SUBSET > SWEEP_MEMORY_BUDGET
+    n = MAX_SWEEP_ITEMS + 1
+    over = KnapsackInstance(values=(1.0,) * n, weights=(1.0,) * n)
+
+    class NoEnumeration:
+        def __getattr__(self, name):
+            raise AssertionError(f"itertools.{name} used past the limit")
+
+    monkeypatch.setattr(pmuplan.knapsack, "itertools", NoEnumeration())
+    for method in ("optimal", "greedy"):
+        with pytest.raises(ItemLimitError, match=f"{n} items .*limit {MAX_SWEEP_ITEMS}") as err:
+            budget_sweep(over, method)
+        assert (err.value.n, err.value.limit) == (n, MAX_SWEEP_ITEMS)
+    monkeypatch.undo()
+    assert optimal_solve(over, 2.0) == ((0, 1), 2.0)
+
+
+@pytest.mark.parametrize("method", ["optimal", "greedy"])
+def test_sweep_memory_stays_within_the_per_subset_bound(method):
+    """tracemalloc's peak for a 14-item sweep, per subset, is within the
+    figure the sweep limit is sized by (measured at 20 items, where the
+    index tuples are longer)."""
+    rng = random.Random(14)
+    inst = KnapsackInstance(values=tuple(rng.uniform(0, 9) for _ in range(14)),
+                            weights=tuple(rng.uniform(0.5, 9) for _ in range(14)))
+    tracemalloc.start()
+    try:
+        budget_sweep(inst, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**14 <= SWEEP_BYTES_PER_SUBSET
+
+
+def _reference_greedy_solve(instance, budget):
+    """The per-step greedy loop: the lightest remaining item (higher value,
+    then lower index) while the spend so far plus its weight is in budget."""
+    picked, spent, remaining = [], 0.0, set(range(instance.n))
+    while remaining:
+        wmin = min(instance.weights[i] for i in remaining)
+        if spent + wmin > budget:
+            break
+        group = sorted(i for i in remaining if instance.weights[i] == wmin)
+        pick = max(group, key=lambda i: instance.values[i])
+        picked.append(pick)
+        remaining.remove(pick)
+        spent += instance.weights[pick]
+    return tuple(picked), float(sum(instance.values[i] for i in picked))
+
+
+def _reference_greedy_sweep(instance):
+    """A greedy solve at every distinct subset sum, runs of equal
+    selections merged."""
+    sums = sorted(
+        (float(sum(instance.weights[i] for i in combo)), combo)
+        for r in range(instance.n + 1)
+        for combo in itertools.combinations(range(instance.n), r)
+    )
+    rows = []
+    for b, _ in itertools.groupby(sums, key=itemgetter(0)):
+        items, objective = _reference_greedy_solve(instance, b)
+        if rows and rows[-1].items == items and rows[-1].objective == objective:
+            continue
+        if rows:
+            rows[-1] = BudgetBreakpointRow(rows[-1].lo, b, rows[-1].items, rows[-1].objective)
+        rows.append(BudgetBreakpointRow(b, math.inf, items, objective))
+    return BudgetBreakpointTable(method="greedy", rows=tuple(rows))
+
+
+# weights drawn from small pools so that equal weights are common; 1e-300
+# and 5e-324 vanish when added to the others, so running weights and subset
+# sums of different items tie (a zero weight cannot be constructed)
+_WEIGHT_POOLS = ((1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.7), (1.0, 1e-300, 5e-324, 2.5),
+                 (1e16, 1.0, 2.0, 3.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_greedy_sweep_matches_the_per_budget_loop(data):
+    """Row for row, on instances with zero values, equal weights and
+    weights that float additions absorb; greedy_solve against its loop."""
+    n = data.draw(st.integers(1, 8))
+    weight = st.one_of(st.sampled_from(data.draw(st.sampled_from(_WEIGHT_POOLS))),
+                       st.floats(1e-3, 1e3))
+    value = st.one_of(st.just(0.0), st.sampled_from((1.0, 2.5)), st.floats(0.0, 1e3))
+    inst = KnapsackInstance(values=tuple(data.draw(value) for _ in range(n)),
+                            weights=tuple(data.draw(weight) for _ in range(n)))
+    table = budget_sweep(inst, "greedy")
+    assert table == _reference_greedy_sweep(inst)
+    for row in table.rows:
+        for b in (row.lo, math.nextafter(row.lo, 0.0), row.hi):
+            assert greedy_solve(inst, b) == _reference_greedy_solve(inst, b)
 
 
 def test_single_item_sweep():

@@ -1,14 +1,18 @@
-"""metric_function's incremental scorer against the frozenset path it replaces.
+"""metric_function's batch scorer against the frozenset path it replaces.
 
-The planners score a metric that carries a scorer from unions of the bus
-masks in ``NetworkCase.incidence``. A plain function that calls the same
-metric hides the scorer and sends every placement through the frozenset
-path, which is the oracle here: both must give the same results, bit for
-bit, and fail at the same place with the same exception.
+The planners score a metric that carries a scorer in batches, from unions
+of the bus masks in ``NetworkCase.incidence``: greedy makes one call per
+stage, the exhaustive planner one per (k-1)-prefix of the free buses. A
+plain function that calls the same metric hides the scorer and sends every
+placement through the frozenset path, which is the oracle here: both must
+give the same results, bit for bit, and fail at the same place with the
+same exception. So must the planners' simplest statement, one metric call
+per candidate, in ``_reference_greedy`` and ``_reference_budget``.
 """
 
 import functools
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +22,19 @@ import pmuplan.estimation
 from pmuplan.cases import load_case
 from pmuplan.estimation import StateScope, metric_function
 from pmuplan.network import Branch, Bus, NetworkCase
-from pmuplan.planner import CandidateEvaluationError, budget_constrained_plan, greedy_plan
+from pmuplan.planner import (
+    CandidateEvaluationError,
+    PriorityList,
+    StageResult,
+    budget_constrained_plan,
+    greedy_plan,
+)
 
 IEEE14 = load_case("ieee14")
+TIE_TOLS = (0.0, 1e-9, 0.01)
 
 
-def plain(metric):
+def _plain(metric):
     """The same set function without the scorer."""
     return lambda placement: metric(placement)
 
@@ -40,6 +51,47 @@ def counted(metric, calls):
     return wrapper
 
 
+def _evaluate(metric, stage, placement, candidate):
+    try:
+        return float(metric(placement))
+    except Exception as exc:
+        raise CandidateEvaluationError(stage, candidate) from exc
+
+
+def _reference_greedy(case, nu, metric, stages, tie_tol):
+    """One metric call per candidate, in ascending id order."""
+    current = frozenset(nu)
+    free = sorted(set(case.bus_ids) - current)
+    order, values = [], []
+    for stage in range(1, stages + 1):
+        scored = [(c, _evaluate(metric, stage, current | {c}, c))
+                  for c in free if c not in order]
+        vmin = min(v for _, v in scored)
+        winner, value = next((c, v) for c, v in scored if v <= vmin + tie_tol)
+        order.append(winner)
+        values.append(value)
+        current |= {winner}
+    return PriorityList(base=tuple(sorted(set(nu))), order=tuple(order),
+                        stage_values=tuple(values))
+
+
+def _reference_budget(case, nu, metric, k, tie_tol):
+    """One metric call per k-subset, in itertools.combinations order."""
+    base = frozenset(nu)
+    free = sorted(set(case.bus_ids) - base)
+    best, band = float("inf"), []
+    for combo in itertools.combinations(free, k):
+        value = _evaluate(metric, k, base | set(combo), combo)
+        if value < best - tie_tol:
+            best, band = value, [(combo, value)]
+            continue
+        best = min(best, value)
+        if value <= best + tie_tol:
+            band.append((combo, value))
+    winner, value = min(((c, v) for c, v in band if v <= best + tie_tol), key=lambda cv: cv[0])
+    return StageResult(stage=k, selected=winner, metric_value=value)
+
+
 @st.composite
 def cases(draw):
     """A connected case on scattered bus ids listed out of order, with
@@ -53,21 +105,6 @@ def cases(draw):
     return NetworkCase(name="random", buses=tuple(Bus(i) for i in ids), branches=tuple(branches))
 
 
-@st.composite
-def metrics(draw):
-    """A case and a metric on it in either scope, dedupe policy and
-    orientation; small channel limits leave some buses unable to host."""
-    case = draw(st.one_of(st.just(IEEE14), cases()))
-    metric = metric_function(
-        case,
-        scope=draw(st.sampled_from(list(StateScope))),
-        dedupe=draw(st.sampled_from(["by-branch", "per-end"])),
-        channel_limit=draw(st.sampled_from([1, 2, 3, 4, 64])),
-        gain=draw(st.booleans()),
-    )
-    return case, metric
-
-
 def _plan_outcome(run):
     try:
         return run()
@@ -75,25 +112,51 @@ def _plan_outcome(run):
         return ("failed", err.stage, err.candidate, repr(err.__cause__))
 
 
-@settings(max_examples=200, deadline=None)
-@given(metrics(), st.data())
-def test_mask_planners_match_the_frozenset_planners(setup, data):
-    case, metric = setup
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.just(IEEE14), cases()), st.data())
+def test_mask_planners_match_the_frozenset_planners(case, data):
+    """In both scopes, under both dedupe policies and at every tie
+    tolerance. Small channel limits leave some buses unable to host, so
+    that some candidates go to the set function, and some plans fail there."""
+    limit = data.draw(st.one_of(st.just(64), st.sampled_from([1, 2, 3, 4])))
+    gain = data.draw(st.booleans())
     ids = sorted(case.bus_ids)
     nu = data.draw(st.permutations(ids))[: data.draw(st.integers(0, len(ids) - 1))]
     free = len(ids) - len(nu)
     stages = data.draw(st.integers(0, min(free, 4)))
-    k = data.draw(st.integers(1, min(free, 3)))
-    for run in (
-        lambda f: greedy_plan(case, nu, f, stages),
-        lambda f: budget_constrained_plan(case, nu, f, k),
-    ):
-        calls = []
-        got = _plan_outcome(lambda: run(counted(metric, calls)))
-        # dataclass equality compares the float values exactly
-        assert got == _plan_outcome(lambda: run(plain(metric)))
-        if not isinstance(got, tuple):
-            assert calls == []
+    k = data.draw(st.integers(1, min(free, 4)))
+    for scope, dedupe, tie_tol in itertools.product(StateScope, ("by-branch", "per-end"),
+                                                    TIE_TOLS):
+        metric = metric_function(case, scope=scope, dedupe=dedupe, channel_limit=limit,
+                                 gain=gain)
+        for plan, reference in (
+            (lambda f: greedy_plan(case, nu, f, stages, tie_tol=tie_tol),
+             lambda f: _reference_greedy(case, nu, f, stages, tie_tol)),
+            (lambda f: budget_constrained_plan(case, nu, f, k, tie_tol=tie_tol),
+             lambda f: _reference_budget(case, nu, f, k, tie_tol)),
+        ):
+            calls = []
+            got = _plan_outcome(lambda: plan(counted(metric, calls)))
+            # dataclass equality compares the float values exactly
+            assert got == _plan_outcome(lambda: plan(_plain(metric)))
+            assert got == _plan_outcome(lambda: reference(metric))
+            if not isinstance(got, tuple):
+                assert calls == []
+
+
+@pytest.mark.parametrize("tie_tol", TIE_TOLS)
+@pytest.mark.parametrize("scope", list(StateScope))
+@pytest.mark.parametrize("dedupe", ["by-branch", "per-end"])
+def test_mask_planners_match_the_reference_on_ieee14(ieee14, scope, dedupe, tie_tol):
+    """Every stage of both planners over the README base, where the wider
+    tie band joins values the narrower ones keep apart."""
+    nu = (2, 6, 7, 9)
+    metric = metric_function(ieee14, scope=scope, dedupe=dedupe)
+    assert (greedy_plan(ieee14, nu, metric, 10, tie_tol=tie_tol)
+            == _reference_greedy(ieee14, nu, metric, 10, tie_tol))
+    for k in range(1, 11):
+        assert (budget_constrained_plan(ieee14, nu, metric, k, tie_tol=tie_tol)
+                == _reference_budget(ieee14, nu, metric, k, tie_tol))
 
 
 @pytest.mark.parametrize("scope", list(StateScope))
@@ -114,37 +177,91 @@ def test_mask_planners_never_build_a_placement(monkeypatch, ieee14, scope, dedup
     assert len(calls) == 1
 
 
-def _scorer_agrees(metric, base, added):
-    """The scorer returns f's float, bit for bit, where f returns, and None
-    exactly where f raises."""
-    got = metric.scorer(base)(tuple(added))
-    try:
-        want = metric(frozenset(base) | frozenset(added))
-    except (KeyError, ValueError):
-        assert got is None
-    else:
-        assert got is not None and got.hex() == want.hex()
+def test_planners_make_one_scorer_call_per_stage_or_prefix(ieee14):
+    """Greedy keeps one scorer for the plan and calls it once a stage; the
+    exhaustive planner calls it once per (k-1)-prefix with a non-empty
+    tail, C(free - 1, k - 1) times, never more than the C(free, k) subsets
+    the enumeration cap counts."""
+    metric = metric_function(ieee14)
+    made, calls = [], []
+
+    def scorer(base):
+        made.append(tuple(base))
+        score = metric.scorer(base)
+        return lambda added, candidates: calls.append(len(candidates)) or score(added, candidates)
+
+    def with_scorer(placement):
+        return metric(placement)
+
+    with_scorer.scorer = scorer
+    nu = (2, 6, 7, 9)
+    greedy_plan(ieee14, nu, with_scorer, 10)
+    assert made == [nu]
+    assert calls == list(range(10, 0, -1))
+    for k in range(1, 11):
+        made.clear()
+        calls.clear()
+        budget_constrained_plan(ieee14, nu, with_scorer, k)
+        assert made == [nu]
+        assert len(calls) == comb(9, k - 1) <= comb(10, k)
+        assert sum(calls) == comb(10, k)
+
+
+def test_exhaustive_candidates_come_in_combinations_order(ieee14):
+    """Without a scorer the metric sees every k-subset, each once, in
+    itertools.combinations(free, k) order; the first that fails is the one
+    the error names."""
+    nu = frozenset((2, 6, 7, 9))
+    free = sorted(set(ieee14.bus_ids) - nu)
+    metric = metric_function(ieee14)
+    for k in (1, 2, 3):
+        calls = []
+        budget_constrained_plan(ieee14, nu, counted(_plain(metric), calls), k)
+        assert calls == [nu | set(c) for c in itertools.combinations(free, k)]
+    failing = metric_function(ieee14, channel_limit=4)  # bus 4 has 5 branches
+    with pytest.raises(CandidateEvaluationError) as err:
+        budget_constrained_plan(ieee14, nu, failing, 2)
+    assert err.value.candidate == (1, 4)
+    assert "bus 4" in str(err.value.__cause__)
+
+
+def _scorer_agrees(metric, base, added, candidates):
+    """Each candidate's value is f's float on base + added + that candidate,
+    bit for bit, where f returns, and None exactly where f raises."""
+    got = metric.scorer(base)(added, candidates)
+    assert len(got) == len(candidates)
+    for bus, value in zip(candidates, got):
+        try:
+            want = metric(frozenset(base) | frozenset(added) | {bus})
+        except (KeyError, ValueError):
+            assert value is None
+        else:
+            assert value is not None and value.hex() == want.hex()
 
 
 @pytest.mark.parametrize("scope", list(StateScope))
 @pytest.mark.parametrize("dedupe", ["by-branch", "per-end", "bogus"])
 @pytest.mark.parametrize("channel_limit", [None, 4, 0])
 def test_scorer_values_equal_the_frozenset_values(ieee14, scope, dedupe, channel_limit):
-    """On every placement of at most three buses, alone and on top of the
-    core, over the unknown bus 99 too; bus 4 is over a limit of 4."""
+    """Over every other bus as a candidate, on top of at most two buses
+    given as the base or as added, and on top of the core; the unknown bus
+    99 and bus 4, over a limit of 4, turn up among the candidates and in
+    the base and added."""
     for gain in (False, True):
         metric = metric_function(ieee14, scope=scope, dedupe=dedupe,
                                  channel_limit=channel_limit, gain=gain)
         assert sorted(vars(metric)) == ["case", "scorer", "scores"]
         buses = (*ieee14.bus_ids, 99)
-        for r in range(4):
-            for added in itertools.combinations(buses, r):
-                _scorer_agrees(metric, (), added)
-                _scorer_agrees(metric, added, ())
-        core = (2, 6, 7, 9)
         for r in range(3):
-            for added in itertools.combinations(sorted(set(buses) - set(core)), r):
-                _scorer_agrees(metric, core, added)
+            for added in itertools.combinations(buses, r):
+                rest = [b for b in buses if b not in added]
+                _scorer_agrees(metric, (), added, rest)
+                _scorer_agrees(metric, added, (), rest)
+        core = (2, 6, 7, 9)
+        rest = sorted(set(buses) - set(core))
+        for added in itertools.combinations(rest, 2):
+            _scorer_agrees(metric, core, added, [b for b in rest if b not in added])
+        assert metric.scorer(core)((), []) == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -161,7 +278,7 @@ def test_scorer_values_equal_the_frozenset_values_on_drawn_cases(case, data):
     buses = data.draw(st.permutations((*case.bus_ids, 0)))
     cut = data.draw(st.integers(0, len(buses)))
     end = data.draw(st.integers(cut, len(buses)))
-    _scorer_agrees(metric, buses[:cut], buses[cut:end])
+    _scorer_agrees(metric, buses[:cut], buses[cut:end], buses[end:])
 
 
 @pytest.mark.parametrize("scope", list(StateScope))
@@ -172,6 +289,8 @@ def test_scorer_scores_no_isolated_bus_under_a_zero_limit(scope):
                        branches=(Branch(1, 2, 0.0, 0.5),))
     for limit in (0, 1):
         metric = metric_function(case, scope=scope, channel_limit=limit)
-        for r in range(4):
+        for r in range(3):
             for base in itertools.combinations((1, 2, 3), r):
-                _scorer_agrees(metric, base, ())
+                rest = [b for b in (1, 2, 3) if b not in base]
+                _scorer_agrees(metric, base, (), rest)
+                _scorer_agrees(metric, (), base, rest)
