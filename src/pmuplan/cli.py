@@ -154,8 +154,9 @@ def _resolve_nu(args, config: RunConfig) -> list[int]:
 
 def _require_hostable_case(case: NetworkCase, channel_limit: int, what: str) -> None:
     """Planning and auditing evaluate placements over arbitrary buses."""
-    worst = max(case.bus_ids, key=lambda b: len(case.incident_branches(b)))
-    incident = len(case.incident_branches(worst))
+    degree = {bus: row[1] for bus, row in case.incidence.items()}
+    worst = max(degree, key=degree.get, default=None)
+    incident = degree.get(worst, 0)
     if incident > channel_limit:
         raise ValueError(
             f"{what} evaluates placements on every bus, but bus {worst} has "

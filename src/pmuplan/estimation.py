@@ -36,11 +36,13 @@ fixed.
 
 The planners score placements that differ from a known one by a bus or a
 few. The set function :func:`metric_function` returns therefore carries an
-incremental scorer: it ORs a base's masks out of
-:attr:`~pmuplan.network.NetworkCase.incidence` once, and each call ORs the
-buses a stage or prefix adds once, then scores a batch of candidate buses
-at one OR and one popcount each. The audit calls the set function, keeping
-its values in the score table f carries.
+incremental scorer wherever every bus of the case can host a PMU: it ORs a
+base's masks out of :attr:`~pmuplan.network.NetworkCase.incidence` once,
+and each call ORs the buses a stage or prefix adds once, then scores a
+batch of candidate buses at one OR and one popcount each. Where some bus
+cannot host, there is no scorer and the planners call the set function.
+The audit always calls the set function, keeping its values in the score
+table f carries.
 """
 
 from __future__ import annotations
@@ -428,17 +430,19 @@ def metric_function(
     that changes f's values must not), holds the score table ``scores``
     that :func:`~pmuplan.submodularity.audit` shares across audits of
     ``case``, keyed by masks of its position bits, and the planners'
-    incremental ``scorer``. ``scorer(base)`` returns
-    ``score(added, candidates)``: the list of f's values on ``base`` plus
-    the buses ``added`` plus each bus of ``candidates`` in turn (no bus
-    listed twice across the three), counted from each bus's row of
+    incremental ``scorer``. The scorer is None unless every bus of the case
+    can host a PMU: the dedupe policy is valid, the channel limit is at
+    least 1 and no bus has more incident branches than the limit. Otherwise
+    the planners call f on every candidate, and f raises as it should.
+    ``scorer(base)`` returns ``score(added, candidates)``: the list of f's
+    values on ``base`` plus the buses ``added`` plus each bus of
+    ``candidates`` in turn (all buses of the case, none listed twice across
+    the three), counted from each bus's row of
     :attr:`~pmuplan.network.NetworkCase.incidence` (the mask column
-    ``dedupe`` selects, the degree against the channel limit and
-    ``closed_mask``), with None where f raises: a bus unknown or over the
-    limit, an invalid limit or dedupe or, in full-state scope, an
-    unobservable placement. A call ORs ``added`` onto the base's union once,
-    then costs one OR and one popcount per candidate. The caller calls f
-    where it gets None, and f raises as it should.
+    ``dedupe`` selects and ``closed_mask``), with None where the placement
+    is unobservable in full-state scope, and f raises. A call ORs ``added``
+    onto the base's union once, then costs one OR and one popcount per
+    candidate.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
 
@@ -447,55 +451,42 @@ def metric_function(
                                  scope=scope, dedupe=dedupe)
         return -value if gain else value
 
+    f.scores, f.case, f.scorer = {}, case, None
     index = case.incidence
     column = {"by-branch": 2, "per-end": 4}.get(dedupe)  # branch_mask or end_mask
-    # the largest degree a bus may have to score: none scores under an invalid
-    # dedupe or limit, where f raises on every placement
-    max_degree = limit if column is not None and limit > 0 else -1
-    # then a candidate needs only to be in the case to score
-    hosts_all = all(row[1] <= max_degree for row in index.values())
+    if column is None or limit < 1 or any(row[1] > limit for row in index.values()):
+        return f
+    full = scope == StateScope.FULL
+    everyone = (1 << len(index)) - 1
 
     def scorer(base: Iterable[int]) -> Callable[[Iterable[int], list[int]], list]:
         base = tuple(base)
         union = observed = 0
         for bus in base:
-            row = index.get(bus)
-            if row is None or row[1] > max_degree:
-                return lambda added, candidates: [None] * len(candidates)
+            row = index[bus]
             union |= row[column]
             observed |= row[3]
-        full = scope == StateScope.FULL
-        everyone = (1 << len(index)) - 1
 
         def score(added: Iterable[int], candidates: list[int]) -> list[float | None]:
             u, o, k = union, observed, len(base) + 1
             for bus in added:
-                row = index.get(bus)
-                if row is None or row[1] > max_degree:
-                    return [None] * len(candidates)
+                row = index[bus]
                 u |= row[column]
                 o |= row[3]
                 k += 1
-            rows = list(map(index.get, candidates))
-            if None in rows or not hosts_all:
-                # None marks a candidate f raises for before it counts
-                rows = [row if row is not None and row[1] <= max_degree else None
-                        for row in rows]
-            metered = [(u | row[column]).bit_count() if row else 0 for row in rows]
+            rows = [index[bus] for bus in candidates]
+            metered = [(u | row[column]).bit_count() for row in rows]
             unobserved = None
             if full:
-                unobserved = [(everyone ^ (o | row[3])).bit_count() if row else 0
-                              for row in rows]
+                unobserved = [(everyone ^ (o | row[3])).bit_count() for row in rows]
             values = _counted_scores(case, scope, k, metered, unobserved)[0]
-            if None in rows:
-                values = [value if row else None for row, value in zip(rows, values)]
             if gain:
                 values = [None if value is None else -value for value in values]
             return values
 
         return score
 
-    f.scores, f.case, f.scorer = {}, case, scorer
+    f.scorer = scorer
     return f
 
 

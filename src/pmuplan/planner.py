@@ -8,16 +8,20 @@ carry no weight; the greedy planner keeps its history and appends the single
 best bus per stage. Greedy can therefore never beat the exhaustive plan, but
 it produces an incremental priority list an operator can actually follow.
 
-Ties are broken deterministically: candidates whose values fall within
-``tie_tol`` of the stage minimum form one group, and the lowest bus id
-(greedy) or lexicographically smallest addition set (budget) wins.
+Both planners run one stage search with one tie rule: the first candidate,
+in enumeration order, whose value lies within ``tie_tol`` of the stage
+minimum wins. Greedy enumerates the free buses in ascending id order, so the
+lowest bus id in the tie group wins; the exhaustive planner enumerates
+``itertools.combinations(free, k)``, so the lexicographically smallest
+addition set wins.
 
-Candidates are scored in batches with the metric's incremental ``scorer``
-(see :func:`~pmuplan.estimation.metric_function`) when it has one: one call
-per greedy stage, and one per exhaustive (k-1)-prefix over the buses after
-it. Without one, and wherever it cannot score, the planners call the
-metric, in the order they would without it, so failures raise at the same
-candidate.
+The search walks groups of candidates that share the buses they add on top
+of the base: one group per greedy stage, and one per exhaustive
+(k-1)-prefix over the free buses after it. It scores a group with one call
+to the metric's incremental ``scorer`` (see
+:func:`~pmuplan.estimation.metric_function`) when the metric has one, and
+calls the metric wherever there is no scorer or it returns None, in
+enumeration order, so a failure raises at the first failing candidate.
 """
 
 from __future__ import annotations
@@ -176,18 +180,49 @@ def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(sorted(base_set)), free
 
 
-def _scorer(metric, base: Iterable[int]) -> Callable[[Iterable[int], list[int]], list]:
-    """The metric's ``scorer(base)``, or one that scores nothing when it has none."""
+def _scorer(metric, base: Iterable[int]) -> Callable[[Iterable[int], list[int]], list] | None:
+    """The metric's ``scorer(base)``, or None when it has none."""
     scorer = getattr(metric, "scorer", None)
-    if scorer is None:
-        return lambda added, candidates: [None] * len(candidates)
-    return scorer(base)
+    return None if scorer is None else scorer(base)
 
 
 def _check_tie_tol(tie_tol: float) -> None:
-    # NaN or a negative tol would empty a stage's tie band; inf would tie every candidate
+    # NaN or a negative tol would leave a stage without a winner; inf would tie every candidate
     if not 0.0 <= tie_tol < inf:
         raise ValueError(f"tie tolerance must be nonnegative and finite, got {tie_tol}")
+
+
+def _stage_search(stage, groups, score, metric, base: frozenset, tie_tol: float, bare: bool):
+    """The first candidate, in enumeration order, within ``tie_tol`` of the minimum.
+
+    ``groups`` yields ``(added, tail)`` pairs: each bus of ``tail`` in turn,
+    on top of ``base`` and ``added``, is one candidate. Only the first value,
+    so that a stage of infinite values has a winner, and the values that
+    set a new minimum are kept, and a group whose smallest value is not
+    below the minimum so far is passed over. The first kept value within
+    ``tie_tol`` of the final minimum is the first such value of all, since
+    every value before it lies above it. Returns ``(added, bus, value)``.
+    A metric that raises or returns NaN raises a CandidateEvaluationError
+    naming the candidate: the bus when ``bare``, else the tuple of
+    ``added`` and the bus.
+    """
+    best, kept = inf, []
+    for added, tail in groups:
+        scored = [None] * len(tail) if score is None else score(added, tail)
+        if kept and None not in scored and min(scored) >= best:
+            continue
+        for bus, value in zip(tail, scored):
+            if value is None:
+                try:
+                    value = float(metric(base.union(added, (bus,))))
+                    if value != value:
+                        raise ValueError("the metric returned NaN")
+                except Exception as exc:
+                    raise CandidateEvaluationError(stage, bus if bare else (*added, bus)) from exc
+            if value < best or not kept:
+                best = value
+                kept.append((added, bus, value))
+    return next(hit for hit in kept if hit[2] <= best + tie_tol)
 
 
 def greedy_plan(
@@ -200,36 +235,29 @@ def greedy_plan(
     """Append the value-minimizing bus per stage, keeping all prior picks.
 
     Within a stage, every free bus is scored with the metric on the base
-    plus prior picks plus that bus; the tie group around the minimum is
-    resolved to the lowest bus id. The recorded stage value is the chosen
-    candidate's own evaluation. With a scorer, one call per stage scores
-    every candidate, at one OR and one popcount each.
+    plus prior picks plus that bus, in ascending id order; the first within
+    ``tie_tol`` of the minimum, the lowest id of the tie group, wins. The
+    recorded stage value is the chosen candidate's own evaluation. With a
+    scorer, one call per stage scores every candidate, at one OR and one
+    popcount each.
     """
     _check_tie_tol(tie_tol)
     base, free = _free_buses(case, nu)
     if not 0 <= stages <= len(free):
         raise ValueError(f"stages must be in 0..{len(free)}, got {stages}")
 
+    base_set = frozenset(base)
     score = _scorer(metric, base)
     chosen: list[int] = []
     values: list[float] = []
     remaining = list(free)
     for stage in range(1, stages + 1):
-        scored = score(chosen, remaining)
-        if None in scored:
-            placed = frozenset(base).union(chosen)
-            for i, candidate in enumerate(remaining):
-                if scored[i] is None:
-                    try:
-                        scored[i] = float(metric(placed | {candidate}))
-                    except Exception as exc:
-                        raise CandidateEvaluationError(stage, candidate) from exc
-        ceiling = min(scored) + tie_tol
-        # candidates are scanned in ascending id order, so the first hit
-        # inside the tie band is the lowest-id winner
-        i = next(i for i, v in enumerate(scored) if v <= ceiling)
-        chosen.append(remaining.pop(i))
-        values.append(scored[i])
+        _, bus, value = _stage_search(
+            stage, [(chosen, remaining)], score, metric, base_set, tie_tol, bare=True
+        )
+        remaining.remove(bus)
+        chosen.append(bus)
+        values.append(value)
 
     return PriorityList(base=base, order=tuple(chosen), stage_values=tuple(values))
 
@@ -244,13 +272,13 @@ def budget_constrained_plan(
 ) -> StageResult:
     """Exhaustively pick the best k additions, ignoring any earlier stages.
 
-    Every k-subset of the free buses is evaluated; the minimum-value subset
-    wins, with ties resolved to the lexicographically smallest addition
-    tuple. Refuses to start when C(free, k) exceeds ``enum_cap``. With a
-    scorer, the subsets are scored one call per (k-1)-prefix of the free
-    buses, over the free buses after its last, in
-    ``itertools.combinations(free, k)`` order; a call whose minimum lies
-    above the tie band is passed over whole.
+    Every k-subset of the free buses is evaluated, in
+    ``itertools.combinations(free, k)`` order; the first within ``tie_tol``
+    of the minimum, the lexicographically smallest addition tuple of the tie
+    group, wins. Refuses to start when C(free, k) exceeds ``enum_cap``.
+    The subsets are walked one (k-1)-prefix of the free buses at a time,
+    over the free buses after its last, so a scorer scores them in one call
+    per prefix.
     """
     _check_tie_tol(tie_tol)
     base, free = _free_buses(case, nu)
@@ -260,35 +288,16 @@ def budget_constrained_plan(
     if candidates > enum_cap:
         raise EnumerationCapError(candidates, enum_cap, k)
 
-    base_set = frozenset(base)
-    score = _scorer(metric, base)
-    best_value = ceiling = float("inf")
-    # (combo, value) pairs currently inside the tie band around best_value
-    band: list[tuple[tuple[int, ...], float]] = []
     # each (k-1)-prefix with a non-empty tail, in lexicographic order, so the
     # combos come in itertools.combinations(free, k) order
-    for prefix in itertools.combinations(range(len(free) - 1), k - 1):
-        added = tuple(free[i] for i in prefix)
-        tail = free[prefix[-1] + 1 :] if prefix else free
-        scored = score(added, tail)
-        if None not in scored and min(scored) > ceiling:
-            continue  # nothing here can enter the band or move its minimum
-        for bus, value in zip(tail, scored):
-            if value is None:
-                try:
-                    value = float(metric(base_set.union(added, (bus,))))
-                except Exception as exc:
-                    raise CandidateEvaluationError(k, (*added, bus)) from exc
-            if value < best_value - tie_tol:
-                band = []
-            if value < best_value:
-                best_value, ceiling = value, value + tie_tol
-            if value <= ceiling:
-                band.append(((*added, bus), value))
-    # the minimum may have tightened after entries joined the band
-    band = [(c, v) for c, v in band if v <= ceiling]
-    winner, winner_value = min(band, key=lambda cv: cv[0])
-    return StageResult(stage=k, selected=winner, metric_value=winner_value)
+    groups = (
+        (tuple(free[i] for i in prefix), free[prefix[-1] + 1 :] if prefix else free)
+        for prefix in itertools.combinations(range(len(free) - 1), k - 1)
+    )
+    added, bus, value = _stage_search(
+        k, groups, _scorer(metric, base), metric, frozenset(base), tie_tol, bare=False
+    )
+    return StageResult(stage=k, selected=(*added, bus), metric_value=value)
 
 
 def compare_plans(

@@ -232,6 +232,17 @@ def test_default_base_is_the_core_on_bundled_ieee14_only(tmp_path, capsys):
     assert bases[str(copy)] == [1, 4, 6, 7, 9]
 
 
+def test_a_case_without_buses_plans_nothing(tmp_path, capsys):
+    # no bus has more branches than any limit, so the planner may run
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"buses": [], "branches": []}))
+    code, out, err = run(capsys, "plan", "greedy", "--case", str(empty), "--stages", "0",
+                         "--out", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"schema": "plan-greedy/1", "case": "empty", "base": [],
+                               "order": [], "stage_values": []}
+
+
 def test_given_empty_nu_is_the_empty_base(capsys):
     # an empty --nu is given, so it is not replaced by the default base
     for nu in ("", ","):

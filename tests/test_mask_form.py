@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import pmuplan.estimation
 from pmuplan.cases import load_case
-from pmuplan.estimation import StateScope, metric_function
+from pmuplan.estimation import StateScope, UnobservableStateError, metric_function
+from pmuplan.measurements import DEFAULT_CHANNEL_LIMIT
 from pmuplan.network import Branch, Bus, NetworkCase
 from pmuplan.planner import (
     CandidateEvaluationError,
@@ -76,19 +77,14 @@ def _reference_greedy(case, nu, metric, stages, tie_tol):
 
 
 def _reference_budget(case, nu, metric, k, tie_tol):
-    """One metric call per k-subset, in itertools.combinations order."""
+    """One metric call per k-subset; the first, in itertools.combinations
+    order, within tie_tol of the minimum wins."""
     base = frozenset(nu)
     free = sorted(set(case.bus_ids) - base)
-    best, band = float("inf"), []
-    for combo in itertools.combinations(free, k):
-        value = _evaluate(metric, k, base | set(combo), combo)
-        if value < best - tie_tol:
-            best, band = value, [(combo, value)]
-            continue
-        best = min(best, value)
-        if value <= best + tie_tol:
-            band.append((combo, value))
-    winner, value = min(((c, v) for c, v in band if v <= best + tie_tol), key=lambda cv: cv[0])
+    scored = [(combo, _evaluate(metric, k, base | set(combo), combo))
+              for combo in itertools.combinations(free, k)]
+    vmin = min(v for _, v in scored)
+    winner, value = next((c, v) for c, v in scored if v <= vmin + tie_tol)
     return StageResult(stage=k, selected=winner, metric_value=value)
 
 
@@ -117,7 +113,8 @@ def _plan_outcome(run):
 def test_mask_planners_match_the_frozenset_planners(case, data):
     """In both scopes, under both dedupe policies and at every tie
     tolerance. Small channel limits leave some buses unable to host, so
-    that some candidates go to the set function, and some plans fail there."""
+    that some metrics have no scorer and every candidate goes to the set
+    function, and some plans fail there."""
     limit = data.draw(st.one_of(st.just(64), st.sampled_from([1, 2, 3, 4])))
     gain = data.draw(st.booleans())
     ids = sorted(case.bus_ids)
@@ -227,31 +224,36 @@ def test_exhaustive_candidates_come_in_combinations_order(ieee14):
 
 def _scorer_agrees(metric, base, added, candidates):
     """Each candidate's value is f's float on base + added + that candidate,
-    bit for bit, where f returns, and None exactly where f raises."""
+    bit for bit, where f returns, and None exactly where f finds the
+    placement unobservable."""
     got = metric.scorer(base)(added, candidates)
     assert len(got) == len(candidates)
     for bus, value in zip(candidates, got):
         try:
             want = metric(frozenset(base) | frozenset(added) | {bus})
-        except (KeyError, ValueError):
+        except UnobservableStateError:
             assert value is None
         else:
             assert value is not None and value.hex() == want.hex()
 
 
+def _hosts_every_bus(case, dedupe, limit):
+    return (dedupe in ("by-branch", "per-end") and limit >= 1
+            and all(len(case.incident_branches(b)) <= limit for b in case.bus_ids))
+
+
 @pytest.mark.parametrize("scope", list(StateScope))
-@pytest.mark.parametrize("dedupe", ["by-branch", "per-end", "bogus"])
-@pytest.mark.parametrize("channel_limit", [None, 4, 0])
+@pytest.mark.parametrize("dedupe", ["by-branch", "per-end"])
+@pytest.mark.parametrize("channel_limit", [None, 5])
 def test_scorer_values_equal_the_frozenset_values(ieee14, scope, dedupe, channel_limit):
     """Over every other bus as a candidate, on top of at most two buses
-    given as the base or as added, and on top of the core; the unknown bus
-    99 and bus 4, over a limit of 4, turn up among the candidates and in
-    the base and added."""
+    given as the base or as added, and on top of the core; 5 is the degree
+    of bus 4, the largest."""
     for gain in (False, True):
         metric = metric_function(ieee14, scope=scope, dedupe=dedupe,
                                  channel_limit=channel_limit, gain=gain)
         assert sorted(vars(metric)) == ["case", "scorer", "scores"]
-        buses = (*ieee14.bus_ids, 99)
+        buses = ieee14.bus_ids
         for r in range(3):
             for added in itertools.combinations(buses, r):
                 rest = [b for b in buses if b not in added]
@@ -264,33 +266,56 @@ def test_scorer_values_equal_the_frozenset_values(ieee14, scope, dedupe, channel
         assert metric.scorer(core)((), []) == []
 
 
+@pytest.mark.parametrize("scope", list(StateScope))
+@pytest.mark.parametrize("dedupe", ["by-branch", "per-end", "bogus"])
+@pytest.mark.parametrize("channel_limit", [None, 5, 4, 1, 0])
+def test_scorer_is_none_exactly_where_a_bus_cannot_host(ieee14, scope, dedupe, channel_limit):
+    """No scorer under an invalid dedupe, a limit of 0 or a limit below the
+    largest degree, where f raises on some placement of the case."""
+    limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
+    for gain in (False, True):
+        metric = metric_function(ieee14, scope=scope, dedupe=dedupe,
+                                 channel_limit=channel_limit, gain=gain)
+        assert sorted(vars(metric)) == ["case", "scorer", "scores"]
+        hostable = dedupe != "bogus" and limit >= 5
+        assert _hosts_every_bus(ieee14, dedupe, limit) == hostable
+        assert (metric.scorer is not None) == hostable
+        if not hostable:
+            # bus 4 has 5 branches; a bogus dedupe fails every placement
+            with pytest.raises(ValueError):
+                metric(frozenset((4,) if dedupe != "bogus" else (1,)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.just(IEEE14), cases()), st.data())
 def test_scorer_values_equal_the_frozenset_values_on_drawn_cases(case, data):
+    dedupe = data.draw(st.sampled_from(["by-branch", "per-end", "bogus"]))
+    limit = data.draw(st.sampled_from([0, 1, 2, 3, 4, 64]))
     metric = metric_function(
         case,
         scope=data.draw(st.sampled_from(list(StateScope))),
-        dedupe=data.draw(st.sampled_from(["by-branch", "per-end", "bogus"])),
-        channel_limit=data.draw(st.sampled_from([0, 1, 2, 3, 4, 64])),
+        dedupe=dedupe,
+        channel_limit=limit,
         gain=data.draw(st.booleans()),
     )
-    # bus 0 is never in a case
-    buses = data.draw(st.permutations((*case.bus_ids, 0)))
-    cut = data.draw(st.integers(0, len(buses)))
-    end = data.draw(st.integers(cut, len(buses)))
-    _scorer_agrees(metric, buses[:cut], buses[cut:end], buses[end:])
+    assert (metric.scorer is not None) == _hosts_every_bus(case, dedupe, limit)
+    if metric.scorer is not None:
+        buses = data.draw(st.permutations(case.bus_ids))
+        cut = data.draw(st.integers(0, len(buses)))
+        end = data.draw(st.integers(cut, len(buses)))
+        _scorer_agrees(metric, buses[:cut], buses[cut:end], buses[end:])
 
 
 @pytest.mark.parametrize("scope", list(StateScope))
 def test_scorer_scores_no_isolated_bus_under_a_zero_limit(scope):
     """A bus with no branch is within any limit but 0, where f raises on
-    every placement; the scorer leaves those to f too."""
+    every placement: there is no scorer at 0, and at 1 it scores all."""
     case = NetworkCase(name="isolated", buses=(Bus(1), Bus(2), Bus(3)),
                        branches=(Branch(1, 2, 0.0, 0.5),))
-    for limit in (0, 1):
-        metric = metric_function(case, scope=scope, channel_limit=limit)
-        for r in range(3):
-            for base in itertools.combinations((1, 2, 3), r):
-                rest = [b for b in (1, 2, 3) if b not in base]
-                _scorer_agrees(metric, base, (), rest)
-                _scorer_agrees(metric, (), base, rest)
+    assert metric_function(case, scope=scope, channel_limit=0).scorer is None
+    metric = metric_function(case, scope=scope, channel_limit=1)
+    for r in range(3):
+        for base in itertools.combinations((1, 2, 3), r):
+            rest = [b for b in (1, 2, 3) if b not in base]
+            _scorer_agrees(metric, base, (), rest)
+            _scorer_agrees(metric, (), base, rest)

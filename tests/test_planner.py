@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -121,8 +123,8 @@ def test_comparison_serialization(ieee14, score):
 
 @pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf")])
 def test_planners_reject_a_bad_tie_tolerance(ieee14, score, bad):
-    # the first two would leave the tie band empty (StopIteration in greedy,
-    # an empty min() in the exhaustive stage); inf would tie every candidate
+    # the first two would leave a stage without a winner (a bare StopIteration
+    # from the stage search); inf would tie every candidate
     with pytest.raises(ValueError, match="tie tolerance must be nonnegative"):
         greedy_plan(ieee14, NU, score, stages=2, tie_tol=bad)
     with pytest.raises(ValueError, match="tie tolerance must be nonnegative"):
@@ -165,13 +167,56 @@ def test_metric_failures_name_the_candidate(ieee14):
         budget_constrained_plan(ieee14, NU, flaky, 2)
 
 
-def test_all_tied_metric_falls_back_to_ids():
+@pytest.mark.parametrize("nan_bus", [14, 1])
+def test_a_nan_from_the_metric_names_its_candidate(ieee14, nan_bus):
+    """NaN is neither above nor below any value, so no tie rule can place
+    it: the first candidate it scores fails, whether it comes first (bus 1)
+    or after the best candidate (bus 14)."""
+    metric = metric_function(ieee14)
+
+    def with_nan(placement):
+        return math.nan if nan_bus in placement else metric(placement)
+
+    with pytest.raises(CandidateEvaluationError) as err:
+        greedy_plan(ieee14, NU, with_nan, stages=1)
+    assert (err.value.stage, err.value.candidate) == (1, nan_bus)
+    assert isinstance(err.value.__cause__, ValueError)
+    free = sorted(set(ieee14.bus_ids) - set(NU))
+    for k in (1, 2):
+        with pytest.raises(CandidateEvaluationError) as err:
+            budget_constrained_plan(ieee14, NU, with_nan, k)
+        first = next(c for c in itertools.combinations(free, k) if nan_bus in c)
+        assert (err.value.stage, err.value.candidate) == (k, first)
+        assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_ties_go_to_the_first_candidate_within_tie_tol_of_the_minimum():
+    """Values 0.51, 0.505 and 0.499 in enumeration order at a tolerance of
+    0.01: 0.505 is the first within reach of the minimum 0.499, though
+    neither the first nor the last value to set a new minimum."""
+    path = NetworkCase(
+        name="path3",
+        buses=tuple(Bus(i) for i in range(1, 4)),
+        branches=tuple(Branch(i, i + 1, 0.0, 1.0) for i in range(1, 3)),
+    )
+    by_one = {frozenset({1}): 0.51, frozenset({2}): 0.505, frozenset({3}): 0.499}
+    plan = greedy_plan(path, (), by_one.__getitem__, stages=1, tie_tol=0.01)
+    assert (plan.order, plan.stage_values) == ((2,), (0.505,))
+    assert (budget_constrained_plan(path, (), by_one.__getitem__, 1, tie_tol=0.01)
+            == StageResult(stage=1, selected=(2,), metric_value=0.505))
+    by_two = {frozenset({1, 2}): 0.51, frozenset({1, 3}): 0.505, frozenset({2, 3}): 0.499}
+    assert (budget_constrained_plan(path, (), by_two.__getitem__, 2, tie_tol=0.01)
+            == StageResult(stage=2, selected=(1, 3), metric_value=0.505))
+
+
+@pytest.mark.parametrize("tied", [1.0, math.inf])
+def test_all_tied_metric_falls_back_to_ids(tied):
     path = NetworkCase(
         name="path5",
         buses=tuple(Bus(i) for i in range(1, 6)),
         branches=tuple(Branch(i, i + 1, 0.0, 1.0) for i in range(1, 5)),
     )
-    flat = lambda q: 1.0
+    flat = lambda q: tied
     plan = greedy_plan(path, (3,), flat, stages=4)
     assert plan.order == (1, 2, 4, 5)
     picked = budget_constrained_plan(path, (3,), flat, 2)
