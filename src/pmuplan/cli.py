@@ -38,8 +38,8 @@ from .measurements import (
     DEFAULT_CHANNEL_LIMIT,
     ChannelLimitError,
     PmuPlacement,
+    _busiest_over_limit,
     greedy_observable_cover,
-    observability_check,
 )
 from .network import CaseFormatError, NetworkCase, parse_case
 
@@ -139,25 +139,17 @@ def _resolve_nu(args, config: RunConfig) -> list[int]:
         if missing:
             raise ValueError(f"nu buses not in the case: {missing}")
         return nu
-    host_limit = min(config.channel_limit, DEFAULT_CHANNEL_LIMIT)
     if args.case == "ieee14":
-        try:
-            placement = PmuPlacement.of(FALLBACK_NU, channel_limit=host_limit)
-            observable, _ = observability_check(config.case, placement)
-            if observable:
-                return list(FALLBACK_NU)
-        except ValueError:
-            pass
-    cover = greedy_observable_cover(config.case, channel_limit=host_limit)
-    return list(cover.buses)
+        return list(FALLBACK_NU)
+    host_limit = min(config.channel_limit, DEFAULT_CHANNEL_LIMIT)
+    return list(greedy_observable_cover(config.case, channel_limit=host_limit).buses)
 
 
 def _require_hostable_case(case: NetworkCase, channel_limit: int, what: str) -> None:
     """Planning and auditing evaluate placements over arbitrary buses."""
-    degree = {bus: row[1] for bus, row in case.incidence.items()}
-    worst = max(degree, key=degree.get, default=None)
-    incident = degree.get(worst, 0)
-    if incident > channel_limit:
+    worst = _busiest_over_limit(case, channel_limit)
+    if worst is not None:
+        incident = case.incidence[worst][1]
         raise ValueError(
             f"{what} evaluates placements on every bus, but bus {worst} has "
             f"{incident} incident branches, over the channel limit of "
@@ -197,13 +189,6 @@ def _render(config: RunConfig, payload: dict, header: list[str], rows: list[list
         writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
     return _md_table(header, rows) if md is None else md
-
-
-def _emit(text: str, output: str) -> None:
-    if output and output != "-":
-        Path(output).write_text(text + "\n")
-    else:
-        print(text)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -402,12 +387,22 @@ def _audit_workers(parallel: int, alpha: int) -> int:
     return os.cpu_count() or 1
 
 
+def _default_size(flag: str, omega: int, short: int) -> int:
+    """The default ``--a-size`` (omega-2) or ``--b-size`` (omega-1), if not negative."""
+    if omega < short:
+        raise ValueError(
+            f"{flag} defaults to omega-{short}, which is negative for a case of "
+            f"{omega} bus{'' if omega == 1 else 'es'}; pass {flag} explicitly"
+        )
+    return omega - short
+
+
 def _cmd_submod(args, config: RunConfig) -> str:
     from .submodularity import AuditAbortedError, audit, count_combinations, merge_tallies
 
     omega = len(config.case.bus_ids)
-    a_size = args.a_size if args.a_size is not None else omega - 2
-    b_size = args.b_size if args.b_size is not None else omega - 1
+    a_size = args.a_size if args.a_size is not None else _default_size("--a-size", omega, 2)
+    b_size = args.b_size if args.b_size is not None else _default_size("--b-size", omega, 1)
     nu = _resolve_nu(args, config)
     alpha = count_combinations(omega, len(nu), a_size, b_size)
 
@@ -719,5 +714,12 @@ def main(argv=None) -> int:
     except (CaseFormatError, ChannelLimitError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(text, config.output)
+    if config.output in ("", "-"):
+        print(text)
+        return EXIT_OK
+    try:
+        Path(config.output).write_text(text + "\n")
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK

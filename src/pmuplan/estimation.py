@@ -54,9 +54,11 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .measurements import (
     DEFAULT_CHANNEL_LIMIT,
+    METERED_COLUMN,
     ChannelKind,
     MeasurementSet,
     PmuPlacement,
+    _busiest_over_limit,
     enumerate_channels,
     metered_mask,
     observability_check,
@@ -438,9 +440,9 @@ def metric_function(
     values on ``base`` plus the buses ``added`` plus each bus of
     ``candidates`` in turn (all buses of the case, none listed twice across
     the three), counted from each bus's row of
-    :attr:`~pmuplan.network.NetworkCase.incidence` (the mask column
-    ``dedupe`` selects and ``closed_mask``), with None where the placement
-    is unobservable in full-state scope, and f raises. A call ORs ``added``
+    :attr:`~pmuplan.network.NetworkCase.incidence` (``closed_mask`` and the
+    column ``METERED_COLUMN[dedupe]``), with None where the placement is
+    unobservable in full-state scope, and f raises. A call ORs ``added``
     onto the base's union once, then costs one OR and one popcount per
     candidate.
     """
@@ -453,8 +455,8 @@ def metric_function(
 
     f.scores, f.case, f.scorer = {}, case, None
     index = case.incidence
-    column = {"by-branch": 2, "per-end": 4}.get(dedupe)  # branch_mask or end_mask
-    if column is None or limit < 1 or any(row[1] > limit for row in index.values()):
+    column = METERED_COLUMN.get(dedupe)
+    if column is None or limit < 1 or _busiest_over_limit(case, limit) is not None:
         return f
     full = scope == StateScope.FULL
     everyone = (1 << len(index)) - 1

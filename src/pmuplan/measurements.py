@@ -6,6 +6,11 @@ channels, so a placement Q induces ``m = 2|Q| + 2 * (metered branch ends)``
 channels. When both endpoints of a branch host PMUs the two current phasors
 are redundant; the default ``by-branch`` policy keeps a single pair, metered
 at the lower-numbered endpoint, while ``per-end`` keeps both.
+
+Every rule here reads :attr:`~pmuplan.network.NetworkCase.incidence`. A
+dedupe policy meters one of its mask columns, :data:`METERED_COLUMN`, and
+``m = 2|Q| + 2 * popcount`` of :func:`metered_mask`; :func:`enumerate_channels`
+lists those channels from the placement's rows.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ __all__ = [
     "MeasurementSet",
     "enumerate_channels",
     "metered_mask",
-    "channel_count",
     "observability_check",
     "greedy_observable_cover",
 ]
 
 DEFAULT_CHANNEL_LIMIT = 8
+
+# the incidence column a PMU meters under each dedupe policy:
+# branch_mask (one bit per branch) or end_mask (one bit per branch end)
+METERED_COLUMN = {"by-branch": 2, "per-end": 4}
 
 
 class ChannelKind(str, Enum):
@@ -87,11 +95,8 @@ class MeasurementChannel:
     kind: ChannelKind
     bus: int
     branch_index: Optional[int] = None
-    variance: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.variance <= 0.0:
-            raise ValueError("channel variance must be positive")
         is_voltage = self.kind in (ChannelKind.VR, ChannelKind.VX)
         if is_voltage and self.branch_index is not None:
             raise ValueError("voltage channels carry no branch reference")
@@ -128,9 +133,19 @@ def _check_limits(case: NetworkCase, placement: PmuPlacement) -> None:
             raise ChannelLimitError(bus, len(branches), placement.channel_limit)
 
 
-def _check_dedupe(dedupe: str) -> None:
-    if dedupe not in ("by-branch", "per-end"):
+def _metered_column(dedupe: str) -> int:
+    column = METERED_COLUMN.get(dedupe)
+    if column is None:
         raise ValueError(f"unknown dedupe policy {dedupe!r}")
+    return column
+
+
+def _busiest_over_limit(case: NetworkCase, channel_limit: int) -> int | None:
+    """The first bus of the most incident branches, if they are more than
+    ``channel_limit``; None when every bus of the case can host a PMU."""
+    degrees = [row[1] for row in case.incidence.values()]
+    most = max(degrees, default=0)
+    return case.bus_ids[degrees.index(most)] if most > channel_limit else None
 
 
 def enumerate_channels(
@@ -156,28 +171,24 @@ def enumerate_channels(
     ChannelLimitError
         Naming the first offending bus.
     """
-    _check_dedupe(dedupe)
+    _metered_column(dedupe)  # raises for an unknown policy
     _check_limits(case, placement)
-    pmus = placement.bus_set
 
     channels: list[MeasurementChannel] = []
-    for bus in placement.buses:
-        channels.append(MeasurementChannel(ChannelKind.VR, bus))
-        channels.append(MeasurementChannel(ChannelKind.VX, bus))
-
     # (min end, max end, branch position, metered bus) keeps parallel branches
     # and per-end duplicates in a stable order.
     metered: list[tuple[int, int, int, int]] = []
-    for idx, br in enumerate(case.branches):
-        ends = sorted((br.from_bus, br.to_bus))
-        hosts = [e for e in (br.from_bus, br.to_bus) if e in pmus]
-        if not hosts:
-            continue
-        if dedupe == "by-branch":
-            metered.append((ends[0], ends[1], idx, min(hosts)))
-        else:
-            for host in sorted(hosts):
-                metered.append((ends[0], ends[1], idx, host))
+    taken: set[int] = set()
+    for bus in placement.buses:  # ascending, so by-branch meters at the lower host
+        channels.append(MeasurementChannel(ChannelKind.VR, bus))
+        channels.append(MeasurementChannel(ChannelKind.VX, bus))
+        for idx in case.incident_branches(bus):
+            if idx in taken:
+                continue
+            if dedupe == "by-branch":
+                taken.add(idx)
+            br = case.branches[idx]
+            metered.append((min(br.from_bus, br.to_bus), max(br.from_bus, br.to_bus), idx, bus))
     metered.sort()
     for _, _, idx, host in metered:
         channels.append(MeasurementChannel(ChannelKind.IR, host, idx))
@@ -187,18 +198,18 @@ def enumerate_channels(
 
 
 def metered_mask(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-branch") -> int:
-    """The OR over the placement's buses of what each PMU meters: their
-    ``branch_mask`` under ``by-branch`` and their ``end_mask`` under
-    ``per-end`` (see :attr:`~pmuplan.network.NetworkCase.incidence`), one
-    bit per metered branch or branch end, so that
-    ``m = 2|Q| + 2 * popcount``. Validates exactly what
+    """The OR over the placement's buses of what each PMU meters, the
+    :data:`METERED_COLUMN` of their
+    :attr:`~pmuplan.network.NetworkCase.incidence` rows that ``dedupe``
+    selects: one bit per metered branch (``by-branch``) or branch end
+    (``per-end``). The channel count is ``m = 2|Q| + 2 * popcount``, the
+    length of :func:`enumerate_channels`' list. Validates exactly what
     :func:`enumerate_channels` validates, with the same error for the same
     first offending bus.
     """
-    _check_dedupe(dedupe)
+    column = _metered_column(dedupe)
     index = case.incidence
     limit = placement.channel_limit
-    column = 2 if dedupe == "by-branch" else 4  # branch_mask or end_mask
     metered = 0
     for bus in placement.buses:
         row = index.get(bus)
@@ -206,18 +217,6 @@ def metered_mask(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-b
             _check_limits(case, placement)  # raises, naming this same bus
         metered |= row[column]
     return metered
-
-
-def channel_count(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-branch") -> int:
-    """Channel total m without materializing the channel list.
-
-    Validates exactly what :func:`enumerate_channels` validates and equals
-    the length of its result under either dedupe policy: two voltage
-    channels per PMU and two current channels per bit of
-    :func:`metered_mask`.
-    """
-    metered = metered_mask(case, placement, dedupe=dedupe)
-    return 2 * len(placement.buses) + 2 * metered.bit_count()
 
 
 def observability_check(case: NetworkCase, placement: PmuPlacement) -> tuple[bool, list[int]]:

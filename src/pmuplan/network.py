@@ -4,6 +4,10 @@ A :class:`NetworkCase` is the immutable graph everything else consumes. Cases
 are read either from a subset of the MATPOWER ``.m`` layout (bus and branch
 tables; generator and cost tables are ignored) or from a native JSON schema,
 and can be serialized back to that JSON schema losslessly.
+
+Topology is derived once, in :attr:`NetworkCase.incidence`: degrees,
+neighbors, connectivity and what a placement meters or observes all read
+that index, and ``branches`` is read only for per-branch data.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ __all__ = [
     "parse_case",
     "serialize_case",
     "incidence_matrix",
-    "branch_end_admittances",
     "metered_admittances",
     "neighbors",
 ]
@@ -185,20 +188,17 @@ class NetworkCase:
             raise KeyError(f"unknown bus id {bus}") from None
 
     def is_connected(self) -> bool:
-        if not self.buses:
-            return True
-        adj: dict[int, set[int]] = {b.id: set() for b in self.buses}
-        for br in self.branches:
-            adj[br.from_bus].add(br.to_bus)
-            adj[br.to_bus].add(br.from_bus)
-        seen = {self.buses[0].id}
-        stack = [self.buses[0].id]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.buses)
+        """Whether every bus is reachable from the first; a case with no
+        buses is connected. A flood fill over the ``closed_mask`` bits."""
+        closed = [row[3] for row in self._incidence.values()]  # by bus position
+        seen = frontier = 1 if closed else 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reached = closed[bit.bit_length() - 1] & ~seen
+            seen |= reached
+            frontier |= reached
+        return seen.bit_count() == len(closed)
 
 
 def _require_finite(owner: str, **values: float) -> None:
@@ -441,59 +441,35 @@ def incidence_matrix(case: NetworkCase) -> np.ndarray:
     return mat
 
 
-def branch_end_admittances(branch: Branch, flat: bool = False) -> tuple[complex, complex]:
-    """Self and mutual admittance at the from end of a branch.
-
-    With series admittance ``y_s = 1/(r + jx)``, tap ratio ``t`` and phase
-    shift ``theta``, the metered from-end current is
-    ``I_f = Y_ff * V_f + Y_ft * V_t`` where::
-
-        Y_ff = (y_s + j*b_charging/2) / t**2
-        Y_ft = -y_s / (t * e^{-j*theta})
-
-    Use :func:`metered_admittances` for a current metered at either end.
-
-    Parameters
-    ----------
-    branch : Branch
-    flat : bool
-        When true, ignore taps, shifts and charging and return the bare
-        series admittance pair ``(y_s, -y_s)``.
-    """
-    y_s = 1.0 / complex(branch.r, branch.x)
-    if flat:
-        return y_s, -y_s
-    tap = branch.tap * cmath.exp(1j * branch.shift)
-    y_ff = (y_s + 1j * branch.b_charging / 2.0) / (tap * tap.conjugate())
-    y_ft = -y_s / tap.conjugate()
-    return y_ff, y_ft
-
-
 def metered_admittances(branch: Branch, end: int, flat: bool = False) -> tuple[complex, complex]:
     """Self and mutual admittance for the current metered at ``end``.
 
     Returns ``(y_self, y_other)`` such that the metered current is
-    ``I = y_self * V_end + y_other * V_far``. The off-nominal tap sits
-    entirely on the from side, so the to-end pair is
-    ``Y_tt = y_s + j*b/2`` and ``Y_tf = -y_s / (t * e^{j*theta})``.
+    ``I = y_self * V_end + y_other * V_far``. With series admittance
+    ``y_s = 1/(r + jx)``, tap ratio ``t`` and phase shift ``theta``, the
+    off-nominal tap sits entirely on the from side::
+
+        from end:  Y_ff = (y_s + j*b_charging/2) / t**2,  Y_ft = -y_s / (t * e^{-j*theta})
+        to end:    Y_tt = y_s + j*b_charging/2,           Y_tf = -y_s / (t * e^{j*theta})
+
+    ``flat=True`` ignores taps, shifts and charging: either end gets the
+    bare series pair ``(y_s, -y_s)``. ``ValueError`` if ``end`` is neither
+    endpoint.
     """
-    if end == branch.from_bus:
-        return branch_end_admittances(branch, flat=flat)
-    if end != branch.to_bus:
+    if end not in (branch.from_bus, branch.to_bus):
         raise ValueError(f"bus {end} is not an endpoint of branch {branch.from_bus}-{branch.to_bus}")
     y_s = 1.0 / complex(branch.r, branch.x)
     if flat:
         return y_s, -y_s
     tap = branch.tap * cmath.exp(1j * branch.shift)
-    y_tt = y_s + 1j * branch.b_charging / 2.0
-    y_tf = -y_s / tap
-    return y_tt, y_tf
+    y_self = y_s + 1j * branch.b_charging / 2.0
+    if end == branch.from_bus:
+        return y_self / (tap * tap.conjugate()), -y_s / tap.conjugate()
+    return y_self, -y_s / tap
 
 
 def neighbors(case: NetworkCase, bus: int) -> set[int]:
-    """All buses sharing a branch with ``bus``, deduplicated."""
-    out: set[int] = set()
-    for i in case.incident_branches(bus):
-        br = case.branches[i]
-        out.add(br.to_bus if br.from_bus == bus else br.from_bus)
-    return out
+    """All buses sharing a branch with ``bus``, read off its ``closed_mask``;
+    ``KeyError`` for an unknown bus."""
+    own = 1 << case.bus_index(bus)
+    return set(case.buses_in(case.incidence[bus][3] ^ own))

@@ -209,6 +209,15 @@ def test_output_file_emission(tmp_path, capsys):
     assert doc["schema"] == "metrics/1"
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.txt", "."])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / where
+    code, out, err = run(capsys, "case", "info", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ") and str(target) in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
 def test_json_case_round_trips_through_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "case", "info", "--case", "ieee14", "--out", "json")
     doc = json.loads(out)
@@ -241,6 +250,44 @@ def test_a_case_without_buses_plans_nothing(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert json.loads(out) == {"schema": "plan-greedy/1", "case": "empty", "base": [],
                                "order": [], "stage_values": []}
+
+
+@pytest.mark.parametrize("action", ["audit", "count"])
+@pytest.mark.parametrize("buses", [[], [{"id": 1}]], ids=["empty", "one-bus"])
+def test_submod_default_sizes_on_a_tiny_case_name_the_flag(tmp_path, capsys, action, buses):
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"buses": buses, "branches": []}))
+    count = "1 bus" if buses else "0 buses"
+    assert run(capsys, "submod", action, "--case", str(tiny)) == (
+        2, "", f"error: --a-size defaults to omega-2, which is negative for a case of "
+               f"{count}; pass --a-size explicitly\n")
+    if not buses:
+        assert run(capsys, "submod", action, "--case", str(tiny), "--a-size", "0") == (
+            2, "", "error: --b-size defaults to omega-1, which is negative for a case of "
+                   "0 buses; pass --b-size explicitly\n")
+
+
+def test_submod_explicit_sizes_on_a_one_bus_case(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"buses": [{"id": 1}], "branches": []}))
+    argv = ("submod", "count", "--case", str(one), "--nu", "", "--a-size", "0")
+    assert run(capsys, *argv, "--b-size", "0") == (0, "alpha = 1\n", "")
+    # --b-size defaults to omega-1 = 0 here
+    assert run(capsys, *argv) == (0, "alpha = 1\n", "")
+
+
+def test_an_unhostable_case_names_its_first_busiest_bus(tmp_path, capsys):
+    # every bus of the triangle has two branches; bus 3 is listed first
+    triangle = tmp_path / "triangle.json"
+    triangle.write_text(json.dumps({
+        "buses": [{"id": 3}, {"id": 1}, {"id": 2}],
+        "branches": [{"from": f, "to": t, "r": 0.0, "x": 1.0} for f, t in ((1, 2), (2, 3), (1, 3))],
+    }))
+    for argv, what in ((("plan", "greedy", "--stages", "1"), "planning"),
+                       (("submod", "audit"), "the audit")):
+        assert run(capsys, *argv, "--case", str(triangle), "--nu", "1", "--channel-limit", "1") == (
+            2, "", f"error: {what} evaluates placements on every bus, but bus 3 has 2 incident "
+                   "branches, over the channel limit of 1; raise --channel-limit to at least 2\n")
 
 
 def test_given_empty_nu_is_the_empty_base(capsys):

@@ -7,12 +7,17 @@ from pmuplan.measurements import (
     ChannelLimitError,
     MeasurementChannel,
     PmuPlacement,
-    channel_count,
     enumerate_channels,
     greedy_observable_cover,
+    metered_mask,
     observability_check,
 )
 from pmuplan.network import Branch, Bus, NetworkCase
+
+
+def _mask_count(case, placement, dedupe="by-branch"):
+    """m = 2|Q| + 2 * popcount of the placement's metered mask."""
+    return 2 * len(placement) + 2 * metered_mask(case, placement, dedupe).bit_count()
 
 
 @pytest.fixture
@@ -62,8 +67,8 @@ def test_dedupe_policies(triangle):
     # 3 branches once vs 6 metered ends
     assert len(by_branch) == 2 * 3 + 2 * 3
     assert len(per_end) == 2 * 3 + 2 * 6
-    assert channel_count(triangle, everywhere) == len(by_branch)
-    assert channel_count(triangle, everywhere, dedupe="per-end") == len(per_end)
+    assert _mask_count(triangle, everywhere) == len(by_branch)
+    assert _mask_count(triangle, everywhere, dedupe="per-end") == len(per_end)
     with pytest.raises(ValueError, match="dedupe"):
         enumerate_channels(triangle, everywhere, dedupe="sometimes")
 
@@ -76,9 +81,9 @@ def test_by_branch_meters_at_lower_host(triangle):
 
 def test_channel_counts_on_fixture(ieee14):
     nu = PmuPlacement.of([2, 6, 7, 9])
-    assert channel_count(ieee14, nu) == 36
+    assert _mask_count(ieee14, nu) == 36
     degsum = sum(len(ieee14.incident_branches(b)) for b in (2, 6, 7, 9))
-    assert channel_count(ieee14, nu, dedupe="per-end") == 8 + 2 * degsum
+    assert _mask_count(ieee14, nu, dedupe="per-end") == 8 + 2 * degsum
 
 
 def test_channel_limit_enforced(ieee118):
@@ -89,7 +94,7 @@ def test_channel_limit_enforced(ieee118):
     assert err.value.incident == 12
     assert "channel limit" in str(err.value)
     wide = PmuPlacement.of([49], channel_limit=12)
-    assert channel_count(ieee118, wide) == 2 + 2 * 12
+    assert _mask_count(ieee118, wide) == 2 + 2 * 12
 
 
 def test_channel_validation():
@@ -97,8 +102,6 @@ def test_channel_validation():
         MeasurementChannel(ChannelKind.VR, 1, branch_index=0)
     with pytest.raises(ValueError, match="need a branch"):
         MeasurementChannel(ChannelKind.IR, 1)
-    with pytest.raises(ValueError, match="variance"):
-        MeasurementChannel(ChannelKind.VR, 1, variance=0.0)
 
 
 def test_placement_bus_must_exist(triangle):
@@ -151,7 +154,7 @@ def test_cover_failure_when_nothing_can_host():
 
 
 # ---- mask kernel against the explicit references -------------------------------
-# channel_count and observability_check read the case's per-bus bitmasks; the
+# metered_mask and observability_check read the case's per-bus bitmasks; the
 # references below walk incident_branches and the channel list instead.
 
 
@@ -191,12 +194,12 @@ def test_mask_kernel_matches_the_references(drawn, dedupe):
     )
 
     if first_bad is None:
-        assert channel_count(case, placement, dedupe) == len(
+        assert _mask_count(case, placement, dedupe) == len(
             enumerate_channels(case, placement, dedupe)
         )
     else:
         with pytest.raises((KeyError, ChannelLimitError)) as got:
-            channel_count(case, placement, dedupe)
+            _mask_count(case, placement, dedupe)
         with pytest.raises((KeyError, ChannelLimitError)) as want:
             enumerate_channels(case, placement, dedupe)
         assert type(got.value) is type(want.value)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmuplan.measurements import ChannelKind, MeasurementChannel, PmuPlacement, enumerate_channels
 from pmuplan.network import (
     Branch,
     Bus,
     CaseFormatError,
     NetworkCase,
-    branch_end_admittances,
     incidence_matrix,
     metered_admittances,
     neighbors,
@@ -116,7 +116,7 @@ def test_incidence_matrix_orientation():
 def test_line_admittances_match_series_formula():
     br = Branch(1, 2, 0.01, 0.05, b_charging=0.02)
     y_s = 1.0 / complex(0.01, 0.05)
-    y_ff, y_ft = branch_end_admittances(br)
+    y_ff, y_ft = metered_admittances(br, br.from_bus)
     assert y_ff == pytest.approx(y_s + 0.01j)
     assert y_ft == pytest.approx(-y_s)
     # a plain line is symmetric: the to-end sees the same pair
@@ -143,8 +143,36 @@ def test_transformer_admittances_are_asymmetric():
 def test_flat_model_strips_shunts_taps_and_shifts():
     br = Branch(1, 2, 0.0, 0.5, b_charging=0.3, tap=0.9, shift=0.2)
     y_s = 1.0 / 0.5j
-    assert branch_end_admittances(br, flat=True) == (y_s, -y_s)
+    assert metered_admittances(br, 1, flat=True) == (y_s, -y_s)
     assert metered_admittances(br, 2, flat=True) == (y_s, -y_s)
+
+
+def _from_end_formula(branch, flat):
+    y_s = 1.0 / complex(branch.r, branch.x)
+    if flat:
+        return y_s, -y_s
+    tap = branch.tap * cmath.exp(1j * branch.shift)
+    y_ff = (y_s + 1j * branch.b_charging / 2.0) / (tap * tap.conjugate())
+    y_ft = -y_s / tap.conjugate()
+    return y_ff, y_ft
+
+
+def _to_end_formula(branch, flat):
+    y_s = 1.0 / complex(branch.r, branch.x)
+    if flat:
+        return y_s, -y_s
+    tap = branch.tap * cmath.exp(1j * branch.shift)
+    y_tt = y_s + 1j * branch.b_charging / 2.0
+    y_tf = -y_s / tap
+    return y_tt, y_tf
+
+
+@pytest.mark.parametrize("flat", [False, True])
+def test_metered_admittances_equal_the_end_formulas_bit_for_bit(ieee14, ieee118, flat):
+    for case in (ieee14, ieee118):
+        for br in case.branches:
+            assert metered_admittances(br, br.from_bus, flat) == _from_end_formula(br, flat)
+            assert metered_admittances(br, br.to_bus, flat) == _to_end_formula(br, flat)
 
 
 def test_topology_helpers():
@@ -309,6 +337,74 @@ def test_incidence_lookups_match_scans(ieee118):
         assert (mat[i] == row).all()
     with pytest.raises(KeyError, match="unknown bus id 119"):
         case.incident_branches(119)
+
+
+@st.composite
+def loose_cases(draw):
+    """A case of up to 10 buses with scattered ids, in up to three groups no
+    branch joins: it may have several components, isolated buses, parallel
+    branches, or no buses at all."""
+    ids = draw(st.lists(st.integers(1, 500), max_size=10, unique=True))
+    group = {bus: draw(st.integers(0, 2)) for bus in ids}
+    pairs = []
+    if ids:
+        drawn = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=14))
+        pairs = [(f, t) for f, t in drawn if f != t and group[f] == group[t]]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))  # parallel branches
+    return NetworkCase(
+        name="loose",
+        buses=tuple(Bus(i) for i in ids),
+        branches=tuple(Branch(f, t, 0.0, 1.0 + k) for k, (f, t) in enumerate(pairs)),
+    )
+
+
+def _scanned_channels(case, placement, dedupe):
+    """enumerate_channels' list from a scan of every branch of the case."""
+    pmus = placement.bus_set
+    channels = []
+    for bus in placement.buses:
+        channels += [MeasurementChannel(ChannelKind.VR, bus), MeasurementChannel(ChannelKind.VX, bus)]
+    metered = []
+    for idx, br in enumerate(case.branches):
+        lo, hi = sorted((br.from_bus, br.to_bus))
+        hosts = sorted(end for end in (br.from_bus, br.to_bus) if end in pmus)
+        for host in hosts[:1] if dedupe == "by-branch" else hosts:
+            metered.append((lo, hi, idx, host))
+    for _, _, idx, host in sorted(metered):
+        channels += [MeasurementChannel(ChannelKind.IR, host, idx),
+                     MeasurementChannel(ChannelKind.IX, host, idx)]
+    return tuple(channels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(loose_cases(), st.data())
+def test_topology_reads_match_scans_of_the_branches(case, data):
+    adjacent = {bus: set() for bus in case.bus_ids}
+    degree = dict.fromkeys(case.bus_ids, 0)
+    for br in case.branches:
+        adjacent[br.from_bus].add(br.to_bus)
+        adjacent[br.to_bus].add(br.from_bus)
+        degree[br.from_bus] += 1
+        degree[br.to_bus] += 1
+    for bus in case.bus_ids:
+        assert neighbors(case, bus) == adjacent[bus]
+    with pytest.raises(KeyError, match="unknown bus id 501"):
+        neighbors(case, 501)
+    reached = set(case.bus_ids[:1])
+    stack = list(reached)
+    while stack:
+        for nxt in adjacent[stack.pop()] - reached:
+            reached.add(nxt)
+            stack.append(nxt)
+    assert case.is_connected() == (len(reached) == len(case.buses))
+    if not case.buses:
+        return
+    buses = data.draw(st.lists(st.sampled_from(case.bus_ids), min_size=1, unique=True))
+    placement = PmuPlacement.of(buses, channel_limit=max(1, *degree.values()))
+    for dedupe in ("by-branch", "per-end"):
+        got = enumerate_channels(case, placement, dedupe).channels
+        assert got == _scanned_channels(case, placement, dedupe)
 
 
 def test_position_bits_list_ids_in_order_with_their_positions():
