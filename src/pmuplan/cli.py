@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -641,6 +642,7 @@ def _config_from_args(args) -> RunConfig:
         raise ValueError("parallel degree must be nonnegative")
     if getattr(args, "counterexamples", 0) < 0:
         raise ValueError(f"--counterexamples must be nonnegative, got {args.counterexamples}")
+    _check_output(args.output)
     return RunConfig(
         case=_load_case(args.case, args.format),
         scope=StateScope.FULL if args.scope == "full" else StateScope.PMU,
@@ -655,6 +657,20 @@ def _config_from_args(args) -> RunConfig:
         flat=args.flat_branch_model,
         channel_limit=args.channel_limit,
     )
+
+
+def _check_output(output: str) -> None:
+    """Fail before any work when ``--output`` names a directory or a file in
+    a directory that does not exist, with the error writing it would raise.
+    The file itself is neither created nor truncated here, so a command
+    that then fails leaves an existing file as it was."""
+    if output in ("", "-"):
+        return
+    path = Path(output)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output)
 
 
 def _loaded(*names: str) -> tuple[type, ...]:

@@ -259,8 +259,8 @@ def greedy_observable_cover(
     chosen: list[int] = []
     while uncovered:
         # max() keeps the first maximum, so over sorted ids the lowest wins ties
-        best = max(hosts, key=lambda b: (closed[b] & uncovered).bit_count())
-        if not closed[best] & uncovered:
+        best = max(hosts, key=lambda b: (closed[b] & uncovered).bit_count(), default=None)
+        if best is None or not closed[best] & uncovered:
             raise ValueError(
                 f"buses {case.buses_in(uncovered)} cannot be observed by any host "
                 f"within the channel limit of {channel_limit}"

@@ -20,9 +20,11 @@ reproducible run to run and mergeable across work slices.
 
 enumerate_triples and classify_triple state the definition one triple at a
 time. audit computes the same tally without an object per triple: it holds
-placements as int masks of the case's position bits, walks (A, B) blocks in
-ascending-id order with f(A) and f(B) read once per block, caches metric
-values by mask, and builds records only for the counterexamples it keeps.
+placements as int masks of the case's position bits, walks them in
+ascending-id order with the free bits outside each A listed once and each
+(A, B) block's probes visited in place among them, reads f(A) and f(B) once
+per block, caches metric values by mask, and builds records only for the
+counterexamples it keeps.
 Its cost follows the bits that change, not the bus count: a set of buses
 is decoded only for a cache miss or a kept record, and then from the
 nearest set already decoded (the last A, the last B or nu).
@@ -31,6 +33,7 @@ nearest set already decoded (the last A, the last B or nu).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from math import comb, inf
@@ -72,11 +75,12 @@ class SubsetTriple:
     s: int
 
     def __post_init__(self) -> None:
-        if tuple(sorted(set(self.a))) != self.a:
+        # strictly sorted: each id below the next, so no id repeats
+        if not (isinstance(self.a, tuple) and all(map(operator.lt, self.a, self.a[1:]))):
             raise ValueError("A must be a strictly sorted tuple")
-        if tuple(sorted(set(self.b))) != self.b:
+        if not (isinstance(self.b, tuple) and all(map(operator.lt, self.b, self.b[1:]))):
             raise ValueError("B must be a strictly sorted tuple")
-        if not set(self.a) <= set(self.b):
+        if not set(self.b).issuperset(self.a):
             raise ValueError("A must be a subset of B")
         if self.s in self.b:
             raise ValueError(f"probe bus {self.s} already belongs to B")
@@ -260,26 +264,6 @@ def classify_triple(
     )
 
 
-def _blocks(
-    free: Sequence[int], nu_mask: int, a_extra: int, b_extra: int, skip: int
-) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield ``(A, B, probes)`` as bitmasks for every (A, B) block from block
-    number ``skip`` on, in the order of enumerate_triples. ``free`` holds
-    the bits of the buses outside nu in ascending id order.
-
-    Every block holds the same number of probes and every A the same number
-    of blocks, so the skipped prefix is found by division and never built.
-    """
-    skip_a, skip_b = divmod(skip, comb(len(free) - a_extra, b_extra))
-    for extra_a in itertools.islice(itertools.combinations(free, a_extra), skip_a, None):
-        a = nu_mask + sum(extra_a)
-        rest = [bit for bit in free if not bit & a]
-        for extra_b in itertools.islice(itertools.combinations(rest, b_extra), skip_b, None):
-            b = a + sum(extra_b)
-            yield a, b, [bit for bit in rest if not bit & b]
-        skip_b = 0
-
-
 def audit(
     case,
     metric: Callable[[frozenset], float],
@@ -308,12 +292,22 @@ def audit(
 
     The verdicts, values and counterexample order are those of
     classify_triple applied to enumerate_triples, but no object is built
-    per triple: the walk runs over (A, B) blocks of int bitmasks, reads f(A)
-    and f(B) once per block, and builds a MarginRecord only for a
-    counterexample it keeps. Placements are evaluated lazily in
-    classify_triple's order, f(A), f(A+s), f(B), f(B+s), so on a metric
-    failure the audit aborts with the same offending triple and placement,
-    and the tally accumulated so far attached.
+    per triple: placements are int bitmasks, f(A) and f(B) are read once
+    per (A, B) block, and a MarginRecord is built only for a counterexample
+    the audit keeps. Placements are evaluated lazily in classify_triple's
+    order, f(A), f(A+s), f(B), f(B+s), so on a metric failure the audit
+    aborts with the same offending triple and placement, and the tally
+    accumulated so far attached.
+
+    The walk is three nested loops in the order of enumerate_triples. For
+    each A it lists ``rest``, the bits of the buses outside A, once; each B
+    is A plus a combination of ``rest``, and its probes are the bits of
+    ``rest`` outside B, visited in place. Every block holds the same number
+    of probes and every A the same number of blocks, so ``start`` skips
+    whole A's and blocks by division, and only the first block it lands in
+    lists its probes to drop the leading ones. ``stop`` is the last of the
+    progress checkpoints, so each triple costs one comparison of
+    bookkeeping.
 
     The cost follows the bits that change, not the bus count. Set-up looks
     up the position bits of nu's buses and reads the free buses off the
@@ -322,7 +316,8 @@ def audit(
     when a record needs its ids, and then from the nearest set already
     decoded: the last A, the last B or nu, whichever differs from it in
     the fewest bits, by removing and adding the buses of those bits. A+s
-    and B+s are that set plus one bus.
+    and B+s are that set plus one bus. Records of one block share the
+    sorted id tuples of its A and B.
     """
     bits = case.position_bits  # bus id -> position bit, ascending ids
     nu_ids = frozenset(nu)
@@ -342,6 +337,7 @@ def audit(
 
     nu_decoded = (nu_mask, nu_ids)
     decoded = [nu_decoded, nu_decoded]  # the last A and the last B decoded, with their masks
+    named = [(-1, ()), (-1, ())]  # the last A and the last B as sorted ids, with their masks
     cache = getattr(metric, "scores", {}) if getattr(metric, "case", None) is case else {}
 
     def ids_in(mask: int) -> Iterator[int]:
@@ -369,8 +365,15 @@ def audit(
         decoded[slot] = (mask, buses)
         return buses
 
+    def sorted_ids(mask: int, slot: int) -> tuple[int, ...]:
+        known, ids = named[slot]
+        if known != mask:
+            ids = tuple(sorted(members(mask, slot)))
+            named[slot] = (mask, ids)
+        return ids
+
     def triple(a: int, b: int, s: int) -> SubsetTriple:
-        return SubsetTriple(a=tuple(sorted(members(a, 0))), b=tuple(sorted(members(b, 1))),
+        return SubsetTriple(a=sorted_ids(a, 0), b=sorted_ids(b, 1),
                             s=case.buses[s.bit_length() - 1].id)
 
     def evaluate(base: int, plus: int, a: int, b: int, s: int) -> float:
@@ -385,61 +388,77 @@ def audit(
         return value
 
     lookup = cache.get
-    submod = supermod = ties = 0
+    submod = supermod = ties = processed = 0
     counterexamples: list[MarginRecord] = []
-    processed = 0
-    report = min(PROGRESS_INTERVAL, planned) if progress is not None else -1
-    block, offset = divmod(first, len(bits) - b_size)
+    a_extra, b_extra = a_size - len(nu_ids), b_size - a_size
     free = [bits[bus] for bus in sorted(ids_in(((1 << len(bits)) - 1) ^ nu_mask))]
-    blocks = _blocks(free, nu_mask, a_size - len(nu_ids), b_size - a_size, block)
+    block, offset = divmod(first, len(bits) - b_size)
+    skip_a, skip_b = divmod(block, comb(len(free) - a_extra, b_extra))
+    checkpoint = min(PROGRESS_INTERVAL, planned) if progress is not None else planned
     try:
-        for a, b, probes in blocks:
-            if processed >= planned:
+        for extra_a in itertools.islice(itertools.combinations(free, a_extra), skip_a, None):
+            if processed >= planned:  # also ends an empty slice, which meets no checkpoint
                 break
-            probes = probes[offset : offset + planned - processed]
-            offset = 0
+            a = nu_mask + sum(extra_a)
+            rest = [bit for bit in free if not bit & a]
             f_a = lookup(a)
-            if f_a is None:
-                f_a = evaluate(a, 0, a, b, probes[0])
-            f_b = None
-            for s in probes:
-                f_a_s = lookup(a | s)
-                if f_a_s is None:
-                    f_a_s = evaluate(a, s, a, b, s)
+            for extra_b in itertools.islice(itertools.combinations(rest, b_extra), skip_b, None):
+                b = a + sum(extra_b)
+                probes = rest
+                if offset:
+                    probes = [bit for bit in rest if not bit & b][offset:]
+                    offset = 0
+                if f_a is None:
+                    f_a = evaluate(a, 0, a, b, next(bit for bit in probes if not bit & b))
+                f_b = lookup(b)
                 if f_b is None:
-                    f_b = lookup(b)
-                    if f_b is None:
-                        f_b = evaluate(b, 0, a, b, s)
-                f_b_s = lookup(b | s)
-                if f_b_s is None:
-                    f_b_s = evaluate(b, s, a, b, s)
-                lhs = f_a_s - f_a
-                rhs = f_b_s - f_b
-                margin = lhs - rhs
-                if margin >= tol:
-                    submod += 1
-                elif margin <= -tol:
-                    supermod += 1
-                    if len(counterexamples) < counterexample_cap:
-                        counterexamples.append(
-                            MarginRecord(
-                                triple=triple(a, b, s),
-                                f_a=f_a,
-                                f_a_s=f_a_s,
-                                f_b=f_b,
-                                f_b_s=f_b_s,
-                                lhs=lhs,
-                                rhs=rhs,
-                                margin=margin,
-                                verdict=MarginClass.SUPERMODULAR,
+                    # the block's first triple scores f(A+s) before f(B)
+                    s = next(bit for bit in probes if not bit & b)
+                    if lookup(a | s) is None:
+                        evaluate(a, s, a, b, s)
+                    f_b = evaluate(b, 0, a, b, s)
+                for s in probes:
+                    if s & b:
+                        continue
+                    f_a_s = lookup(a | s)
+                    if f_a_s is None:
+                        f_a_s = evaluate(a, s, a, b, s)
+                    f_b_s = lookup(b | s)
+                    if f_b_s is None:
+                        f_b_s = evaluate(b, s, a, b, s)
+                    lhs = f_a_s - f_a
+                    rhs = f_b_s - f_b
+                    margin = lhs - rhs
+                    if margin >= tol:
+                        submod += 1
+                    elif margin <= -tol:
+                        supermod += 1
+                        if len(counterexamples) < counterexample_cap:
+                            counterexamples.append(
+                                MarginRecord(
+                                    triple=triple(a, b, s),
+                                    f_a=f_a,
+                                    f_a_s=f_a_s,
+                                    f_b=f_b,
+                                    f_b_s=f_b_s,
+                                    lhs=lhs,
+                                    rhs=rhs,
+                                    margin=margin,
+                                    verdict=MarginClass.SUPERMODULAR,
+                                )
                             )
-                        )
-                else:
-                    ties += 1
-                processed += 1
-                if processed == report:
-                    progress(processed, planned)
-                    report = min(processed + PROGRESS_INTERVAL, planned)
+                    else:
+                        ties += 1
+                    processed += 1
+                    if processed == checkpoint:
+                        if progress is not None:
+                            progress(processed, planned)
+                        if processed == planned:
+                            break
+                        checkpoint = min(processed + PROGRESS_INTERVAL, planned)
+                if processed == planned:
+                    break
+            skip_b = 0
     except MetricEvaluationError as err:
         partial = ClassificationTally(
             total=processed,

@@ -12,6 +12,7 @@ import pytest
 
 import pmuplan.cli
 import pmuplan.estimation
+import pmuplan.planner
 from pmuplan.cases import bundled_case_text, load_case
 from pmuplan.cli import main
 from pmuplan.estimation import UnobservableStateError
@@ -218,6 +219,26 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, where):
     assert err.count("\n") == 1  # one line, no traceback
 
 
+def test_unwritable_output_fails_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    def compare_plans(*args, **kwargs):
+        raise AssertionError("planned although --output cannot be written")
+
+    monkeypatch.setattr(pmuplan.planner, "compare_plans", compare_plans)
+    target = tmp_path / "missing-dir" / "x.txt"
+    assert run(capsys, "plan", "compare", "--case", "ieee118", "--channel-limit", "16",
+               "--stages", "4", "--output", str(target)) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{target}'\n")
+
+
+def test_a_failed_command_leaves_an_existing_output_file(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    target.write_text("earlier report\n")
+    code, out, err = run(capsys, "metrics", "--nu", "2,x", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: --nu 2,x: token 2 must be an integer bus id, got 'x'\n"
+    assert target.read_text() == "earlier report\n"
+
+
 def test_json_case_round_trips_through_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "case", "info", "--case", "ieee14", "--out", "json")
     doc = json.loads(out)
@@ -276,18 +297,32 @@ def test_submod_explicit_sizes_on_a_one_bus_case(tmp_path, capsys):
     assert run(capsys, *argv) == (0, "alpha = 1\n", "")
 
 
-def test_an_unhostable_case_names_its_first_busiest_bus(tmp_path, capsys):
-    # every bus of the triangle has two branches; bus 3 is listed first
-    triangle = tmp_path / "triangle.json"
-    triangle.write_text(json.dumps({
+@pytest.fixture
+def triangle(tmp_path):
+    """A case file of three buses, each with two branches; bus 3 is listed first."""
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({
         "buses": [{"id": 3}, {"id": 1}, {"id": 2}],
         "branches": [{"from": f, "to": t, "r": 0.0, "x": 1.0} for f, t in ((1, 2), (2, 3), (1, 3))],
     }))
+    return path
+
+
+def test_an_unhostable_case_names_its_first_busiest_bus(triangle, capsys):
     for argv, what in ((("plan", "greedy", "--stages", "1"), "planning"),
                        (("submod", "audit"), "the audit")):
         assert run(capsys, *argv, "--case", str(triangle), "--nu", "1", "--channel-limit", "1") == (
             2, "", f"error: {what} evaluates placements on every bus, but bus 3 has 2 incident "
                    "branches, over the channel limit of 1; raise --channel-limit to at least 2\n")
+
+
+@pytest.mark.parametrize("action", ["audit", "count"])
+def test_a_default_base_no_bus_can_host_is_a_usage_error(triangle, capsys, action):
+    # without --nu the base is the greedy cover, and no bus is within the limit
+    assert run(capsys, "submod", action, "--case", str(triangle), "--a-size", "1",
+               "--b-size", "1", "--channel-limit", "1") == (
+        2, "", "error: buses [1, 2, 3] cannot be observed by any host within the "
+               "channel limit of 1\n")
 
 
 def test_given_empty_nu_is_the_empty_base(capsys):

@@ -153,6 +153,19 @@ def test_cover_failure_when_nothing_can_host():
         greedy_observable_cover(case, channel_limit=1)
 
 
+def test_cover_failure_when_no_bus_can_host():
+    # every bus of the triangle has two branches, over the limit of one
+    case = NetworkCase(
+        name="triangle",
+        buses=(Bus(1), Bus(2), Bus(3)),
+        branches=(Branch(1, 2, 0.0, 1.0), Branch(2, 3, 0.0, 1.0), Branch(1, 3, 0.0, 1.0)),
+    )
+    with pytest.raises(ValueError) as failure:
+        greedy_observable_cover(case, channel_limit=1)
+    assert str(failure.value) == (
+        "buses [1, 2, 3] cannot be observed by any host within the channel limit of 1")
+
+
 # ---- mask kernel against the explicit references -------------------------------
 # metered_mask and observability_check read the case's per-bus bitmasks; the
 # references below walk incident_branches and the channel list instead.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmuplan.estimation as estimation
+import pmuplan.submodularity as submodularity
 from pmuplan.cases import load_case
 from pmuplan.estimation import metric_function
 from pmuplan.measurements import greedy_observable_cover
@@ -42,6 +43,11 @@ def test_count_formula():
 def test_triple_validation():
     with pytest.raises(ValueError, match="sorted"):
         SubsetTriple(a=(2, 1), b=(1, 2, 3), s=4)
+    # a list, a repeated id, a descending B, and ids that are equal as numbers
+    for a, b in (([1], (1, 2)), ((1, 1), (1, 2)), ((1,), (3, 2, 1)), ((1, 1.0), (1, 2))):
+        with pytest.raises(ValueError, match="strictly sorted tuple"):
+            SubsetTriple(a=a, b=b, s=4)
+    assert SubsetTriple(a=(), b=(), s=1).b == ()
     with pytest.raises(ValueError, match="subset"):
         SubsetTriple(a=(1, 4), b=(1, 2, 3), s=5)
     with pytest.raises(ValueError, match="already belongs"):
@@ -198,10 +204,15 @@ def test_monotone_checker(ieee14):
 # ---- differential check against the per-triple reference -------------------
 
 
-def _reference_audit(case, metric, nu, a_size, b_size, tol, cap, start, stop):
+def _reference_audit(case, metric, nu, a_size, b_size, tol, cap, start, stop,
+                     progress=None, interval=submodularity.PROGRESS_INTERVAL):
     """The audit as one classify_triple per enumerated triple, with a
-    frozenset cache: the definition the bitmask walk must reproduce."""
+    frozenset cache: the definition the bitmask walk must reproduce.
+    ``progress(done, planned)`` follows every ``interval`` triples and the
+    last one."""
     cache = {}
+    planned = len(range(count_combinations(
+        len(case.bus_ids), len(set(nu)), a_size, b_size))[start:stop])
 
     def cached(placement):
         if placement not in cache:
@@ -224,6 +235,9 @@ def _reference_audit(case, metric, nu, a_size, b_size, tol, cap, start, stop):
         counts[record.verdict] += 1
         if record.verdict == MarginClass.SUPERMODULAR and len(kept) < cap:
             kept.append(record)
+        done = sum(counts.values())
+        if progress is not None and (done % interval == 0 or done == planned):
+            progress(done, planned)
     return ClassificationTally(
         sum(counts.values()), counts[MarginClass.SUBMODULAR],
         counts[MarginClass.SUPERMODULAR], counts[MarginClass.TIE], tuple(kept),
@@ -287,24 +301,31 @@ def audit_setups(draw):
     st.booleans(),
     st.sampled_from([0.0, 1e-9, 0.01, 0.1]),
     st.integers(0, 6),
+    st.integers(1, 40),
     st.data(),
 )
-def test_audit_matches_the_per_triple_reference(setup, gain, tol, cap, data):
+def test_audit_matches_the_per_triple_reference(setup, gain, tol, cap, interval, data):
     case, nu, a_size, b_size, start, stop = setup
     metric = metric_function(case, gain=gain, channel_limit=64)
     args = (nu, a_size, b_size, tol, cap, start, stop)
 
     def runs(poison=None):
-        ref_calls, calls = [], []
+        ref_calls, calls, ref_points, points = [], [], [], []
         expected = _outcome(lambda: _reference_audit(
-            case, _recording(metric, ref_calls, poison), *args))
-        got = _outcome(lambda: audit(
-            case, _recording(metric, calls, poison), nu, a_size, b_size, tol=tol,
-            counterexample_cap=cap, start=start, stop=stop))
+            case, _recording(metric, ref_calls, poison), *args,
+            progress=lambda *point: ref_points.append(point), interval=interval))
+        # a short interval puts several progress points inside a drawn slice
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(submodularity, "PROGRESS_INTERVAL", interval)
+            got = _outcome(lambda: audit(
+                case, _recording(metric, calls, poison), nu, a_size, b_size, tol=tol,
+                counterexample_cap=cap, start=start, stop=stop,
+                progress=lambda *point: points.append(point)))
         assert got == expected
         # the same placements, once each, in classify_triple's lazy order
         assert calls == ref_calls
         assert len(set(calls)) == len(calls)
+        assert points == ref_points
         return calls
 
     placements = runs()
