@@ -29,25 +29,27 @@ _EXPORTS = {
     ),
     "cases": ("load_case",),
     "measurements": (
-        "ChannelKind",
         "ChannelLimitError",
-        "MeasurementChannel",
-        "MeasurementSet",
         "PmuPlacement",
-        "enumerate_channels",
         "greedy_observable_cover",
         "observability_check",
     ),
     "estimation": (
-        "CovarianceModel",
-        "Jacobian",
-        "SensitivityReport",
         "StateScope",
         "UnobservableStateError",
-        "build_jacobian",
-        "diag_metrics",
         "metric_function",
         "placement_metric",
+    ),
+    "linalg": (
+        "ChannelKind",
+        "CovarianceModel",
+        "Jacobian",
+        "MeasurementChannel",
+        "MeasurementSet",
+        "SensitivityReport",
+        "build_jacobian",
+        "diag_metrics",
+        "enumerate_channels",
         "projection_matrix",
         "sensitivity_matrix",
         "sensitivity_report",

@@ -5,8 +5,9 @@ Subcommands: ``case info``, ``metrics``, ``plan greedy|budget|compare``,
 tables by default, or as versioned JSON / CSV via ``--out``. All heavy
 fan-out (the parallel audit) lives here; library modules stay serial.
 
-A command imports the planner, the audit or the knapsack module when it
-runs, so a process loads only the modules its command uses.
+A command imports the linear-algebra pipeline, the planner, the audit or
+the knapsack module when it runs, so a process loads only the modules its
+command uses.
 
 Exit codes: 0 success, 1 internal error (a metric failed for a reason
 none of the others names), 2 usage/parse/validation, 3 numerical
@@ -29,12 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .cases import BUNDLED, load_case
-from .estimation import (
-    StateScope,
-    UnobservableStateError,
-    metric_function,
-    sensitivity_report,
-)
+from .estimation import StateScope, UnobservableStateError, metric_function
 from .measurements import (
     DEFAULT_CHANNEL_LIMIT,
     ChannelLimitError,
@@ -99,9 +95,9 @@ def _load_case(name_or_path: str, fmt: str | None) -> NetworkCase:
 
 def _parse_nu(raw: str) -> list[int]:
     """Bus ids from ``--nu``: comma/whitespace separated text, or ``@file``
-    holding a JSON list or such text. Every entry must be an integer; the
-    first one that is not is named by its JSON index (from 0) or its token
-    number (from 1)."""
+    holding a JSON list or such text. Every entry must be an integer and
+    no bus id may repeat; the first entry that breaks either rule is named
+    by its JSON index (from 0) or its token number (from 1)."""
     text = raw
     if raw.startswith("@"):
         text = Path(raw[1:]).read_text()
@@ -116,14 +112,25 @@ def _parse_nu(raw: str) -> list[int]:
                         f"--nu {raw}: entry {i} must be an integer bus id, "
                         f"got {json.dumps(entry)}"
                     )
-            return data
+            return _distinct(raw, "entry", data, first=0)
     tokens = text.replace(",", " ").split()
     for k, token in enumerate(tokens, start=1):
         if not _INTEGER.fullmatch(token):
             raise ValueError(
                 f"--nu {raw}: token {k} must be an integer bus id, got {token!r}"
             )
-    return [int(token) for token in tokens]
+    return _distinct(raw, "token", [int(token) for token in tokens], first=1)
+
+
+def _distinct(raw: str, label: str, buses: list[int], first: int) -> list[int]:
+    """``buses`` if no id repeats; else the first repeat, named by its
+    position counted from ``first``, fails."""
+    seen: set[int] = set()
+    for k, bus in enumerate(buses, start=first):
+        if bus in seen:
+            raise ValueError(f"--nu {raw}: {label} {k} repeats bus id {bus}")
+        seen.add(bus)
+    return buses
 
 
 def _resolve_nu(args, config: RunConfig) -> list[int]:
@@ -135,7 +142,7 @@ def _resolve_nu(args, config: RunConfig) -> list[int]:
     what the metric may score, not which buses make sensible hosts.
     """
     if args.nu is not None:
-        nu = sorted(set(_parse_nu(args.nu)))
+        nu = sorted(_parse_nu(args.nu))
         missing = sorted(set(nu) - set(config.case.bus_ids))
         if missing:
             raise ValueError(f"nu buses not in the case: {missing}")
@@ -216,9 +223,11 @@ def _cmd_case_info(args, config: RunConfig) -> str:
 
 
 def _cmd_metrics(args, config: RunConfig) -> str:
+    from .linalg import sensitivity_report
+
     if not getattr(args, "nu", None):
         raise ValueError("metrics requires a placement: pass --nu with bus ids")
-    buses = sorted(set(_parse_nu(args.nu)))
+    buses = sorted(_parse_nu(args.nu))
     if not buses:
         raise ValueError("placement is empty: pass at least one bus id in --nu")
     missing = sorted(set(buses) - set(config.case.bus_ids))

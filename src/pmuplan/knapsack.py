@@ -71,6 +71,11 @@ class KnapsackInstance:
             raise ValueError("values and weights must be finite numbers")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be strictly positive")
+        # every subset's objective and weight is then finite, and so is every budget
+        if not math.isfinite(sum(abs(v) for v in self.values)):
+            raise ValueError("values must have a finite sum")
+        if not math.isfinite(sum(self.weights)):
+            raise ValueError("weights must have a finite sum")
         if not self.labels:
             object.__setattr__(
                 self, "labels", tuple(f"x{i + 1}" for i in range(len(self.values)))

@@ -1,4 +1,4 @@
-"""Measurement model: from a PMU placement to an ordered channel list.
+"""Measurement model: what a PMU placement meters and observes, by counting.
 
 A bus-type PMU meters its bus voltage phasor and the current phasor on every
 incident branch. In rectangular coordinates each phasor contributes two real
@@ -9,25 +9,21 @@ at the lower-numbered endpoint, while ``per-end`` keeps both.
 
 Every rule here reads :attr:`~pmuplan.network.NetworkCase.incidence`. A
 dedupe policy meters one of its mask columns, :data:`METERED_COLUMN`, and
-``m = 2|Q| + 2 * popcount`` of :func:`metered_mask`; :func:`enumerate_channels`
-lists those channels from the placement's rows.
+``m = 2|Q| + 2 * popcount`` of :func:`metered_mask`. The explicit, ordered
+channel list, which only the linear-algebra pipeline needs, is
+:func:`pmuplan.linalg.enumerate_channels`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .network import NetworkCase
 
 __all__ = [
-    "ChannelKind",
     "ChannelLimitError",
     "PmuPlacement",
-    "MeasurementChannel",
-    "MeasurementSet",
-    "enumerate_channels",
     "metered_mask",
     "observability_check",
     "greedy_observable_cover",
@@ -38,13 +34,6 @@ DEFAULT_CHANNEL_LIMIT = 8
 # the incidence column a PMU meters under each dedupe policy:
 # branch_mask (one bit per branch) or end_mask (one bit per branch end)
 METERED_COLUMN = {"by-branch": 2, "per-end": 4}
-
-
-class ChannelKind(str, Enum):
-    VR = "Vr"
-    VX = "Vx"
-    IR = "Ir"
-    IX = "Ix"
 
 
 class ChannelLimitError(ValueError):
@@ -84,44 +73,6 @@ class PmuPlacement:
         return len(self.buses)
 
 
-@dataclass(frozen=True)
-class MeasurementChannel:
-    """One real-valued channel.
-
-    Voltage channels carry no branch; current channels reference the metered
-    branch by its index in the case plus the endpoint the PMU meters from.
-    """
-
-    kind: ChannelKind
-    bus: int
-    branch_index: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        is_voltage = self.kind in (ChannelKind.VR, ChannelKind.VX)
-        if is_voltage and self.branch_index is not None:
-            raise ValueError("voltage channels carry no branch reference")
-        if not is_voltage and self.branch_index is None:
-            raise ValueError("current channels need a branch reference")
-
-
-@dataclass(frozen=True)
-class MeasurementSet:
-    """Canonically ordered channels induced by a placement.
-
-    Ordering: all voltage channels by bus id (Vr before Vx), then current
-    channels by (min endpoint, max endpoint, branch position, metered bus),
-    Ir before Ix. The ordering is fixed so downstream matrices and reports
-    are byte-reproducible.
-    """
-
-    channels: tuple[MeasurementChannel, ...]
-    placement: PmuPlacement
-    dedupe: str = "by-branch"
-
-    def __len__(self) -> int:
-        return len(self.channels)
-
-
 def _check_limits(case: NetworkCase, placement: PmuPlacement) -> None:
     """Validate every placement bus in sorted order; raise for the first bad one."""
     for bus in placement.buses:
@@ -148,63 +99,14 @@ def _busiest_over_limit(case: NetworkCase, channel_limit: int) -> int | None:
     return case.bus_ids[degrees.index(most)] if most > channel_limit else None
 
 
-def enumerate_channels(
-    case: NetworkCase,
-    placement: PmuPlacement,
-    dedupe: str = "by-branch",
-) -> MeasurementSet:
-    """Expand a placement into its explicit channel list.
-
-    Parameters
-    ----------
-    case : NetworkCase
-    placement : PmuPlacement
-        Buses must exist in the case and each must satisfy the placement's
-        channel limit against its incident-branch count.
-    dedupe : {"by-branch", "per-end"}
-        Under ``by-branch`` a branch with PMUs at both ends contributes one
-        (Ir, Ix) pair, metered at the lower-numbered endpoint. Under
-        ``per-end`` both ends contribute a pair.
-
-    Raises
-    ------
-    ChannelLimitError
-        Naming the first offending bus.
-    """
-    _metered_column(dedupe)  # raises for an unknown policy
-    _check_limits(case, placement)
-
-    channels: list[MeasurementChannel] = []
-    # (min end, max end, branch position, metered bus) keeps parallel branches
-    # and per-end duplicates in a stable order.
-    metered: list[tuple[int, int, int, int]] = []
-    taken: set[int] = set()
-    for bus in placement.buses:  # ascending, so by-branch meters at the lower host
-        channels.append(MeasurementChannel(ChannelKind.VR, bus))
-        channels.append(MeasurementChannel(ChannelKind.VX, bus))
-        for idx in case.incident_branches(bus):
-            if idx in taken:
-                continue
-            if dedupe == "by-branch":
-                taken.add(idx)
-            br = case.branches[idx]
-            metered.append((min(br.from_bus, br.to_bus), max(br.from_bus, br.to_bus), idx, bus))
-    metered.sort()
-    for _, _, idx, host in metered:
-        channels.append(MeasurementChannel(ChannelKind.IR, host, idx))
-        channels.append(MeasurementChannel(ChannelKind.IX, host, idx))
-
-    return MeasurementSet(channels=tuple(channels), placement=placement, dedupe=dedupe)
-
-
 def metered_mask(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-branch") -> int:
     """The OR over the placement's buses of what each PMU meters, the
     :data:`METERED_COLUMN` of their
     :attr:`~pmuplan.network.NetworkCase.incidence` rows that ``dedupe``
     selects: one bit per metered branch (``by-branch``) or branch end
     (``per-end``). The channel count is ``m = 2|Q| + 2 * popcount``, the
-    length of :func:`enumerate_channels`' list. Validates exactly what
-    :func:`enumerate_channels` validates, with the same error for the same
+    length of :func:`~pmuplan.linalg.enumerate_channels`' list. Validates
+    exactly what that function validates, with the same error for the same
     first offending bus.
     """
     column = _metered_column(dedupe)

@@ -1,4 +1,4 @@
-"""Power-network case model: buses, branches, topology, and branch admittances.
+"""Power-network case model: buses, branches and topology.
 
 A :class:`NetworkCase` is the immutable graph everything else consumes. Cases
 are read either from a subset of the MATPOWER ``.m`` layout (bus and branch
@@ -7,20 +7,17 @@ and can be serialized back to that JSON schema losslessly.
 
 Topology is derived once, in :attr:`NetworkCase.incidence`: degrees,
 neighbors, connectivity and what a placement meters or observes all read
-that index, and ``branches`` is read only for per-branch data.
+that index, and ``branches`` is read only for per-branch data. Branch
+admittances and the dense branch-to-bus matrix belong to the linear-algebra
+pipeline, :mod:`pmuplan.linalg`.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Bus",
@@ -29,8 +26,6 @@ __all__ = [
     "CaseFormatError",
     "parse_case",
     "serialize_case",
-    "incidence_matrix",
-    "metered_admittances",
     "neighbors",
 ]
 
@@ -424,48 +419,6 @@ def serialize_case(case: NetworkCase) -> dict:
             for br in case.branches
         ],
     }
-
-
-def incidence_matrix(case: NetworkCase) -> np.ndarray:
-    """Branch-to-bus incidence matrix, one row per branch.
-
-    Each row carries +1 in the from-bus column and -1 in the to-bus column,
-    with columns following the case's bus ordering.
-    """
-    import numpy as np
-
-    mat = np.zeros((len(case.branches), len(case.buses)), dtype=int)
-    for i, br in enumerate(case.branches):
-        mat[i, case.bus_index(br.from_bus)] = 1
-        mat[i, case.bus_index(br.to_bus)] = -1
-    return mat
-
-
-def metered_admittances(branch: Branch, end: int, flat: bool = False) -> tuple[complex, complex]:
-    """Self and mutual admittance for the current metered at ``end``.
-
-    Returns ``(y_self, y_other)`` such that the metered current is
-    ``I = y_self * V_end + y_other * V_far``. With series admittance
-    ``y_s = 1/(r + jx)``, tap ratio ``t`` and phase shift ``theta``, the
-    off-nominal tap sits entirely on the from side::
-
-        from end:  Y_ff = (y_s + j*b_charging/2) / t**2,  Y_ft = -y_s / (t * e^{-j*theta})
-        to end:    Y_tt = y_s + j*b_charging/2,           Y_tf = -y_s / (t * e^{j*theta})
-
-    ``flat=True`` ignores taps, shifts and charging: either end gets the
-    bare series pair ``(y_s, -y_s)``. ``ValueError`` if ``end`` is neither
-    endpoint.
-    """
-    if end not in (branch.from_bus, branch.to_bus):
-        raise ValueError(f"bus {end} is not an endpoint of branch {branch.from_bus}-{branch.to_bus}")
-    y_s = 1.0 / complex(branch.r, branch.x)
-    if flat:
-        return y_s, -y_s
-    tap = branch.tap * cmath.exp(1j * branch.shift)
-    y_self = y_s + 1j * branch.b_charging / 2.0
-    if end == branch.from_bus:
-        return y_self / (tap * tap.conjugate()), -y_s / tap.conjugate()
-    return y_self, -y_s / tap
 
 
 def neighbors(case: NetworkCase, bus: int) -> set[int]:

@@ -16,18 +16,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pmuplan.estimation import (
+from pmuplan.estimation import StateScope, metric_function
+from pmuplan.knapsack import budget_sweep, example_instance
+from pmuplan.linalg import (
     CovarianceModel,
-    StateScope,
     build_jacobian,
-    metric_function,
+    enumerate_channels,
     projection_matrix,
     sensitivity_matrix,
     sensitivity_report,
     wls_estimate,
 )
-from pmuplan.knapsack import budget_sweep, example_instance
-from pmuplan.measurements import PmuPlacement, enumerate_channels, greedy_observable_cover
+from pmuplan.measurements import PmuPlacement, greedy_observable_cover
 from pmuplan.network import Branch, Bus, NetworkCase
 from pmuplan.planner import compare_plans
 from pmuplan.submodularity import audit, count_combinations, enumerate_triples

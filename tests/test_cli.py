@@ -415,6 +415,20 @@ def test_nu_entries_must_be_integers(tmp_path, capsys):
     assert "token 2 must be an integer bus id, got 'x'" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["plan", "greedy", "--stages", "2"], ["submod", "audit", "--parallel", "1"], ["metrics"]],
+    ids=" ".join,
+)
+def test_a_repeated_nu_id_is_a_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, "--nu", "2,2,6,7,9")
+    assert (code, out, err) == (2, "", "error: --nu 2,2,6,7,9: token 2 repeats bus id 2\n")
+    path = tmp_path / "nu.json"
+    path.write_text("[2, 6, 7, 9, 6]")
+    code, out, err = run(capsys, *argv, "--nu", f"@{path}")
+    assert (code, out, err) == (2, "", f"error: --nu @{path}: entry 4 repeats bus id 6\n")
+
+
 # inf would make every audit triple a tie and print a "tol" that is not JSON
 @pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf", "1e999"])
 @pytest.mark.parametrize(
@@ -471,6 +485,26 @@ def test_knapsack_non_finite_numbers_are_usage_errors(capsys, values, weights):
                          f"--weights={weights}")
     assert (code, out) == (2, "")
     assert err == "error: values and weights must be finite numbers\n"
+
+
+@pytest.mark.parametrize("values, weights, message", [
+    ("1e308,1e308", "1,1", "values must have a finite sum"),
+    ("1,1", "1e308,1e308", "weights must have a finite sum"),
+])
+@pytest.mark.parametrize("out_format", ["md", "json"])
+def test_knapsack_sums_past_the_float_range_are_usage_errors(capsys, values, weights, message,
+                                                             out_format):
+    code, out, err = run(capsys, "knapsack", "demo", f"--values={values}",
+                         f"--weights={weights}", "--out", out_format)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_knapsack_json_of_the_largest_sums_is_strict(capsys):
+    code, out, _ = run(capsys, "knapsack", "demo", "--values", "1e308,7e307",
+                       "--weights", "8e307,9e307", "--out", "json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_not_json)
+    assert doc["optimal"]["rows"][-1]["objective"] == 1e308 + 7e307
 
 
 @pytest.mark.parametrize("flag, raw, message", [
@@ -631,15 +665,15 @@ def test_parallel0_audits_serially_below_the_break_even(monkeypatch, capsys):
 
 
 # Each README command in a fresh interpreter, reporting which of the modules
-# a command may do without it loaded: the planner, the audit and the knapsack
-# module (each loaded only by its own command), numpy (only ``metrics``) and
-# the process pool (only a sharded audit).
+# a command may do without it loaded: the linear-algebra pipeline and numpy
+# (only ``metrics``), the planner, the audit and the knapsack module (each
+# loaded only by its own command) and the process pool (only a sharded audit).
 _IMPORT_PROBE = """
 import json, sys
 from pmuplan.cli import main
 code = main(sys.argv[1:])
-heavy = ("pmuplan.planner", "pmuplan.submodularity", "pmuplan.knapsack", "numpy",
-         "concurrent.futures.process")
+heavy = ("pmuplan.linalg", "numpy", "pmuplan.planner", "pmuplan.submodularity",
+         "pmuplan.knapsack", "concurrent.futures.process")
 print(json.dumps({"code": code, "loaded": [m for m in heavy if m in sys.modules]}),
       file=sys.stderr)
 """
@@ -663,7 +697,7 @@ def _probe(code: str, *argv: str) -> subprocess.CompletedProcess:
         pytest.param(argv, loaded, id=" ".join(argv))
         for argv, loaded in [
             (["case", "info", "--case", "ieee14"], []),
-            (["metrics", "--nu", "2,6,7,9"], ["numpy"]),
+            (["metrics", "--nu", "2,6,7,9"], ["pmuplan.linalg", "numpy"]),
             (["plan", "compare", "--nu", "2,6,7,9", "--stages", "10"], [_PLANNER]),
             (["plan", "greedy", "--nu", "2,6,7,9", "--stages", "4"], [_PLANNER]),
             (["plan", "budget", "--nu", "2,6,7,9", "--stages", "3"], [_PLANNER]),
@@ -685,17 +719,26 @@ def test_only_metrics_loads_numpy(argv, loaded):
         assert _README_ROW in proc.stdout.splitlines()
 
 
+# the library set-up the benchmark times: a case and its set function
+_LIBRARY_SETUP = ("import pmuplan\n"
+                  "case = pmuplan.load_case('ieee14')\n"
+                  "pmuplan.metric_function(case, channel_limit=8, gain=True)")
+
+
 @pytest.mark.parametrize(
-    ("module", "loaded"),
+    ("code", "loaded"),
     [
-        ("pmuplan", ["pmuplan"]),
-        ("pmuplan.cli", ["pmuplan", "pmuplan.cases", "pmuplan.cli", "pmuplan.estimation",
-                         "pmuplan.measurements", "pmuplan.network"]),
+        ("import pmuplan", ["pmuplan"]),
+        ("import pmuplan.cli", ["pmuplan", "pmuplan.cases", "pmuplan.cli", "pmuplan.estimation",
+                                "pmuplan.measurements", "pmuplan.network"]),
+        (_LIBRARY_SETUP, ["pmuplan", "pmuplan.cases", "pmuplan.estimation",
+                          "pmuplan.measurements", "pmuplan.network"]),
     ],
+    ids=["pmuplan", "pmuplan.cli", "library set-up"],
 )
-def test_import_loads_no_command_module(module, loaded):
+def test_import_loads_no_command_module(code, loaded):
     proc = _probe(
-        f"import json, sys, {module}\n"
+        f"import json, sys\n{code}\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m.startswith('pmuplan') or m == 'numpy')))\n"
     )

@@ -6,24 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmuplan.estimation import (
-    CovarianceModel,
     StateScope,
     UnobservableStateError,
-    build_jacobian,
-    diag_metrics,
     metric_function,
     placement_metric,
+)
+from pmuplan.linalg import (
+    CovarianceModel,
+    build_jacobian,
+    diag_metrics,
+    enumerate_channels,
     projection_matrix,
     sensitivity_matrix,
     sensitivity_report,
     wls_estimate,
 )
-from pmuplan.measurements import (
-    ChannelLimitError,
-    PmuPlacement,
-    enumerate_channels,
-    greedy_observable_cover,
-)
+from pmuplan.measurements import ChannelLimitError, PmuPlacement, greedy_observable_cover
 from pmuplan.network import Branch, Bus, NetworkCase
 
 

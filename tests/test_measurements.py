@@ -2,12 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmuplan.linalg import ChannelKind, MeasurementChannel, enumerate_channels
 from pmuplan.measurements import (
-    ChannelKind,
     ChannelLimitError,
-    MeasurementChannel,
     PmuPlacement,
-    enumerate_channels,
     greedy_observable_cover,
     metered_mask,
     observability_check,

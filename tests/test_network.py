@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmuplan.measurements import ChannelKind, MeasurementChannel, PmuPlacement, enumerate_channels
+from pmuplan.linalg import (
+    ChannelKind,
+    MeasurementChannel,
+    enumerate_channels,
+    incidence_matrix,
+    metered_admittances,
+)
+from pmuplan.measurements import PmuPlacement
 from pmuplan.network import (
     Branch,
     Bus,
     CaseFormatError,
     NetworkCase,
-    incidence_matrix,
-    metered_admittances,
     neighbors,
     parse_case,
     serialize_case,

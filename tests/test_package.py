@@ -1,6 +1,7 @@
 """The package's lazy namespace: names resolve on access, to the defining
 module's current binding, and nothing is cached in the package."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -31,7 +32,7 @@ def test_star_import_and_dir_list_all_public_names():
     assert set(pmuplan.__all__) <= namespace.keys()
     assert namespace["greedy_plan"] is pmuplan.planner.greedy_plan
     assert set(pmuplan.__all__) <= set(dir(pmuplan))
-    assert {"estimation", "planner", "cli"} <= set(dir(pmuplan))
+    assert {"estimation", "linalg", "planner", "cli"} <= set(dir(pmuplan))
 
 
 def test_submodule_attribute_resolves_in_a_fresh_interpreter():
@@ -72,3 +73,17 @@ def test_traced_names_are_restored_through_the_package(monkeypatch):
     assert pmuplan.metric_function is pmuplan.estimation.metric_function is original
     assert not hasattr(pmuplan.metric_function, "__wrapped__")
     assert "metric_function" not in vars(pmuplan)
+
+
+def test_only_linalg_imports_numpy_and_only_at_its_top():
+    for path in sorted((ROOT / "src" / "pmuplan").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                assert path.name == "linalg.py" and node in tree.body, f"{path.name}:{node.lineno}"

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmuplan.cases import load_case
-from pmuplan.estimation import placement_metric, sensitivity_report
+from pmuplan.estimation import placement_metric
 from pmuplan.knapsack import KnapsackInstance, greedy_solve, optimal_solve
-from pmuplan.measurements import PmuPlacement, enumerate_channels
+from pmuplan.linalg import enumerate_channels, sensitivity_report
+from pmuplan.measurements import PmuPlacement
 from pmuplan.submodularity import (
     MarginClass,
     SubsetTriple,
