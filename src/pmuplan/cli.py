@@ -25,7 +25,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -64,30 +63,14 @@ FALLBACK_NU = (2, 6, 7, 9)
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the computing subcommands."""
-
-    case: NetworkCase
-    scope: StateScope
-    dedupe: str
-    sigma_v: float
-    sigma_i: float
-    tol: float
-    enum_cap: int | None  # None: the planner's default
-    parallel: int  # 0: chosen per audit by _audit_workers
-    out: str
-    output: str
-    flat: bool
-    channel_limit: int
-
-
-def _load_case(name_or_path: str, fmt: str | None) -> NetworkCase:
-    if name_or_path in BUNDLED:
-        return load_case(name_or_path)
-    path = Path(name_or_path)
+def _load_case(args) -> NetworkCase:
+    """The case ``--case`` names, read in the ``--format`` given or inferred."""
+    if args.case in BUNDLED:
+        return load_case(args.case)
+    path = Path(args.case)
     if not path.is_file():
-        raise ValueError(f"case file not found: {name_or_path}")
+        raise ValueError(f"case file not found: {args.case}")
+    fmt = args.format
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "matpower-subset"
     return parse_case(path.read_text(), format=fmt, name=path.stem)
@@ -133,7 +116,7 @@ def _distinct(raw: str, label: str, buses: list[int], first: int) -> list[int]:
     return buses
 
 
-def _resolve_nu(args, config: RunConfig) -> list[int]:
+def _resolve_nu(args, case: NetworkCase) -> list[int]:
     """Explicit --nu wins; otherwise the bundled ieee14 case's core, else a
     greedy cover.
 
@@ -143,14 +126,20 @@ def _resolve_nu(args, config: RunConfig) -> list[int]:
     """
     if args.nu is not None:
         nu = sorted(_parse_nu(args.nu))
-        missing = sorted(set(nu) - set(config.case.bus_ids))
+        missing = sorted(set(nu) - set(case.bus_ids))
         if missing:
             raise ValueError(f"nu buses not in the case: {missing}")
         return nu
     if args.case == "ieee14":
         return list(FALLBACK_NU)
-    host_limit = min(config.channel_limit, DEFAULT_CHANNEL_LIMIT)
-    return list(greedy_observable_cover(config.case, channel_limit=host_limit).buses)
+    host_limit = min(args.channel_limit, DEFAULT_CHANNEL_LIMIT)
+    return list(greedy_observable_cover(case, channel_limit=host_limit).buses)
+
+
+def _check_range(flag: str, value: int, lo: int, hi: int, bounds: str) -> None:
+    """``value`` of ``flag`` lies in ``lo..hi``, the ``bounds`` the message names."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} must be in {lo}..{hi} ({bounds}), got {value}")
 
 
 def _require_hostable_case(case: NetworkCase, channel_limit: int, what: str) -> None:
@@ -183,14 +172,14 @@ def _md_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
-def _render(config: RunConfig, payload: dict, header: list[str], rows: list[list],
+def _render(args, payload: dict, header: list[str], rows: list[list],
             md: str | None = None) -> str:
     """The output in the format ``--out`` names: ``payload`` as JSON, the
     ``header`` and ``rows`` as CSV, or ``md``, which defaults to their
     markdown table."""
-    if config.out == "json":
+    if args.out == "json":
         return json.dumps(payload, indent=2)
-    if config.out == "csv":
+    if args.out == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -202,8 +191,8 @@ def _render(config: RunConfig, payload: dict, header: list[str], rows: list[list
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_case_info(args, config: RunConfig) -> str:
-    case = config.case
+def _cmd_case_info(args) -> str:
+    case = _load_case(args)
     degrees = [(b, len(case.incident_branches(b))) for b in case.bus_ids]
     connected = case.is_connected()
     payload = {
@@ -219,51 +208,57 @@ def _cmd_case_info(args, config: RunConfig) -> str:
         f"# case {case.name}\n\n{len(case.buses)} buses, {len(case.branches)} "
         f"branches, {'connected' if connected else 'NOT connected'}"
     )
-    return _render(config, payload, header, rows, title + "\n\n" + _md_table(header, rows))
+    return _render(args, payload, header, rows, title + "\n\n" + _md_table(header, rows))
 
 
-def _cmd_metrics(args, config: RunConfig) -> str:
+def _cmd_metrics(args) -> str:
     from .linalg import sensitivity_report
 
-    if not getattr(args, "nu", None):
+    case = _load_case(args)
+    if not args.nu:
         raise ValueError("metrics requires a placement: pass --nu with bus ids")
     buses = sorted(_parse_nu(args.nu))
     if not buses:
         raise ValueError("placement is empty: pass at least one bus id in --nu")
-    missing = sorted(set(buses) - set(config.case.bus_ids))
+    missing = sorted(set(buses) - set(case.bus_ids))
     if missing:
         raise ValueError(f"placement buses not in the case: {missing}")
-    placement = PmuPlacement.of(buses, channel_limit=config.channel_limit)
+    placement = PmuPlacement.of(buses, channel_limit=args.channel_limit)
+    scope = _scope(args)
     report = sensitivity_report(
-        config.case, placement, scope=config.scope, sigma_v=config.sigma_v,
-        sigma_i=config.sigma_i, dedupe=config.dedupe, flat_branch_model=config.flat,
+        case, placement, scope=scope, sigma_v=args.sigma_v, sigma_i=args.sigma_i,
+        dedupe=args.dedupe, flat_branch_model=args.flat_branch_model,
     )
-    payload = {"schema": "metrics/1", "case": config.case.name,
-               "placement": buses, "scope": config.scope.value,
-               "dedupe": config.dedupe}
+    payload = {"schema": "metrics/1", "case": case.name,
+               "placement": buses, "scope": scope.value,
+               "dedupe": args.dedupe}
     payload.update(report.to_dict())
     header = ["placement", "m", "n", "rank", "min", "max", "sum", "average"]
     row = [",".join(str(b) for b in buses), report.m, report.n, report.rank,
            *(_fmt_metric(x) for x in (report.min, report.max, report.sum, report.average))]
-    return _render(config, payload, header, [row])
+    return _render(args, payload, header, [row])
 
 
-def _make_metric(config: RunConfig, gain: bool = False):
-    return metric_function(config.case, scope=config.scope, dedupe=config.dedupe,
-                           channel_limit=config.channel_limit, gain=gain)
+def _scope(args) -> StateScope:
+    return StateScope.FULL if args.scope == "full" else StateScope.PMU
 
 
-def _cmd_plan(args, config: RunConfig) -> str:
+def _make_metric(case: NetworkCase, args, gain: bool = False):
+    return metric_function(case, scope=_scope(args), dedupe=args.dedupe,
+                           channel_limit=args.channel_limit, gain=gain)
+
+
+def _cmd_plan(args) -> str:
     from .planner import DEFAULT_ENUM_CAP, budget_constrained_plan, compare_plans, greedy_plan
 
-    enum_cap = DEFAULT_ENUM_CAP if config.enum_cap is None else config.enum_cap
-    _require_hostable_case(config.case, config.channel_limit, "planning")
-    nu = _resolve_nu(args, config)
-    metric = _make_metric(config)
-    name = config.case.name
+    case = _load_case(args)
+    _require_hostable_case(case, args.channel_limit, "planning")
+    nu = _resolve_nu(args, case)
+    metric = _make_metric(case, args)
+    name = case.name
 
     if args.mode == "greedy":
-        plan = greedy_plan(config.case, nu, metric, args.stages, tie_tol=config.tol)
+        plan = greedy_plan(case, nu, metric, args.stages, tie_tol=args.tol)
         payload = {"schema": "plan-greedy/1", "case": name}
         payload.update(plan.to_dict())
         header = ["stage", "added", "placement", "value"]
@@ -275,9 +270,11 @@ def _cmd_plan(args, config: RunConfig) -> str:
         title = f"greedy plan on {name}, base {list(plan.base)}"
 
     elif args.mode == "budget":
+        _check_range("--stages", args.stages, 1, len(case.bus_ids) - len(nu),
+                     "buses outside the base")
         result = budget_constrained_plan(
-            config.case, nu, metric, args.stages,
-            enum_cap=enum_cap, tie_tol=config.tol,
+            case, nu, metric, args.stages,
+            enum_cap=args.enum_cap or DEFAULT_ENUM_CAP, tie_tol=args.tol,
         )
         payload = {
             "schema": "plan-budget/1",
@@ -294,8 +291,8 @@ def _cmd_plan(args, config: RunConfig) -> str:
 
     else:
         comparison = compare_plans(
-            config.case, nu, metric, args.stages,
-            enum_cap=enum_cap, tie_tol=config.tol,
+            case, nu, metric, args.stages,
+            enum_cap=args.enum_cap or DEFAULT_ENUM_CAP, tie_tol=args.tol,
         )
         payload = {"schema": "plan-compare/1", "case": name}
         payload.update(comparison.to_dict())
@@ -317,7 +314,7 @@ def _cmd_plan(args, config: RunConfig) -> str:
         ]
         title = f"plan comparison on {name}, base {list(comparison.base)}"
 
-    return _render(config, payload, header, rows, title + "\n\n" + _md_table(header, rows))
+    return _render(args, payload, header, rows, title + "\n\n" + _md_table(header, rows))
 
 
 class ProcessPoolExecutor:
@@ -361,10 +358,11 @@ def _audit_shard(payload: tuple) -> tuple[ClassificationTally, int]:
     """
     from .submodularity import AuditAbortedError, audit
 
-    config, nu, a_size, b_size, cap, start, stop = payload
+    case, args, nu, a_size, b_size, start, stop = payload
     try:
-        tally = audit(config.case, _make_metric(config, gain=True), nu, a_size, b_size,
-                      tol=config.tol, counterexample_cap=cap, start=start, stop=stop)
+        tally = audit(case, _make_metric(case, args, gain=True), nu, a_size, b_size,
+                      tol=args.tol, counterexample_cap=args.counterexamples,
+                      start=start, stop=stop)
     except AuditAbortedError as err:
         return err.partial, _root_cause_code(err)
     return tally, EXIT_OK
@@ -407,35 +405,38 @@ def _default_size(flag: str, omega: int, short: int) -> int:
     return omega - short
 
 
-def _cmd_submod(args, config: RunConfig) -> str:
+def _cmd_submod(args) -> str:
     from .submodularity import AuditAbortedError, audit, count_combinations, merge_tallies
 
-    omega = len(config.case.bus_ids)
+    case = _load_case(args)
+    omega = len(case.bus_ids)
     a_size = args.a_size if args.a_size is not None else _default_size("--a-size", omega, 2)
     b_size = args.b_size if args.b_size is not None else _default_size("--b-size", omega, 1)
-    nu = _resolve_nu(args, config)
+    nu = _resolve_nu(args, case)
+    _check_range("--a-size", a_size, len(nu), omega - 1, "|nu| to omega-1")
+    _check_range("--b-size", b_size, a_size, omega - 1, "--a-size to omega-1")
     alpha = count_combinations(omega, len(nu), a_size, b_size)
 
     if args.action == "count":
         payload = {
             "schema": "submod-count/1",
-            "case": config.case.name,
+            "case": case.name,
             "omega": omega,
             "nu_size": len(nu),
             "a_size": a_size,
             "b_size": b_size,
             "alpha": alpha,
         }
-        return _render(config, payload, ["omega", "nu_size", "a_size", "b_size", "alpha"],
+        return _render(args, payload, ["omega", "nu_size", "a_size", "b_size", "alpha"],
                        [[omega, len(nu), a_size, b_size, alpha]], f"alpha = {alpha}")
 
-    _require_hostable_case(config.case, config.channel_limit, "the audit")
+    _require_hostable_case(case, args.channel_limit, "the audit")
     cap = args.counterexamples
-    workers = _audit_workers(config.parallel, alpha)
+    workers = _audit_workers(args.parallel, alpha)
     if workers > 1 and alpha >= 8 * workers:
         bounds = [alpha * i // workers for i in range(workers + 1)]
         payloads = [
-            (config, nu, a_size, b_size, cap, bounds[i], bounds[i + 1])
+            (case, args, nu, a_size, b_size, bounds[i], bounds[i + 1])
             for i in range(workers)
             if bounds[i] < bounds[i + 1]
         ]
@@ -455,18 +456,18 @@ def _cmd_submod(args, config: RunConfig) -> str:
         print(f"audited {alpha} triples across {workers} workers", file=sys.stderr)
     else:
         tally = audit(
-            config.case, _make_metric(config, gain=True), nu, a_size, b_size,
-            tol=config.tol, counterexample_cap=cap, progress=_progress,
+            case, _make_metric(case, args, gain=True), nu, a_size, b_size,
+            tol=args.tol, counterexample_cap=cap, progress=_progress,
         )
 
-    name = config.case.name
+    name = case.name
     payload = {
         "schema": "submod-audit/1",
         "case": name,
         "nu": nu,
         "a_size": a_size,
         "b_size": b_size,
-        "tol": config.tol,
+        "tol": args.tol,
         "alpha": alpha,
     }
     payload.update(tally.to_dict())
@@ -485,7 +486,7 @@ def _cmd_submod(args, config: RunConfig) -> str:
         f"(use --out json for the records)",
     ])
     return _render(
-        config, payload,
+        args, payload,
         ["case", "nu_size", "a_size", "b_size", "total", "submodular", "supermodular", "ties"],
         [[name, len(nu), a_size, b_size,
           tally.total, tally.submodular, tally.supermodular, tally.ties]],
@@ -514,7 +515,7 @@ def _parse_numbers(flag: str, raw: str) -> tuple[float, ...]:
     return tuple(numbers)
 
 
-def _cmd_knapsack(args, config: RunConfig) -> str:
+def _cmd_knapsack(args) -> str:
     from .knapsack import KnapsackInstance, budget_sweep, example_instance
 
     if args.values or args.weights:
@@ -557,43 +558,51 @@ def _cmd_knapsack(args, config: RunConfig) -> str:
         "",
         _md_table(header, _sweep_rows(instance, greedy)),
     ])
-    return _render(config, payload, ["method", "lo", "hi", "items", "objective"], rows, md)
+    return _render(args, payload, ["method", "lo", "hi", "items", "objective"], rows, md)
 
 
 # ------------------------------------------------------------------- plumbing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--case", default="ieee14",
-                        help="bundled case name or a file path")
-    parser.add_argument("--format", choices=["matpower-subset", "json"],
-                        help="case file format (inferred from the extension)")
-    parser.add_argument("--scope", choices=["full", "paper-compat"],
-                        default="paper-compat",
-                        help="state scope: all buses, or sensor buses only")
-    parser.add_argument("--dedupe", choices=["by-branch", "per-end"],
-                        default="by-branch",
-                        help="meter both-end branches once or per end")
-    parser.add_argument("--sigma-v", type=float, default=1.0,
-                        help="voltage channel standard deviation (metrics only)")
-    parser.add_argument("--sigma-i", type=float, default=1.0,
-                        help="current channel standard deviation (metrics only)")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="tie / margin classification tolerance")
-    parser.add_argument("--enum-cap", type=int,
-                        help="max subsets an exhaustive stage may evaluate")
-    parser.add_argument("--parallel", type=int, default=0,
-                        help="worker processes (0 = serial for a small audit, "
-                             "else all cores)")
-    parser.add_argument("--out", choices=["md", "json", "csv"], default="md",
-                        help="output format")
-    parser.add_argument("--output", default="-",
-                        help="write to a file instead of stdout")
-    parser.add_argument("--flat-branch-model", action="store_true",
-                        help="metrics only: ignore charging and off-nominal taps")
-    parser.add_argument("--channel-limit", type=int,
-                        default=DEFAULT_CHANNEL_LIMIT,
-                        help="max incident branches a sensor bus may have")
+# add_argument keywords of every flag; each leaf command lists the ones it takes
+_FLAGS = {
+    "--case": dict(default="ieee14", help="bundled case name or a file path"),
+    "--format": dict(choices=["matpower-subset", "json"],
+                     help="case file format (inferred from the extension)"),
+    "--scope": dict(choices=["full", "paper-compat"], default="paper-compat",
+                    help="state scope: all buses, or sensor buses only"),
+    "--dedupe": dict(choices=["by-branch", "per-end"], default="by-branch",
+                     help="meter both-end branches once or per end"),
+    "--channel-limit": dict(type=int, default=DEFAULT_CHANNEL_LIMIT,
+                            help="max incident branches a sensor bus may have"),
+    "--sigma-v": dict(type=float, default=1.0, help="voltage channel standard deviation"),
+    "--sigma-i": dict(type=float, default=1.0, help="current channel standard deviation"),
+    "--flat-branch-model": dict(action="store_true",
+                                help="ignore charging and off-nominal taps"),
+    "--tol": dict(type=float, default=1e-9, help="tie / margin classification tolerance"),
+    "--enum-cap": dict(type=int, help="max subsets an exhaustive stage may evaluate"),
+    "--parallel": dict(type=int, default=0,
+                       help="worker processes (0 = serial for a small audit, else all cores)"),
+    "--nu": dict(help="base placement, e.g. 2,6,7,9 or @file (default: observable core)"),
+    "--stages": dict(type=int, required=True, help="stages to plan (budget: the single stage k)"),
+    "--a-size": dict(type=int, help="|A| (default omega-2)"),
+    "--b-size": dict(type=int, help="|B| (default omega-1)"),
+    "--counterexamples": dict(type=int, default=100, help="max counterexample records retained"),
+    "--values": dict(help="comma-separated item values"),
+    "--weights": dict(help="comma-separated item weights"),
+    "--out": dict(choices=["md", "json", "csv"], default="md", help="output format"),
+    "--output": dict(default="-", help="write to a file instead of stdout"),
+}
+_SCORE_FLAGS = "--case --format --scope --dedupe --channel-limit"
+_PLAN_FLAGS = _SCORE_FLAGS + " --tol --nu --stages"
+
+
+def _leaf(parent, name: str, help: str, flags: str) -> argparse.ArgumentParser:
+    """The command ``name`` under ``parent``: ``flags``, then ``--out`` and ``--output``."""
+    leaf = parent.add_parser(name, help=help)
+    for flag in (flags + " --out --output").split():
+        leaf.add_argument(flag, **_FLAGS[flag])
+    return leaf
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,69 +612,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_case = sub.add_parser("case", help="inspect a network case")
-    case_sub = p_case.add_subparsers(dest="action", required=True)
-    p_info = case_sub.add_parser("info", help="counts, connectivity, degrees")
-    _add_common(p_info)
+    case = sub.add_parser("case", help="inspect a network case")
+    case_sub = case.add_subparsers(dest="action", required=True)
+    _leaf(case_sub, "info", "counts, connectivity, degrees", "--case --format")
 
-    p_metrics = sub.add_parser("metrics", help="sensitivity summary for one placement")
-    _add_common(p_metrics)
-    p_metrics.add_argument("--nu", required=True,
-                           help="placement bus ids, e.g. 2,6,7,9 or @file")
+    metrics = _leaf(sub, "metrics", "sensitivity summary for one placement",
+                    _SCORE_FLAGS + " --sigma-v --sigma-i --flat-branch-model")
+    metrics.add_argument("--nu", required=True,
+                         help="placement bus ids, e.g. 2,6,7,9 or @file")
 
-    p_plan = sub.add_parser("plan", help="multi-stage placement planning")
-    p_plan.add_argument("mode", choices=["greedy", "budget", "compare"])
-    _add_common(p_plan)
-    p_plan.add_argument("--nu", help="base placement (default: observable core)")
-    p_plan.add_argument("--stages", type=int, required=True,
-                        help="stages to plan (budget: the single stage k)")
+    plan = sub.add_parser("plan", help="multi-stage placement planning")
+    modes = plan.add_subparsers(dest="mode", required=True)
+    _leaf(modes, "greedy", "priority list: one bus per stage", _PLAN_FLAGS)
+    _leaf(modes, "budget", "best set for the single stage k", _PLAN_FLAGS + " --enum-cap")
+    _leaf(modes, "compare", "greedy against exhaustive per stage", _PLAN_FLAGS + " --enum-cap")
 
-    p_submod = sub.add_parser("submod", help="diminishing-returns audit")
-    p_submod.add_argument("action", choices=["audit", "count"])
-    _add_common(p_submod)
-    p_submod.add_argument("--nu", help="protected base set (default: observable core)")
-    p_submod.add_argument("--a-size", type=int, help="|A| (default omega-2)")
-    p_submod.add_argument("--b-size", type=int, help="|B| (default omega-1)")
-    p_submod.add_argument("--counterexamples", type=int, default=100,
-                          help="max counterexample records retained")
+    submod = sub.add_parser("submod", help="diminishing-returns audit")
+    actions = submod.add_subparsers(dest="action", required=True)
+    _leaf(actions, "audit", "classify every (A, B, s) triple",
+          _SCORE_FLAGS + " --tol --parallel --nu --a-size --b-size --counterexamples")
+    _leaf(actions, "count", "count the triples, scoring none",
+          "--case --format --channel-limit --nu --a-size --b-size")
 
-    p_knap = sub.add_parser("knapsack", help="sequential-investment demo")
-    p_knap.add_argument("action", choices=["demo"])
-    _add_common(p_knap)
-    p_knap.add_argument("--values", help="comma-separated item values")
-    p_knap.add_argument("--weights", help="comma-separated item weights")
+    knapsack = sub.add_parser("knapsack", help="sequential-investment demo")
+    demos = knapsack.add_subparsers(dest="action", required=True)
+    _leaf(demos, "demo", "re-optimized against greedy budget sweeps", "--values --weights")
 
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    if not (0 < args.sigma_v < math.inf and 0 < args.sigma_i < math.inf):
+def _check_flags(args) -> None:
+    """Reject the values of the command's flags that it cannot use, before
+    any case is read."""
+    flags = vars(args)
+    if "sigma_v" in flags and not (0 < args.sigma_v < math.inf and 0 < args.sigma_i < math.inf):
         raise ValueError("standard deviations must be finite and positive")
-    if not 0 <= args.tol < math.inf:
+    if "tol" in flags and not 0 <= args.tol < math.inf:
         raise ValueError("tolerance must be nonnegative and finite")
-    if args.enum_cap is not None and args.enum_cap < 1:
+    if flags.get("enum_cap") is not None and args.enum_cap < 1:
         raise ValueError("enumeration cap must be positive")
-    if args.channel_limit < 1:
+    if flags.get("channel_limit", 1) < 1:
         raise ValueError("channel limit must be positive")
-    if args.parallel < 0:
+    if flags.get("parallel", 0) < 0:
         raise ValueError("parallel degree must be nonnegative")
-    if getattr(args, "counterexamples", 0) < 0:
+    if flags.get("counterexamples", 0) < 0:
         raise ValueError(f"--counterexamples must be nonnegative, got {args.counterexamples}")
     _check_output(args.output)
-    return RunConfig(
-        case=_load_case(args.case, args.format),
-        scope=StateScope.FULL if args.scope == "full" else StateScope.PMU,
-        dedupe=args.dedupe,
-        sigma_v=args.sigma_v,
-        sigma_i=args.sigma_i,
-        tol=args.tol,
-        enum_cap=args.enum_cap,
-        parallel=args.parallel,
-        out=args.out,
-        output=args.output,
-        flat=args.flat_branch_model,
-        channel_limit=args.channel_limit,
-    )
 
 
 def _check_output(output: str) -> None:
@@ -723,10 +715,10 @@ def main(argv=None) -> int:
         return int(exit_call.code or 0)
 
     try:
-        config = _config_from_args(args)
+        _check_flags(args)
         command = {"case": _cmd_case_info, "metrics": _cmd_metrics, "plan": _cmd_plan,
                    "submod": _cmd_submod, "knapsack": _cmd_knapsack}[args.command]
-        text = command(args, config)
+        text = command(args)
     except _loaded("planner.EnumerationCapError", "knapsack.ItemLimitError") as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_COMBINATORIAL
@@ -739,11 +731,11 @@ def main(argv=None) -> int:
     except (CaseFormatError, ChannelLimitError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if config.output in ("", "-"):
+    if args.output in ("", "-"):
         print(text)
         return EXIT_OK
     try:
-        Path(config.output).write_text(text + "\n")
+        Path(args.output).write_text(text + "\n")
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -139,10 +140,30 @@ def test_submod_audit_json_records(capsys):
     assert first["margin"] <= -1e-9
 
 
-def test_submod_size_ordering_is_usage_error(capsys):
-    code, _, err = run(capsys, "submod", "audit", "--a-size", "13", "--b-size", "12")
-    assert code == 2
-    assert "size ordering" in err
+# each names the flag the user typed and the bound it broke
+SIZE_ERRORS = {
+    "submod count --a-size 13 --b-size 12":
+        "--b-size must be in 13..13 (--a-size to omega-1), got 12",
+    "submod audit --a-size 13 --b-size 12":
+        "--b-size must be in 13..13 (--a-size to omega-1), got 12",
+    "submod count --a-size -3 --b-size 2":
+        "--a-size must be in 4..13 (|nu| to omega-1), got -3",
+    "submod count --a-size 14":
+        "--a-size must be in 4..13 (|nu| to omega-1), got 14",
+    "submod count --nu 2,6 --a-size 1":
+        "--a-size must be in 2..13 (|nu| to omega-1), got 1",
+    "submod audit --a-size 6 --b-size 14":
+        "--b-size must be in 6..13 (--a-size to omega-1), got 14",
+    "plan budget --stages 0":
+        "--stages must be in 1..10 (buses outside the base), got 0",
+    "plan budget --nu 2,6 --stages 13":
+        "--stages must be in 1..12 (buses outside the base), got 13",
+}
+
+
+@pytest.mark.parametrize("argv", SIZE_ERRORS)
+def test_size_and_stage_errors_name_the_flag(capsys, argv):
+    assert run(capsys, *argv.split()) == (2, "", f"error: {SIZE_ERRORS[argv]}\n")
 
 
 def test_submod_parallel_matches_serial(capsys):
@@ -458,24 +479,51 @@ def test_largest_finite_tolerance_prints_strict_json(capsys):
     assert json.loads(out, parse_constant=_not_json)["tol"] == sys.float_info.max
 
 
-# the noise flags move only `metrics`, but every command validates them
+# only `metrics` takes the noise flags; the other commands reject them
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("flag", ["--sigma-v", "--sigma-i"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["case", "info"],
-        ["metrics", "--nu", "2,6,7,9"],
-        ["plan", "greedy", "--stages", "2"],
-        ["submod", "audit", "--parallel", "1"],
-        ["knapsack", "demo"],
-    ],
-    ids=" ".join,
-)
-def test_bad_sigma_is_usage_error_on_every_command(capsys, argv, flag, value):
-    code, out, err = run(capsys, *argv, f"{flag}={value}")
+def test_bad_sigma_is_usage_error(capsys, flag, value):
+    code, out, err = run(capsys, "metrics", "--nu", "2,6,7,9", f"{flag}={value}")
     assert (code, out) == (2, "")
     assert err == "error: standard deviations must be finite and positive\n"
+
+
+# every leaf command and the flags it takes (besides -h)
+LEAF_FLAGS = {
+    "case info": "--case --format --out --output",
+    "metrics": "--case --format --scope --dedupe --channel-limit --sigma-v --sigma-i "
+               "--flat-branch-model --nu --out --output",
+    "plan greedy": "--case --format --scope --dedupe --channel-limit --tol --nu --stages "
+                   "--out --output",
+    "plan budget": "--case --format --scope --dedupe --channel-limit --tol --nu --stages "
+                   "--enum-cap --out --output",
+    "plan compare": "--case --format --scope --dedupe --channel-limit --tol --nu --stages "
+                    "--enum-cap --out --output",
+    "submod audit": "--case --format --scope --dedupe --channel-limit --tol --parallel --nu "
+                    "--a-size --b-size --counterexamples --out --output",
+    "submod count": "--case --format --channel-limit --nu --a-size --b-size --out --output",
+    "knapsack demo": "--values --weights --out --output",
+}
+# the flags every command took before each took only its own, with a valid value each
+OLD_COMMON = {"--case": "ieee14", "--format": "json", "--scope": "full", "--dedupe": "per-end",
+              "--sigma-v": "2", "--sigma-i": "2", "--tol": "0.1", "--enum-cap": "5",
+              "--parallel": "1", "--out": "json", "--output": "-",
+              "--flat-branch-model": None, "--channel-limit": "8"}
+# the required flags of each leaf
+REQUIRED = {"metrics": ["--nu", "2,6,7,9"], "plan": ["--stages", "2"]}
+
+
+@pytest.mark.parametrize("leaf", LEAF_FLAGS)
+def test_each_command_takes_only_its_flags(capsys, leaf):
+    code, out, err = run(capsys, *leaf.split(), "--help")
+    assert (code, err) == (0, "")
+    assert sorted(re.findall(r"^  (--[a-z-]+)", out, re.M)) == sorted(LEAF_FLAGS[leaf].split())
+    argv = [*leaf.split(), *REQUIRED.get(leaf.split()[0], [])]
+    for flag, value in OLD_COMMON.items():
+        if flag not in LEAF_FLAGS[leaf].split():
+            code, out, err = run(capsys, *argv, flag, *([value] if value else []))
+            assert (code, out) == (2, ""), flag
+            assert "unrecognized arguments: " + flag in err
 
 
 @pytest.mark.parametrize("values, weights", [("nan,1", "1,1"), ("1,1", "inf,1"),

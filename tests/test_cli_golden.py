@@ -2,11 +2,13 @@
 of commands against ``tests/golden/cli.json``.
 
 The set covers the README block in every output format plus its variants
-(full scope, per-end, noise and branch-model flags, ieee118, a serial and a
-sharded audit, a three-stage ieee118 comparison whose exhaustive stages walk
-thousands of prefixes) and the exit 2, 3 and 4 paths. Audits pin ``--parallel``,
-since the default shards over every core and names their count on stderr.
-argparse's own errors stay out: their wording moves between Python versions.
+(full scope, per-end, the noise and branch-model flags of ``metrics``,
+ieee118, a serial and a sharded audit, a three-stage ieee118 comparison whose
+exhaustive stages walk thousands of prefixes) and the exit 2, 3 and 4 paths.
+Most audits pin ``--parallel``: ``--parallel 2`` shards and names its worker
+count on stderr. Every pinned audit is below ``AUTO_POOL_MIN_TRIPLES``, so the
+default, ``--parallel 0``, runs it serially. argparse's own errors stay out:
+their wording moves between Python versions.
 
 To regenerate after a deliberate change of output, from the repo root:
 
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import pmuplan.cli
 from pmuplan.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
@@ -47,7 +50,6 @@ COMMANDS = [
     "plan compare --nu 2,6,7,9 --stages 10 --scope full",
     "plan compare --nu 2,6,7,9 --stages 10 --dedupe per-end --out csv",
     "plan greedy --stages 3",
-    "plan greedy --nu 2,6,7,9 --stages 4 --sigma-v 0.5 --sigma-i 3 --flat-branch-model",
     "plan greedy --case ieee118 --channel-limit 16 --stages 5 --out json",
     "plan compare --case ieee118 --channel-limit 16 --stages 2",
     "plan compare --case ieee118 --channel-limit 16 --stages 3 --out json",
@@ -56,7 +58,6 @@ COMMANDS = [
     _AUDIT + " --parallel 1 --out json --counterexamples 3",
     _AUDIT + " --parallel 1 --scope full",
     _AUDIT + " --parallel 2 --dedupe per-end",
-    _AUDIT + " --parallel 2 --sigma-v 2 --flat-branch-model --out json",
     "submod audit --a-size 6 --b-size 8 --parallel 1",
     "submod audit --a-size 6 --b-size 8 --parallel 2 --out csv",
     "submod audit --case ieee118 --channel-limit 16 --parallel 1",
@@ -110,6 +111,16 @@ def test_cli_output_is_byte_identical(golden, command):
     assert result == golden[command]
     if "--out json" in command and result["exit"] == 0:
         json.loads(result["stdout"], parse_constant=_reject)  # no NaN or Infinity
+
+
+@pytest.mark.parametrize("command", ["knapsack demo --out md",
+                                     "knapsack demo --values 3,1,4 --weights 2,1,3"])
+def test_knapsack_demo_reads_no_case(golden, monkeypatch, command):
+    def load_case(args):
+        raise AssertionError("knapsack demo read a case")
+
+    monkeypatch.setattr(pmuplan.cli, "_load_case", load_case)
+    assert run(command) == golden[command]
 
 
 if __name__ == "__main__":
