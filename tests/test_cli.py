@@ -479,13 +479,28 @@ def test_largest_finite_tolerance_prints_strict_json(capsys):
     assert json.loads(out, parse_constant=_not_json)["tol"] == sys.float_info.max
 
 
-# only `metrics` takes the noise flags; the other commands reject them
+# only `metrics` takes the noise flags and validates them; the other commands
+# reject them as flags they do not take
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
 @pytest.mark.parametrize("flag", ["--sigma-v", "--sigma-i"])
-def test_bad_sigma_is_usage_error(capsys, flag, value):
-    code, out, err = run(capsys, "metrics", "--nu", "2,6,7,9", f"{flag}={value}")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["case", "info"],
+        ["metrics", "--nu", "2,6,7,9"],
+        ["plan", "greedy", "--stages", "2"],
+        ["submod", "audit", "--parallel", "1"],
+        ["knapsack", "demo"],
+    ],
+    ids=" ".join,
+)
+def test_bad_sigma_is_usage_error_on_every_command(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
     assert (code, out) == (2, "")
-    assert err == "error: standard deviations must be finite and positive\n"
+    if argv[0] == "metrics":
+        assert err == "error: standard deviations must be finite and positive\n"
+    else:
+        assert f"unrecognized arguments: {flag}={value}\n" in err
 
 
 # every leaf command and the flags it takes (besides -h)
