@@ -137,7 +137,14 @@ def _resolve_nu(args, case: NetworkCase) -> list[int]:
 
 
 def _check_range(flag: str, value: int, lo: int, hi: int, bounds: str) -> None:
-    """``value`` of ``flag`` lies in ``lo..hi``, the ``bounds`` the message names."""
+    """``value`` of ``flag`` lies in ``lo..hi``, the ``bounds`` the message names.
+
+    Every range is empty only when the base holds every bus of the case,
+    and the message says so rather than print the empty range.
+    """
+    if lo > hi:
+        raise ValueError(f"{flag} has no valid value, got {value}: the base "
+                         f"leaves no bus outside it")
     if not lo <= value <= hi:
         raise ValueError(f"{flag} must be in {lo}..{hi} ({bounds}), got {value}")
 
@@ -155,7 +162,10 @@ def _require_hostable_case(case: NetworkCase, channel_limit: int, what: str) -> 
 
 
 def _fmt_metric(x: float) -> str:
-    return f"{x:.4f}"
+    """``x`` to four decimals; a value that rounds to zero prints as
+    ``0.0000``, never ``-0.0000``."""
+    text = f"{x:.4f}"
+    return "0.0000" if text == "-0.0000" else text
 
 
 def _fmt_num(x: float) -> str:
@@ -254,6 +264,8 @@ def _cmd_plan(args) -> str:
     case = _load_case(args)
     _require_hostable_case(case, args.channel_limit, "planning")
     nu = _resolve_nu(args, case)
+    _check_range("--stages", args.stages, 0 if args.mode == "greedy" else 1,
+                 len(case.bus_ids) - len(nu), "buses outside the base")
     metric = _make_metric(case, args)
     name = case.name
 
@@ -270,8 +282,6 @@ def _cmd_plan(args) -> str:
         title = f"greedy plan on {name}, base {list(plan.base)}"
 
     elif args.mode == "budget":
-        _check_range("--stages", args.stages, 1, len(case.bus_ids) - len(nu),
-                     "buses outside the base")
         result = budget_constrained_plan(
             case, nu, metric, args.stages,
             enum_cap=args.enum_cap or DEFAULT_ENUM_CAP, tie_tol=args.tol,

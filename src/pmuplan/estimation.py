@@ -33,29 +33,30 @@ than br(Q)/|Q|; in full-state scope every added bus raises it, since m
 grows with each new voltage phasor and newly metered branch while 2N stays
 fixed.
 
-The planners score placements that differ from a known one by a bus or a
-few. The set function :func:`metric_function` returns therefore carries an
-incremental scorer wherever every bus of the case can host a PMU: it ORs a
-base's masks out of :attr:`~pmuplan.network.NetworkCase.incidence` once,
-and each call ORs the buses a stage or prefix adds once, then scores a
-batch of candidate buses at one OR and one popcount each. Where some bus
-cannot host, there is no scorer and the planners call the set function.
-The audit always calls the set function, keeping its values in the score
-table f carries.
+Every count comes from one accumulator in :mod:`pmuplan.measurements`. It
+ORs the :attr:`~pmuplan.network.NetworkCase.incidence` rows of a set of
+buses, the metered masks always and the closed-neighborhood masks only in
+full-state scope, and validates the buses as the channel list does. The
+count rule :func:`_counted_scores` turns counts into values, None where
+there is no score, and :func:`placement_metric` raises there. The set
+function :func:`metric_function` returns calls it; where every bus of the
+case can host a PMU, f also carries the planners' scorer, which ORs a base
+once and a stage's or prefix's added buses once per call, then scores each
+candidate bus at one OR and one popcount. The audit calls f, keeping its
+values in the score table f carries.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .measurements import (
     DEFAULT_CHANNEL_LIMIT,
     METERED_COLUMN,
     PmuPlacement,
     _busiest_over_limit,
-    metered_mask,
-    observability_check,
+    _union,
 )
 from .network import NetworkCase
 
@@ -112,13 +113,15 @@ def placement_metric(
         one. The null dimension is ``n - m`` when there are fewer channels
         than states, else twice the number of unobserved buses.
     """
-    metered = metered_mask(case, placement, dedupe).bit_count()
-    unobserved = None
-    if scope == StateScope.FULL:
-        unobserved = [len(observability_check(case, placement)[1])]
-    (value,), errors = _counted_scores(case, scope, len(placement.buses), [metered], unobserved)
-    if errors:
-        raise errors[0]
+    full = scope == StateScope.FULL
+    k, metered, observed = _union(case, placement.buses, dedupe, placement.channel_limit, full)
+    unobserved = len(case.buses) - observed.bit_count()
+    (value,) = _counted_scores(case, scope, k, [metered.bit_count()], [unobserved] if full else None)
+    if value is None:
+        m, n = 2 * k + 2 * metered.bit_count(), 2 * len(case.buses)
+        if not m:
+            raise ValueError("measurement set is empty")
+        raise UnobservableStateError(n - m if m < n else 2 * unobserved)
     return value
 
 
@@ -128,27 +131,20 @@ def _counted_scores(
     k: int,
     metered: list[int],
     unobserved: list[int] | None,
-) -> tuple[list[float | None], dict[int, Exception]]:
-    """placement_metric's count for placements of ``k`` PMUs, one per entry
-    of ``metered``, the placement's metered branches (branch ends); in
-    full-state scope ``unobserved`` holds the matching numbers of
-    unobserved buses, and in pmu-state scope it is None.
-
-    Returns the values, None where placement_metric raises, and the
-    exceptions it raises there, by entry.
+) -> list[float | None]:
+    """The count rule: placement_metric's values ``(m - n) / m`` for
+    placements of ``k`` PMUs, one per entry of ``metered``, the placement's
+    metered branches (branch ends); in full-state scope ``unobserved`` holds
+    the matching numbers of unobserved buses, and in pmu-state scope it is
+    None. A value is None where there is no score: the placement has no
+    channels, or leaves a bus unobserved.
     """
     n = 2 * len(case.buses) if scope == StateScope.FULL else 2 * k
     channels = [2 * k + 2 * count for count in metered]
     values = [(m - n) / m if m else None for m in channels]
-    errors: dict[int, Exception] = {}
-    if None in values or unobserved and any(unobserved):
-        for i, m in enumerate(channels):
-            if m == 0:
-                errors[i] = ValueError("measurement set is empty")
-            elif unobserved and unobserved[i]:
-                errors[i] = UnobservableStateError(n - m if m < n else 2 * unobserved[i])
-                values[i] = None
-    return values, errors
+    if unobserved:
+        values = [None if left else value for value, left in zip(values, unobserved)]
+    return values
 
 
 def metric_function(
@@ -175,14 +171,13 @@ def metric_function(
     least 1 and no bus has more incident branches than the limit. Otherwise
     the planners call f on every candidate, and f raises as it should.
     ``scorer(base)`` returns ``score(added, candidates)``: the list of f's
-    values on ``base`` plus the buses ``added`` plus each bus of
-    ``candidates`` in turn (all buses of the case, none listed twice across
-    the three), counted from each bus's row of
-    :attr:`~pmuplan.network.NetworkCase.incidence` (``closed_mask`` and the
-    column ``METERED_COLUMN[dedupe]``), with None where the placement is
-    unobservable in full-state scope, and f raises. A call ORs ``added``
-    onto the base's union once, then costs one OR and one popcount per
-    candidate.
+    values on ``base`` plus the buses ``added`` (a tuple or list) plus each
+    bus of ``candidates`` in turn (all buses of the case, none listed twice
+    across the three), with None where the placement is unobservable in
+    full-state scope, and f raises. The base is ORed once, as ``added`` is
+    once per call, by the accumulator placement_metric reads; each
+    candidate then costs one OR of its
+    :attr:`~pmuplan.network.NetworkCase.incidence` row and one popcount.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
 
@@ -192,34 +187,24 @@ def metric_function(
         return -value if gain else value
 
     f.scores, f.case, f.scorer = {}, case, None
-    index = case.incidence
     column = METERED_COLUMN.get(dedupe)
     if column is None or limit < 1 or _busiest_over_limit(case, limit) is not None:
         return f
     full = scope == StateScope.FULL
+    index = case.incidence
     everyone = (1 << len(index)) - 1
 
-    def scorer(base: Iterable[int]) -> Callable[[Iterable[int], list[int]], list]:
-        base = tuple(base)
-        union = observed = 0
-        for bus in base:
-            row = index[bus]
-            union |= row[column]
-            observed |= row[3]
+    def scorer(base: Iterable[int]) -> Callable[[Sequence[int], list[int]], list]:
+        start = _union(case, tuple(base), dedupe, limit, full)
 
-        def score(added: Iterable[int], candidates: list[int]) -> list[float | None]:
-            u, o, k = union, observed, len(base) + 1
-            for bus in added:
-                row = index[bus]
-                u |= row[column]
-                o |= row[3]
-                k += 1
+        def score(added: Sequence[int], candidates: list[int]) -> list[float | None]:
+            k, union, observed = _union(case, added, dedupe, limit, full, start)
             rows = [index[bus] for bus in candidates]
-            metered = [(u | row[column]).bit_count() for row in rows]
+            metered = [(union | row[column]).bit_count() for row in rows]
             unobserved = None
             if full:
-                unobserved = [(everyone ^ (o | row[3])).bit_count() for row in rows]
-            values = _counted_scores(case, scope, k, metered, unobserved)[0]
+                unobserved = [(everyone ^ (observed | row[3])).bit_count() for row in rows]
+            values = _counted_scores(case, scope, k + 1, metered, unobserved)
             if gain:
                 values = [None if value is None else -value for value in values]
             return values

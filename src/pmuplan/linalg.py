@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .estimation import StateScope, UnobservableStateError
-from .measurements import PmuPlacement, _check_limits, _metered_column
+from .measurements import PmuPlacement, _union
 from .network import Branch, NetworkCase
 
 __all__ = [
@@ -104,7 +104,8 @@ def enumerate_channels(
     """Expand a placement into its explicit channel list.
 
     Its length is the count :func:`~pmuplan.measurements.metered_mask`
-    gives, ``m = 2|Q| + 2 * popcount``.
+    gives, ``m = 2|Q| + 2 * popcount``, and it validates through the same
+    accumulator, so the two raise alike.
 
     Parameters
     ----------
@@ -119,11 +120,12 @@ def enumerate_channels(
 
     Raises
     ------
-    ChannelLimitError
+    ValueError
+        Unknown dedupe policy.
+    KeyError, ChannelLimitError
         Naming the first offending bus.
     """
-    _metered_column(dedupe)  # raises for an unknown policy
-    _check_limits(case, placement)
+    _union(case, placement.buses, dedupe, placement.channel_limit)
 
     channels: list[MeasurementChannel] = []
     # (min end, max end, branch position, metered bus) keeps parallel branches

@@ -8,16 +8,18 @@ are redundant; the default ``by-branch`` policy keeps a single pair, metered
 at the lower-numbered endpoint, while ``per-end`` keeps both.
 
 Every rule here reads :attr:`~pmuplan.network.NetworkCase.incidence`. A
-dedupe policy meters one of its mask columns, :data:`METERED_COLUMN`, and
-``m = 2|Q| + 2 * popcount`` of :func:`metered_mask`. The explicit, ordered
-channel list, which only the linear-algebra pipeline needs, is
-:func:`pmuplan.linalg.enumerate_channels`.
+dedupe policy meters one of its mask columns, :data:`METERED_COLUMN`. One
+accumulator, ``_union``, ORs the rows of a set of buses and validates them:
+the placement score, the planners' scorer, :func:`metered_mask` and the
+explicit, ordered channel list (:func:`pmuplan.linalg.enumerate_channels`,
+which only the linear-algebra pipeline needs) all read it, so each counts
+``m = 2|Q| + 2 * popcount`` and raises the same error for the same bus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .network import NetworkCase
 
@@ -34,6 +36,41 @@ DEFAULT_CHANNEL_LIMIT = 8
 # the incidence column a PMU meters under each dedupe policy:
 # branch_mask (one bit per branch) or end_mask (one bit per branch end)
 METERED_COLUMN = {"by-branch": 2, "per-end": 4}
+
+
+def _union(case: NetworkCase, buses: Sequence[int], dedupe: str, limit: int,
+           closed: bool = False, start: tuple[int, int, int] = (0, 0, 0)) -> tuple[int, int, int]:
+    """OR the incidence rows of ``buses``, a tuple or list, onto ``start``.
+
+    Returns ``(k, metered, observed)``: start's k plus the number of buses,
+    start's metered mask ORed with their ``METERED_COLUMN[dedupe]`` masks,
+    and start's observed mask, ORed with their closed masks only when
+    ``closed``. The exact counts are popcounts: the metered branches (branch
+    ends) and, of the case's N buses, N minus the observed ones.
+
+    Raises ValueError for an unknown dedupe policy, and KeyError or
+    ChannelLimitError for a bus not in the case or over ``limit``, naming
+    the first such bus by id.
+    """
+    column = METERED_COLUMN.get(dedupe)
+    if column is None:
+        raise ValueError(f"unknown dedupe policy {dedupe!r}")
+    index = case.incidence
+    k, metered, observed = start
+    for bus in buses:
+        row = index.get(bus)
+        if row is None or row[1] > limit:
+            for bad in sorted(buses):
+                row = index.get(bad)
+                if row is None:
+                    raise KeyError(f"placement bus {bad} not in case {case.name!r}")
+                if row[1] > limit:
+                    raise ChannelLimitError(bad, row[1], limit)
+        metered |= row[column]
+    if closed:
+        for bus in buses:
+            observed |= index[bus][3]
+    return k + len(buses), metered, observed
 
 
 class ChannelLimitError(ValueError):
@@ -73,24 +110,6 @@ class PmuPlacement:
         return len(self.buses)
 
 
-def _check_limits(case: NetworkCase, placement: PmuPlacement) -> None:
-    """Validate every placement bus in sorted order; raise for the first bad one."""
-    for bus in placement.buses:
-        try:
-            branches = case.incident_branches(bus)
-        except KeyError:
-            raise KeyError(f"placement bus {bus} not in case {case.name!r}") from None
-        if len(branches) > placement.channel_limit:
-            raise ChannelLimitError(bus, len(branches), placement.channel_limit)
-
-
-def _metered_column(dedupe: str) -> int:
-    column = METERED_COLUMN.get(dedupe)
-    if column is None:
-        raise ValueError(f"unknown dedupe policy {dedupe!r}")
-    return column
-
-
 def _busiest_over_limit(case: NetworkCase, channel_limit: int) -> int | None:
     """The first bus of the most incident branches, if they are more than
     ``channel_limit``; None when every bus of the case can host a PMU."""
@@ -105,20 +124,10 @@ def metered_mask(case: NetworkCase, placement: PmuPlacement, dedupe: str = "by-b
     :attr:`~pmuplan.network.NetworkCase.incidence` rows that ``dedupe``
     selects: one bit per metered branch (``by-branch``) or branch end
     (``per-end``). The channel count is ``m = 2|Q| + 2 * popcount``, the
-    length of :func:`~pmuplan.linalg.enumerate_channels`' list. Validates
-    exactly what that function validates, with the same error for the same
-    first offending bus.
+    length of :func:`~pmuplan.linalg.enumerate_channels`' list, which
+    raises the same error for the same first offending bus.
     """
-    column = _metered_column(dedupe)
-    index = case.incidence
-    limit = placement.channel_limit
-    metered = 0
-    for bus in placement.buses:
-        row = index.get(bus)
-        if row is None or row[1] > limit:
-            _check_limits(case, placement)  # raises, naming this same bus
-        metered |= row[column]
-    return metered
+    return _union(case, placement.buses, dedupe, placement.channel_limit)[1]
 
 
 def observability_check(case: NetworkCase, placement: PmuPlacement) -> tuple[bool, list[int]]:

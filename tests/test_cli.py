@@ -61,6 +61,19 @@ def test_metrics_csv_round_trip(capsys):
     assert float(rows[0]["average"]) == pytest.approx(0.7273, abs=1e-3)
 
 
+def test_metrics_never_prints_negative_zero(capsys):
+    # in full scope one diagonal of S is exactly 0; the SVD leaves a residue
+    # of either sign, and md and csv print it as 0.0000, json as the raw float
+    for out in ("md", "csv"):
+        code, text, _ = run(capsys, "metrics", "--nu", "2,6,7,9", "--scope", "full", "--out", out)
+        assert code == 0
+        assert "0.0000" in text and "-0.0000" not in text
+    code, text, _ = run(capsys, "metrics", "--nu", "2,6,7,9", "--scope", "full", "--out", "json")
+    assert code == 0 and abs(json.loads(text)["min"]) < 1e-12
+    assert [pmuplan.cli._fmt_metric(x) for x in (-8.9e-16, -0.0, -4e-5, -6e-5, 0.25)] == [
+        "0.0000", "0.0000", "0.0000", "-0.0001", "0.2500"]
+
+
 def test_metrics_without_placement_is_usage_error(capsys):
     code, _, err = run(capsys, "metrics", "--nu", "")
     assert code == 2
@@ -140,6 +153,8 @@ def test_submod_audit_json_records(capsys):
     assert first["margin"] <= -1e-9
 
 
+_EVERY_IEEE14_BUS = ",".join(str(bus) for bus in range(1, 15))
+
 # each names the flag the user typed and the bound it broke
 SIZE_ERRORS = {
     "submod count --a-size 13 --b-size 12":
@@ -158,6 +173,23 @@ SIZE_ERRORS = {
         "--stages must be in 1..10 (buses outside the base), got 0",
     "plan budget --nu 2,6 --stages 13":
         "--stages must be in 1..12 (buses outside the base), got 13",
+    "plan greedy --stages 11":
+        "--stages must be in 0..10 (buses outside the base), got 11",
+    "plan greedy --nu 2,6 --stages -1":
+        "--stages must be in 0..12 (buses outside the base), got -1",
+    "plan compare --stages 11":
+        "--stages must be in 1..10 (buses outside the base), got 11",
+    "plan compare --stages 0":
+        "--stages must be in 1..10 (buses outside the base), got 0",
+    # a base of every bus leaves no range to print
+    f"plan compare --nu {_EVERY_IEEE14_BUS} --stages 1":
+        "--stages has no valid value, got 1: the base leaves no bus outside it",
+    f"plan budget --nu {_EVERY_IEEE14_BUS} --stages 1":
+        "--stages has no valid value, got 1: the base leaves no bus outside it",
+    f"submod audit --nu {_EVERY_IEEE14_BUS}":
+        "--a-size has no valid value, got 12: the base leaves no bus outside it",
+    f"submod count --nu {_EVERY_IEEE14_BUS} --a-size 14":
+        "--a-size has no valid value, got 14: the base leaves no bus outside it",
 }
 
 

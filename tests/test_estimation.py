@@ -271,7 +271,12 @@ def test_counting_score_matches_svd_pipeline(ieee14, ieee118, data):
             placement_metric(case, placement, **kw)
         assert err.value.null_dimension == null_dimension
     else:
-        assert abs(placement_metric(case, placement, **kw) - expected) <= 1e-12
+        value = placement_metric(case, placement, **kw)
+        assert abs(value - expected) <= 1e-12
+        # and the count is exactly (m - n) / m of the pipeline's own m and n
+        mset = enumerate_channels(case, placement, dedupe=kw["dedupe"])
+        m, n = len(mset), build_jacobian(case, mset, scope=kw["scope"]).n
+        assert value == float(Fraction(m - n, m))
 
 
 def test_counting_score_is_the_exact_rational(ieee14, ieee118):

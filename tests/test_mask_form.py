@@ -267,6 +267,18 @@ def test_scorer_values_equal_the_frozenset_values(ieee14, scope, dedupe, channel
 
 
 @pytest.mark.parametrize("scope", list(StateScope))
+def test_scorer_names_the_first_unknown_bus_by_id(ieee14, scope):
+    """The base and ``added`` are validated as a placement is, whatever
+    their order: the error names the smallest unknown id."""
+    metric = metric_function(ieee14, scope=scope)
+    with pytest.raises(KeyError, match="placement bus 98 not in case"):
+        metric.scorer([99, 2, 98])
+    score = metric.scorer([2, 6])
+    with pytest.raises(KeyError, match="placement bus 97 not in case"):
+        score([99, 7, 97], [9])
+
+
+@pytest.mark.parametrize("scope", list(StateScope))
 @pytest.mark.parametrize("dedupe", ["by-branch", "per-end", "bogus"])
 @pytest.mark.parametrize("channel_limit", [None, 5, 4, 1, 0])
 def test_scorer_is_none_exactly_where_a_bus_cannot_host(ieee14, scope, dedupe, channel_limit):
