@@ -528,8 +528,8 @@ def _parse_numbers(flag: str, raw: str) -> tuple[float, ...]:
 def _cmd_knapsack(args) -> str:
     from .knapsack import KnapsackInstance, budget_sweep, example_instance
 
-    if args.values or args.weights:
-        if not (args.values and args.weights):
+    if args.values is not None or args.weights is not None:
+        if args.values is None or args.weights is None:
             raise ValueError("custom instances need both --values and --weights")
         instance = KnapsackInstance(values=_parse_numbers("--values", args.values),
                                     weights=_parse_numbers("--weights", args.weights))

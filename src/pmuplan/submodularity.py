@@ -28,6 +28,10 @@ counterexamples it keeps.
 Its cost follows the bits that change, not the bus count: a set of buses
 is decoded only for a cache miss or a kept record, and then from the
 nearest set already decoded (the last A, the last B or nu).
+Over a warm table, as when one metric serves many audits, a block whose
+values are all cached is tallied from two rows of differences: A's gains
+f(A+s) - f(A), built once per A, and B's drops f(B+s) - f(B), kept for
+the call and reused by every A under B.
 """
 
 from __future__ import annotations
@@ -297,7 +301,9 @@ def audit(
     the audit keeps. Placements are evaluated lazily in classify_triple's
     order, f(A), f(A+s), f(B), f(B+s), so on a metric failure the audit
     aborts with the same offending triple and placement, and the tally
-    accumulated so far attached.
+    accumulated so far attached. A block tallied from rows (below) needs
+    no metric call; every block that may call the metric runs the
+    per-triple loop, in that order.
 
     The walk is three nested loops in the order of enumerate_triples. For
     each A it lists ``rest``, the bits of the buses outside A, once; each B
@@ -318,6 +324,26 @@ def audit(
     the fewest bits, by removing and adding the buses of those bits. A+s
     and B+s are that set plus one bus. Records of one block share the
     sorted id tuples of its A and B.
+
+    When the table already holds f(A) and f(A+s) for every s of ``rest``,
+    as when one metric serves a sweep of audits, the A gets a gain row
+    ``{s: f(A+s) - f(A)}``, built once at its start. A block under it is
+    then tallied from that row and B's drop row ``[(s, f(B+s) - f(B))]``
+    over B's probes, ``margin = gain - drop``: the same subtractions in
+    the same order as the per-triple loop, so the floats and the verdicts
+    are identical. A reused drop row looks up no value and skips no bit
+    of B, the block advances the triple count once, and a kept record
+    takes B's sorted ids as A's merged with the block's extra buses. A
+    block runs the per-triple loop instead when its A has no gain row,
+    when B was first met with a value unscored, or when it holds the
+    ``start`` offset, a progress checkpoint or ``stop``; so a cold audit
+    pays one comparison per block. Where a B lies under more than one A
+    (|nu| < |A| < |B|), the call keeps B's drop row, or an empty marker
+    if B was first met with a value unscored, keyed by B's mask, for the
+    C(|B| - |nu|, |A| - |nu|) A's under it. Only B's met under an A with
+    a gain row get an entry, so a cold audit keeps none, and a warm one
+    at most one per B: C(|omega| - |nu|, |B| - |nu|) rows of
+    ``|omega| - |B|`` pairs.
     """
     bits = case.position_bits  # bus id -> position bit, ascending ids
     nu_ids = frozenset(nu)
@@ -387,14 +413,42 @@ def audit(
             raise MetricEvaluationError(triple(a, b, s), placement) from exc
         return value
 
+    def record(a: int, b: int, s: int, f_a: float, f_a_s: float, f_b: float,
+               f_b_s: float) -> MarginRecord:
+        """A kept counterexample, its differences taken as the loops take them."""
+        lhs = f_a_s - f_a
+        rhs = f_b_s - f_b
+        return MarginRecord(triple=triple(a, b, s), f_a=f_a, f_a_s=f_a_s, f_b=f_b,
+                            f_b_s=f_b_s, lhs=lhs, rhs=rhs, margin=lhs - rhs,
+                            verdict=MarginClass.SUPERMODULAR)
+
+    def drop_row(b: int, rest: list[int]) -> list[tuple[int, float]]:
+        """[(s, f(B+s) - f(B))] over B's probes, or [] if a value is unscored."""
+        f_b = lookup(b)
+        if f_b is None:
+            return []
+        row = []
+        for s in rest:
+            if not s & b:
+                f_b_s = lookup(b | s)
+                if f_b_s is None:
+                    return []
+                row.append((s, f_b_s - f_b))
+        return row
+
     lookup = cache.get
     submod = supermod = ties = processed = 0
     counterexamples: list[MarginRecord] = []
     a_extra, b_extra = a_size - len(nu_ids), b_size - a_size
     free = [bits[bus] for bus in sorted(ids_in(((1 << len(bits)) - 1) ^ nu_mask))]
-    block, offset = divmod(first, len(bits) - b_size)
+    width = len(bits) - b_size  # probes per block
+    block, offset = divmod(first, width)
     skip_a, skip_b = divmod(block, comb(len(free) - a_extra, b_extra))
     checkpoint = min(PROGRESS_INTERVAL, planned) if progress is not None else planned
+    # B's mask -> its drop row, or [] if B was first met with a value unscored;
+    # kept only where a B lies under more than one A
+    rows: dict[int, list[tuple[int, float]]] = {}
+    recurs = a_extra > 0 and b_extra > 0
     try:
         for extra_a in itertools.islice(itertools.combinations(free, a_extra), skip_a, None):
             if processed >= planned:  # also ends an empty slice, which meets no checkpoint
@@ -402,8 +456,36 @@ def audit(
             a = nu_mask + sum(extra_a)
             rest = [bit for bit in free if not bit & a]
             f_a = lookup(a)
+            gains = None  # {s: f(A+s) - f(A)} over rest, once A's values are all scored
+            if f_a is not None:
+                lifted = [lookup(a | s) for s in rest]
+                if None not in lifted:
+                    gains = {s: f_a_s - f_a for s, f_a_s in zip(rest, lifted)}
             for extra_b in itertools.islice(itertools.combinations(rest, b_extra), skip_b, None):
                 b = a + sum(extra_b)
+                if gains is not None and not offset and processed + width < checkpoint:
+                    row = rows.get(b)
+                    if row is None:
+                        row = drop_row(b, rest)
+                        if recurs:
+                            rows[b] = row
+                    if row:
+                        for s, rhs in row:
+                            margin = gains[s] - rhs
+                            if margin >= tol:
+                                submod += 1
+                            elif margin <= -tol:
+                                supermod += 1
+                                if len(counterexamples) < counterexample_cap:
+                                    if named[1][0] != b:  # A's ids and the block's extras
+                                        b_ids = sorted_ids(a, 0) + tuple(ids_in(b - a))
+                                        named[1] = (b, tuple(sorted(b_ids)))
+                                    counterexamples.append(record(
+                                        a, b, s, f_a, lookup(a | s), lookup(b), lookup(b | s)))
+                            else:
+                                ties += 1
+                        processed += width
+                        continue
                 probes = rest
                 if offset:
                     probes = [bit for bit in rest if not bit & b][offset:]
@@ -434,19 +516,7 @@ def audit(
                     elif margin <= -tol:
                         supermod += 1
                         if len(counterexamples) < counterexample_cap:
-                            counterexamples.append(
-                                MarginRecord(
-                                    triple=triple(a, b, s),
-                                    f_a=f_a,
-                                    f_a_s=f_a_s,
-                                    f_b=f_b,
-                                    f_b_s=f_b_s,
-                                    lhs=lhs,
-                                    rhs=rhs,
-                                    margin=margin,
-                                    verdict=MarginClass.SUPERMODULAR,
-                                )
-                            )
+                            counterexamples.append(record(a, b, s, f_a, f_a_s, f_b, f_b_s))
                     else:
                         ties += 1
                     processed += 1

@@ -614,6 +614,17 @@ def test_knapsack_bad_number_names_flag_and_token(capsys, flag, raw, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--values="], "custom instances need both --values and --weights"),
+    (["--weights="], "custom instances need both --values and --weights"),
+    (["--values=", "--weights="], "--values : token 1 must be a number, got ''"),
+])
+def test_knapsack_empty_numbers_are_not_the_demo_instance(capsys, argv, message):
+    code, out, err = run(capsys, "knapsack", "demo", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_negative_counterexample_cap_is_a_usage_error(capsys):
     code, out, err = run(capsys, "submod", "audit", "--counterexamples=-1")
     assert (code, out) == (2, "")

@@ -314,19 +314,32 @@ def test_audit_matches_the_per_triple_reference(setup, gain, tol, cap, interval,
         expected = _outcome(lambda: _reference_audit(
             case, _recording(metric, ref_calls, poison), *args,
             progress=lambda *point: ref_points.append(point), interval=interval))
-        # a short interval puts several progress points inside a drawn slice
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(submodularity, "PROGRESS_INTERVAL", interval)
-            got = _outcome(lambda: audit(
-                case, _recording(metric, calls, poison), nu, a_size, b_size, tol=tol,
-                counterexample_cap=cap, start=start, stop=stop,
-                progress=lambda *point: points.append(point)))
-        assert got == expected
+        recorded = _recording(metric, calls, poison)
+        recorded.scores, recorded.case = {}, case  # a table both runs below share
+
+        def run():
+            calls.clear()
+            points.clear()
+            # a short interval puts several progress points inside a drawn slice
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(submodularity, "PROGRESS_INTERVAL", interval)
+                got = _outcome(lambda: audit(
+                    case, recorded, nu, a_size, b_size, tol=tol, counterexample_cap=cap,
+                    start=start, stop=stop, progress=lambda *point: points.append(point)))
+            assert got == expected
+            assert points == ref_points
+
+        run()
         # the same placements, once each, in classify_triple's lazy order
         assert calls == ref_calls
         assert len(set(calls)) == len(calls)
-        assert points == ref_points
-        return calls
+        scored = list(calls)
+        # again over the warm table, where blocks whose values are all scored
+        # tally from rows; a failing placement was never stored, so it fails again
+        run()
+        failed = [expected[4]] if isinstance(expected, tuple) else []  # the aborting placement
+        assert calls == failed
+        return scored
 
     placements = runs()
     if placements:
