@@ -52,10 +52,9 @@ EXIT_NUMERIC = 3
 EXIT_COMBINATORIAL = 4
 
 # Under --parallel 0 an audit of fewer triples than this runs serially: on
-# ieee118 audits timed on a 2-vCPU host, forking a pool and merging its
-# shards cost more than the second worker saved up to 35,904 triples, and
-# less from 39,270 on.
-AUTO_POOL_MIN_TRIPLES = 36_000
+# ieee118 audits timed on a 2-vCPU host, serial and --parallel 2 ran level
+# from about 33,000 to 47,000 triples and the pool won from 50,616 on.
+AUTO_POOL_MIN_TRIPLES = 45_000
 
 # observable core of the bundled ieee14 case, its default base when --nu is omitted
 FALLBACK_NU = (2, 6, 7, 9)

@@ -105,7 +105,9 @@ class NetworkCase:
     position bit of the bus and of every neighbor, and ``end_mask`` sets
     bit 2i where the bus is branch i's from end and 2i + 1 where it is the
     to end. Scoring a placement is then one OR over its buses' masks and
-    one popcount, with no per-branch work. Masks of position bits list
+    one popcount, with no per-branch work; the set of bus ids and the
+    largest degree, kept privately, let the count accumulator read a large
+    placement from the buses outside it. Masks of position bits list
     their buses in id order by a walk of :attr:`position_bits`; a single set
     bit decodes to its bus as ``buses[bit.bit_length() - 1]``.
     """
@@ -141,6 +143,8 @@ class NetworkCase:
             bus: (tuple(ix), len(ix), sum(1 << i for i in ix), closed[bus], ends[bus])
             for bus, ix in incident.items()
         })
+        object.__setattr__(self, "_id_set", frozenset(position))
+        object.__setattr__(self, "_max_degree", max(map(len, incident.values()), default=0))
 
     @property
     def bus_ids(self) -> tuple[int, ...]:

@@ -251,9 +251,14 @@ def _svd_oracle(case, placement, **kw):
 @given(data=st.data())
 def test_counting_score_matches_svd_pipeline(ieee14, ieee118, data):
     case = data.draw(st.sampled_from([ieee14, ieee118]), label="case")
-    buses = data.draw(st.sets(st.sampled_from(case.bus_ids), min_size=1), label="buses")
-    if data.draw(st.booleans(), label="add observable cover"):
-        buses |= set(greedy_observable_cover(case).buses)
+    if data.draw(st.booleans(), label="all buses but a few"):
+        # large placements are counted from the buses outside them
+        left_out = data.draw(st.sets(st.sampled_from(case.bus_ids), max_size=3), label="left out")
+        buses = set(case.bus_ids) - left_out
+    else:
+        buses = data.draw(st.sets(st.sampled_from(case.bus_ids), min_size=1), label="buses")
+        if data.draw(st.booleans(), label="add observable cover"):
+            buses |= set(greedy_observable_cover(case).buses)
     kw = dict(
         scope=data.draw(st.sampled_from(list(StateScope)), label="scope"),
         dedupe=data.draw(st.sampled_from(["by-branch", "per-end"]), label="dedupe"),

@@ -4,13 +4,15 @@ from hypothesis import strategies as st
 
 from pmuplan.linalg import ChannelKind, MeasurementChannel, enumerate_channels
 from pmuplan.measurements import (
+    METERED_COLUMN,
     ChannelLimitError,
     PmuPlacement,
+    _union,
     greedy_observable_cover,
     metered_mask,
     observability_check,
 )
-from pmuplan.network import Branch, Bus, NetworkCase
+from pmuplan.network import Branch, Bus, NetworkCase, neighbors
 
 
 def _mask_count(case, placement, dedupe="by-branch"):
@@ -32,10 +34,12 @@ def triangle():
 
 
 def test_placement_normalizes_and_validates():
-    p = PmuPlacement.of([9, 2, 2, 7])
-    assert p.buses == (2, 7, 9)
-    assert p.bus_set == frozenset({2, 7, 9})
-    assert len(p) == 3
+    inputs = [[9, 2, 2, 7], (9, 2, 7), (b for b in (9, 2, 7)), frozenset({9, 2, 7}), [9, 7, 2, 9]]
+    for buses in inputs:
+        p = PmuPlacement.of(buses)
+        assert type(p.buses) is tuple and p.buses == (2, 7, 9)
+        assert p.bus_set == frozenset({2, 7, 9})
+        assert len(p) == 3
     with pytest.raises(ValueError):
         PmuPlacement.of([1], channel_limit=0)
 
@@ -170,20 +174,26 @@ def test_cover_failure_when_no_bus_can_host():
 
 
 @st.composite
-def cases_and_placements(draw):
-    """A connected case with scattered, unsorted bus ids and parallel branches,
-    plus a placement that may hold unknown or over-limit buses."""
+def drawn_cases(draw):
+    """A connected case with scattered, unsorted bus ids and parallel branches."""
     ids = draw(st.lists(st.integers(1, 500), min_size=2, max_size=9, unique=True))
     pairs = [(ids[i], draw(st.sampled_from(ids[:i]))) for i in range(1, len(ids))]
     pairs += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
                            .filter(lambda ft: ft[0] != ft[1]), max_size=6))
     pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))  # parallel branches
     pairs = draw(st.permutations(pairs))
-    case = NetworkCase(
+    return NetworkCase(
         name="drawn",
         buses=tuple(Bus(i) for i in ids),
         branches=tuple(Branch(f, t, 0.0, 1.0 + k) for k, (f, t) in enumerate(pairs)),
     )
+
+
+@st.composite
+def cases_and_placements(draw):
+    """A drawn case plus a placement that may hold unknown or over-limit buses."""
+    case = draw(drawn_cases())
+    ids = case.bus_ids
     unknown = st.integers(501, 600)
     buses = draw(st.lists(st.one_of(st.sampled_from(ids), unknown), min_size=1, max_size=9))
     return case, PmuPlacement.of(buses, channel_limit=draw(st.integers(1, 6)))
@@ -224,7 +234,12 @@ def test_mask_kernel_matches_the_references(drawn, dedupe):
     if first_unknown is not None:
         with pytest.raises(KeyError) as got:
             observability_check(case, placement)
-        assert str(got.value) == repr(f"unknown bus id {first_unknown}")
+        # the accumulator's message, which metered_mask gives once no bus is over the limit
+        unlimited = PmuPlacement.of(placement.buses, channel_limit=len(case.branches))
+        with pytest.raises(KeyError) as want:
+            metered_mask(case, unlimited, dedupe)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == repr(f"placement bus {first_unknown} not in case 'drawn'")
         return
     observed = set(placement.buses)
     for bus in placement.buses:
@@ -233,3 +248,76 @@ def test_mask_kernel_matches_the_references(drawn, dedupe):
             observed.add(br.to_bus if br.from_bus == bus else br.from_bus)
     unobserved = sorted(set(case.bus_ids) - observed)
     assert observability_check(case, placement) == (not unobserved, unobserved)
+
+
+def _per_bus_counts(case, buses, dedupe, limit, closed, start):
+    """The accumulator's ``(k, metered, observed)`` from the branch list, bus
+    by bus, raising for the first unknown or over-limit bus by id."""
+    for bad in sorted(buses):
+        if bad not in case.bus_ids:
+            raise KeyError(f"placement bus {bad} not in case {case.name!r}")
+        if _scanned_degree(case, bad) > limit:
+            raise ChannelLimitError(bad, _scanned_degree(case, bad), limit)
+    k, metered, observed = start
+    held = set(buses)
+    seen = set(held)
+    for i, br in enumerate(case.branches):
+        if dedupe == "by-branch":
+            metered |= (br.from_bus in held or br.to_bus in held) << i
+        else:
+            metered |= (br.from_bus in held) << 2 * i | (br.to_bus in held) << 2 * i + 1
+        if br.from_bus in held or br.to_bus in held:
+            seen |= {br.from_bus, br.to_bus}
+    if closed:
+        for bus in seen:
+            observed |= 1 << case.bus_index(bus)
+    return k + len(buses), metered, observed
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_outside_count_matches_the_per_bus_loop(ieee14, ieee118, data):
+    # the accumulator counts a placement of all buses but at most N/8 from
+    # the buses outside it; every size, either side of that rule, must give
+    # the per-bus loop's masks and errors
+    case = data.draw(st.one_of(drawn_cases(), st.sampled_from([ieee14, ieee118])), label="case")
+    ids = list(case.bus_ids)
+    left_out = data.draw(st.one_of(st.integers(0, 3), st.integers(0, len(ids))), label="left out")
+    buses = data.draw(st.permutations(ids), label="order")[left_out:]
+    if data.draw(st.booleans(), label="leave a bus unobserved"):
+        hole = data.draw(st.sampled_from(ids), label="unobserved")
+        hole = neighbors(case, hole) | {hole}
+        buses = [bus for bus in buses if bus not in hole]
+    buses += data.draw(st.lists(st.one_of(st.sampled_from(ids), st.integers(501, 600)),
+                                max_size=2), label="repeated or unknown")
+    buses = data.draw(st.sampled_from([tuple, list]), label="container")(buses)
+    degree = max(row[1] for row in case.incidence.values())
+    limit = data.draw(st.integers(max(1, degree - 2), degree + 2), label="limit")
+    dedupe = data.draw(st.sampled_from(sorted(METERED_COLUMN)), label="dedupe")
+    closed = data.draw(st.booleans(), label="closed")
+    start = data.draw(st.one_of(st.just((0, 0, 0)), st.tuples(
+        st.integers(0, 3), st.integers(0, 255), st.integers(0, 255))), label="start")
+
+    try:
+        want = _per_bus_counts(case, buses, dedupe, limit, closed, start)
+    except (KeyError, ChannelLimitError) as err:
+        with pytest.raises(type(err)) as got:
+            _union(case, buses, dedupe, limit, closed, start)
+        assert type(got.value) is type(err)
+        assert str(got.value) == str(err)
+    else:
+        assert _union(case, buses, dedupe, limit, closed, start) == want
+
+
+def test_outside_count_finds_each_unobserved_bus(ieee14, ieee118):
+    # a placement of every bus but one closed neighborhood leaves the center
+    # unobserved; on ieee118 most such placements are counted from outside
+    for case in (ieee14, ieee118):
+        for center in case.bus_ids:
+            hole = neighbors(case, center) | {center}
+            buses = tuple(bus for bus in case.bus_ids if bus not in hole)
+            for dedupe in sorted(METERED_COLUMN):
+                want = _per_bus_counts(case, buses, dedupe, 99, True, (0, 0, 0))
+                assert _union(case, buses, dedupe, 99, True) == want
+            _, unobserved = observability_check(case, PmuPlacement.of(buses))
+            assert center in unobserved
