@@ -10,7 +10,8 @@ the knapsack module when it runs, so a process loads only the modules its
 command uses.
 
 Exit codes: 0 success, 1 internal error (a metric failed for a reason
-none of the others names), 2 usage/parse/validation, 3 numerical
+none of the others names), 2 usage/parse/validation or an output that
+cannot be written (stdout closed by its reader included), 3 numerical
 infeasibility, 4 combinatorial cap.
 """
 
@@ -79,7 +80,9 @@ def _parse_nu(raw: str) -> list[int]:
     """Bus ids from ``--nu``: comma/whitespace separated text, or ``@file``
     holding a JSON list or such text. Every entry must be an integer and
     no bus id may repeat; the first entry that breaks either rule is named
-    by its JSON index (from 0) or its token number (from 1)."""
+    by its JSON index (from 0) or its token number (from 1). A blank
+    comma-separated field is an empty token, which fails, but text that
+    holds no id at all, such as ``""`` or ``","``, is the empty base."""
     text = raw
     if raw.startswith("@"):
         text = Path(raw[1:]).read_text()
@@ -95,7 +98,9 @@ def _parse_nu(raw: str) -> list[int]:
                         f"got {json.dumps(entry)}"
                     )
             return _distinct(raw, "entry", data, first=0)
-    tokens = text.replace(",", " ").split()
+    tokens = [token for field in text.split(",") for token in field.split() or [""]]
+    if not any(tokens):
+        tokens = []
     for k, token in enumerate(tokens, start=1):
         if not _INTEGER.fullmatch(token):
             raise ValueError(
@@ -654,8 +659,15 @@ def _check_flags(args) -> None:
     """Reject the values of the command's flags that it cannot use, before
     any case is read."""
     flags = vars(args)
-    if "sigma_v" in flags and not (0 < args.sigma_v < math.inf and 0 < args.sigma_i < math.inf):
-        raise ValueError("standard deviations must be finite and positive")
+    if "sigma_v" in flags:
+        if not (0 < args.sigma_v < math.inf and 0 < args.sigma_i < math.inf):
+            raise ValueError("standard deviations must be finite and positive")
+        # the covariance holds sigma * sigma, which over- or underflows far
+        # inside the finite range (sigma ** 2 would raise OverflowError instead)
+        for flag, sigma in (("--sigma-v", args.sigma_v), ("--sigma-i", args.sigma_i)):
+            if not 0 < sigma * sigma < math.inf:
+                raise ValueError(f"{flag} must square to a finite, positive variance, "
+                                 f"got {sigma!r}")
     if "tol" in flags and not 0 <= args.tol < math.inf:
         raise ValueError("tolerance must be nonnegative and finite")
     if flags.get("enum_cap") is not None and args.enum_cap < 1:
@@ -741,7 +753,16 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     if args.output in ("", "-"):
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as err:
+            # the reader closed the pipe; point stdout at devnull so that the
+            # flush at exit does not fail on what is still buffered
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write to stdout: {err.strerror}", file=sys.stderr)
+            return EXIT_USAGE
         return EXIT_OK
     try:
         Path(args.output).write_text(text + "\n")

@@ -22,6 +22,12 @@ to the metric's incremental ``scorer`` (see
 :func:`~pmuplan.estimation.metric_function`) when the metric has one, and
 calls the metric wherever there is no scorer or it returns None, in
 enumeration order, so a failure raises at the first failing candidate.
+
+At stage 1 the two planners solve one problem: greedy's single group, no
+buses added over every free bus, is ``combinations(free, 1)`` in the same
+order, scored the same way under the same tie rule. So
+:func:`compare_plans` reads its exhaustive stage 1 from the greedy plan and
+runs the exhaustive search from stage 2 on.
 """
 
 from __future__ import annotations
@@ -172,11 +178,13 @@ class PlanComparison:
 
 
 def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted base and the case's other buses, in ascending id order."""
     base_set = set(nu)
-    missing = sorted(base_set.difference(case.bus_ids))
+    ids = case.position_bits  # keyed in ascending id order
+    missing = sorted(base_set.difference(ids))
     if missing:
         raise ValueError(f"base buses not in the case: {missing}")
-    free = tuple(sorted(set(case.bus_ids).difference(base_set)))
+    free = tuple(bus for bus in ids if bus not in base_set)
     return tuple(sorted(base_set)), free
 
 
@@ -310,21 +318,32 @@ def compare_plans(
 ) -> PlanComparison:
     """Run both planners stage by stage and flag where greedy falls behind.
 
+    The exhaustive stage 1 is greedy's first pick: the same candidates,
+    enumeration order, tie rule and values, so it is read from the greedy
+    plan, not searched again. It still counts ``len(free)`` subsets against
+    ``enum_cap``, and over the cap the exhaustive planner raises as it does
+    at any stage. From stage 2 on, :func:`budget_constrained_plan` runs.
+
     Raises if the exhaustive plan ever scores worse than greedy beyond
     floating-point slack; that would mean the injected metric is not a
-    function of the placement set.
+    function of the placement set. The check runs on every row, but at
+    stage 1, where both rows are one result, it cannot fire.
     """
     _check_tie_tol(tie_tol)
     if stages < 1:
         raise ValueError("comparison needs at least one stage")
-    base = tuple(sorted(set(nu)))
     greedy = greedy_plan(case, nu, metric, stages, tie_tol=tie_tol)
+    base = greedy.base
+    free = len(case.position_bits) - len(base)
     rows = []
     for stage in range(1, stages + 1):
-        budget = budget_constrained_plan(
-            case, nu, metric, stage, enum_cap=enum_cap, tie_tol=tie_tol
-        )
         gres = greedy.stage_result(stage)
+        if stage == 1 and free <= enum_cap:
+            budget = gres
+        else:
+            budget = budget_constrained_plan(
+                case, base, metric, stage, enum_cap=enum_cap, tie_tol=tie_tol
+            )
         if budget.metric_value > gres.metric_value + DOMINANCE_TOL:
             raise RuntimeError(
                 f"exhaustive stage {stage} scored worse than greedy; "

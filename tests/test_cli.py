@@ -117,6 +117,14 @@ def test_plan_budget_cap_exit(capsys):
     assert "greedy planner" in err
 
 
+def test_plan_compare_counts_stage_1_against_the_cap(capsys):
+    # stage 1 is read from the greedy plan, but its 10 subsets still count
+    assert run(capsys, "plan", "compare", "--nu", "2,6,7,9", "--stages", "2",
+               "--enum-cap", "5") == (
+        4, "", "error: budget-constrained stage 1 needs 10 subset evaluations, over the "
+               "cap of 5; use the greedy planner for problems this size\n")
+
+
 def test_plan_stage_bounds_are_usage_errors(capsys):
     code, _, err = run(capsys, "plan", "greedy", "--stages", "11")
     assert code == 2
@@ -468,6 +476,27 @@ def test_nu_entries_must_be_integers(tmp_path, capsys):
     assert "token 2 must be an integer bus id, got 'x'" in err
 
 
+@pytest.mark.parametrize(("raw", "k"), [("2,,6", 2), (",2", 1), ("2,", 2), ("2 6,,7", 3)])
+def test_an_empty_nu_token_is_a_usage_error(tmp_path, capsys, raw, k):
+    assert run(capsys, "plan", "greedy", "--stages", "1", "--nu", raw) == (
+        2, "", f"error: --nu {raw}: token {k} must be an integer bus id, got ''\n")
+    path = tmp_path / "nu.txt"
+    path.write_text(raw + "\n")
+    code, out, err = run(capsys, "plan", "greedy", "--stages", "1", "--nu", f"@{path}")
+    assert (code, out) == (2, "")
+    assert f"token {k} must be an integer bus id, got ''" in err
+
+
+def test_nu_text_with_no_id_is_the_empty_base(tmp_path, capsys):
+    empty = run(capsys, "plan", "greedy", "--stages", "1", "--nu", "")
+    assert empty[0] == 0 and "base []" in empty[1]
+    for raw in (" ", ",", " , ,"):
+        assert run(capsys, "plan", "greedy", "--stages", "1", "--nu", raw) == empty
+    path = tmp_path / "nu.txt"
+    path.write_text("\n")
+    assert run(capsys, "plan", "greedy", "--stages", "1", "--nu", f"@{path}") == empty
+
+
 @pytest.mark.parametrize(
     "argv",
     [["plan", "greedy", "--stages", "2"], ["submod", "audit", "--parallel", "1"], ["metrics"]],
@@ -533,6 +562,18 @@ def test_bad_sigma_is_usage_error_on_every_command(capsys, argv, flag, value):
         assert err == "error: standard deviations must be finite and positive\n"
     else:
         assert f"unrecognized arguments: {flag}={value}\n" in err
+
+
+@pytest.mark.parametrize("value", ["1e300", "1.4e154", "1e-170", "1e-320"])
+@pytest.mark.parametrize("flag", ["--sigma-v", "--sigma-i"])
+def test_a_sigma_whose_square_is_no_variance_names_its_flag(capsys, flag, value):
+    # finite and positive, but sigma * sigma overflows to inf or underflows to 0
+    code, out, err = run(capsys, "metrics", "--nu", "2,6,7,9", flag, value)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {flag} must square to a finite, positive variance, "
+                   f"got {float(value)!r}\n")
+    code, out, err = run(capsys, "metrics", "--nu", "2,6,7,9", flag, "1e150", "--out", "csv")
+    assert (code, err) == (0, "")
 
 
 # every leaf command and the flags it takes (besides -h)
@@ -823,6 +864,28 @@ def test_only_metrics_loads_numpy(argv, loaded):
     assert report["loaded"] == loaded
     if argv[0] == "metrics":
         assert _README_ROW in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["metrics", "--nu", "2,6,7,9", "--out", "json"], ["plan", "greedy", "--stages", "2"]],
+    ids=" ".join,
+)
+def test_a_closed_stdout_is_a_usage_error(argv, unbuffered):
+    """A reader that closes the pipe, as `| head -c 10` does, fails the
+    write with EPIPE: one error line and exit 2, with no traceback from the
+    write or from the flush at exit, whether stdout is buffered or not."""
+    src = Path(pmuplan.estimation.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pmuplan", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write to stdout: Broken pipe\n")
 
 
 # the library set-up the benchmark times: a case and its set function

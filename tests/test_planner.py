@@ -3,11 +3,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmuplan.estimation import metric_function
+from pmuplan.cases import load_case
+from pmuplan.estimation import StateScope, metric_function
 from pmuplan.network import Branch, Bus, NetworkCase
 from pmuplan.planner import (
     CandidateEvaluationError,
+    ComparisonRow,
     EnumerationCapError,
     PriorityList,
     StageResult,
@@ -145,6 +149,101 @@ def test_stage_bounds(ieee14, score):
         compare_plans(ieee14, NU, score, stages=0)
 
 
+@st.composite
+def small_cases(draw):
+    """A connected case of 2-7 buses with scattered ids and parallel branches."""
+    ids = draw(st.lists(st.integers(1, 60), min_size=2, max_size=7, unique=True))
+    pairs = [(ids[i], draw(st.sampled_from(ids[:i]))) for i in range(1, len(ids))]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                           .filter(lambda ft: ft[0] != ft[1]), max_size=5))
+    return NetworkCase(
+        name="drawn",
+        buses=tuple(Bus(i) for i in ids),
+        branches=tuple(Branch(f, t, 0.0, 1.0) for f, t in pairs),
+    )
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_comparison_equals_both_planners_run_apart(data):
+    """Reading stage 1 from greedy changes no row: every row equals the one
+    built from greedy_plan and a separate budget_constrained_plan per stage,
+    for metrics with a scorer and without one, at every tie tolerance."""
+    case = data.draw(st.one_of(st.just(load_case("ieee14")), small_cases()), label="case")
+    ids = case.bus_ids
+    base = data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids) - 1),
+                     label="base")
+    stages = data.draw(st.integers(1, min(3, len(ids) - len(base))), label="stages")
+    tie_tol = data.draw(st.sampled_from([0.0, 1e-9, 0.01]), label="tie_tol")
+    metric = metric_function(
+        case,
+        scope=data.draw(st.sampled_from(list(StateScope)), label="scope"),
+        dedupe=data.draw(st.sampled_from(["by-branch", "per-end"]), label="dedupe"),
+        channel_limit=16,
+    )
+    if data.draw(st.booleans(), label="bare"):
+        metric = lambda q, f=metric: f(q)  # no scorer: the planners call it per candidate
+
+    def apart():
+        greedy = greedy_plan(case, base, metric, stages, tie_tol=tie_tol)
+        rows = []
+        for k in range(1, stages + 1):
+            budget = budget_constrained_plan(case, base, metric, k, tie_tol=tie_tol)
+            gres = greedy.stage_result(k)
+            rows.append(ComparisonRow(
+                stage=k, budget=budget, greedy=gres, greedy_added=greedy.order[k - 1],
+                sets_differ=set(budget.selected) != set(gres.selected),
+                greedy_strictly_worse=gres.metric_value > budget.metric_value + tie_tol,
+            ))
+        return greedy.base, tuple(rows), greedy.order
+
+    def together():
+        cmp = compare_plans(case, base, metric, stages, tie_tol=tie_tol)
+        return cmp.base, cmp.rows, cmp.greedy_order
+
+    assert _outcome(together) == _outcome(apart)
+
+
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_comparison_scores_stage_1_once(ieee14, score, stages):
+    """Without a scorer every candidate is a metric call; the comparison
+    makes len(free) fewer than greedy plus the exhaustive stages run apart,
+    also under the smallest cap that every stage fits."""
+    free = len(ieee14.bus_ids) - len(NU)
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return score(q)
+
+    compare_plans(ieee14, NU, counted, stages, enum_cap=math.comb(free, stages))
+    together = len(calls)
+    calls.clear()
+    greedy_plan(ieee14, NU, counted, stages)
+    for k in range(1, stages + 1):
+        budget_constrained_plan(ieee14, NU, counted, k)
+    assert len(calls) - together == free
+
+
+def test_comparison_counts_stage_1_against_the_cap(ieee14, score):
+    """Stage 1 has 10 subsets over the base 2,6,7,9 and stage 2 has 45."""
+    with pytest.raises(EnumerationCapError) as err:
+        compare_plans(ieee14, NU, score, stages=2, enum_cap=9)
+    assert (err.value.candidates, err.value.cap, err.value.k) == (10, 9, 1)
+    with pytest.raises(EnumerationCapError) as err:
+        compare_plans(ieee14, NU, score, stages=2, enum_cap=10)
+    assert (err.value.candidates, err.value.cap, err.value.k) == (45, 10, 2)
+    assert compare_plans(ieee14, NU, score, stages=2, enum_cap=45).greedy_order == (8, 1)
+
+
 def test_enumeration_cap_suggests_greedy(ieee14, score):
     with pytest.raises(EnumerationCapError, match="greedy planner") as err:
         budget_constrained_plan(ieee14, NU, score, 5, enum_cap=100)
@@ -239,5 +338,8 @@ def test_result_validation():
 
 
 def test_unknown_base_bus_rejected(ieee14, score):
-    with pytest.raises(ValueError):
-        greedy_plan(ieee14, (2, 99), score, stages=1)
+    for plan in (lambda nu: greedy_plan(ieee14, nu, score, stages=1),
+                 lambda nu: budget_constrained_plan(ieee14, nu, score, 1),
+                 lambda nu: compare_plans(ieee14, nu, score, stages=1)):
+        with pytest.raises(ValueError, match=r"^base buses not in the case: \[0, 99\]$"):
+            plan((99, 2, 0))
