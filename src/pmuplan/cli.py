@@ -660,11 +660,11 @@ def _check_flags(args) -> None:
     any case is read."""
     flags = vars(args)
     if "sigma_v" in flags:
-        if not (0 < args.sigma_v < math.inf and 0 < args.sigma_i < math.inf):
-            raise ValueError("standard deviations must be finite and positive")
-        # the covariance holds sigma * sigma, which over- or underflows far
-        # inside the finite range (sigma ** 2 would raise OverflowError instead)
         for flag, sigma in (("--sigma-v", args.sigma_v), ("--sigma-i", args.sigma_i)):
+            if not 0 < sigma < math.inf:
+                raise ValueError(f"{flag} must be finite and positive, got {sigma!r}")
+            # the covariance holds sigma * sigma, which over- or underflows far
+            # inside the finite range (sigma ** 2 would raise OverflowError instead)
             if not 0 < sigma * sigma < math.inf:
                 raise ValueError(f"{flag} must square to a finite, positive variance, "
                                  f"got {sigma!r}")

@@ -43,7 +43,8 @@ function :func:`metric_function` returns calls it; where every bus of the
 case can host a PMU, f also carries the planners' scorer, which ORs a base
 once and a stage's or prefix's added buses once per call, then scores each
 candidate bus at one OR and one popcount. The audit calls f, keeping its
-values in the score table f carries.
+values in the score table f carries, and the marginal rows it builds from
+them in a second table beside it.
 """
 
 from __future__ import annotations
@@ -167,13 +168,23 @@ def metric_function(
     f keeps nothing itself.
 
     Its ``__dict__``, which a ``functools.wraps`` wrapper copies (so one
-    that changes f's values must not), holds the score table ``scores``
-    that :func:`~pmuplan.submodularity.audit` shares across audits of
-    ``case``, keyed by masks of its position bits, and the planners'
-    incremental ``scorer``. The scorer is None unless every bus of the case
-    can host a PMU: the dedupe policy is valid, the channel limit is at
-    least 1 and no bus has more incident branches than the limit. Otherwise
-    the planners call f on every candidate, and f raises as it should.
+    that changes f's values must not), holds four entries:
+
+    - ``case``, whose position bits key the two tables below;
+    - ``scores``, the table of f's values by placement mask, which
+      :func:`~pmuplan.submodularity.audit` shares across audits of ``case``;
+    - ``margins``, the audit's table of marginal rows, shared the same way:
+      a placement X's mask maps to ``{s: f(X+s) - f(X)}`` over the position
+      bits s of the buses outside X, in ascending-id order. A row is stored
+      only once ``scores`` holds all its values, and holds |omega| - |X|
+      entries, so the rows hold at most |omega| entries per score. Neither
+      table is ever emptied; a fresh f starts both empty;
+    - the planners' incremental ``scorer``.
+
+    The scorer is None unless every bus of the case can host a PMU: the
+    dedupe policy is valid, the channel limit is at least 1 and no bus has
+    more incident branches than the limit. Otherwise the planners call f on
+    every candidate, and f raises as it should.
     ``scorer(base)`` returns ``score(added, candidates)``: the list of f's
     values on ``base`` plus the buses ``added`` (a tuple or list) plus each
     bus of ``candidates`` in turn (all buses of the case, none listed twice
@@ -190,7 +201,7 @@ def metric_function(
                                  scope=scope, dedupe=dedupe)
         return -value if gain else value
 
-    f.scores, f.case, f.scorer = {}, case, None
+    f.scores, f.margins, f.case, f.scorer = {}, {}, case, None
     column = METERED_COLUMN.get(dedupe)
     if column is None or limit < 1 or _busiest_over_limit(case, limit) is not None:
         return f

@@ -218,8 +218,9 @@ class CovarianceModel:
     variances: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if any(v <= 0.0 for v in self.variances):
-            raise ValueError("all variances must be strictly positive")
+        # written so that nan fails too
+        if not all(0.0 < v < math.inf for v in self.variances):
+            raise ValueError("all variances must be finite and strictly positive")
 
     @classmethod
     def unit(cls, m: int) -> "CovarianceModel":
@@ -229,9 +230,19 @@ class CovarianceModel:
     def for_channels(
         cls, mset: MeasurementSet, sigma_v: float = 1.0, sigma_i: float = 1.0
     ) -> "CovarianceModel":
-        """Per-kind standard deviations expanded to a per-channel diagonal."""
-        if not (0.0 < sigma_v < math.inf and 0.0 < sigma_i < math.inf):
-            raise ValueError("standard deviations must be finite and strictly positive")
+        """Per-kind standard deviations expanded to a per-channel diagonal.
+
+        Each sigma must be finite and positive, and so must its square,
+        which overflows above about 1.34e154 and underflows below about
+        2.2e-162; the error names the argument and its value.
+        """
+        for name, sigma in (("sigma_v", sigma_v), ("sigma_i", sigma_i)):
+            if not 0.0 < sigma < math.inf:
+                raise ValueError(f"{name} must be a finite, positive standard deviation, "
+                                 f"got {sigma!r}")
+            if not 0.0 < sigma * sigma < math.inf:
+                raise ValueError(f"{name} must square to a finite, positive variance, "
+                                 f"got {sigma!r}")
         out = []
         for ch in mset.channels:
             sigma = sigma_v if ch.kind in (ChannelKind.VR, ChannelKind.VX) else sigma_i

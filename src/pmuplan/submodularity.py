@@ -26,12 +26,14 @@ ascending-id order with the free bits outside each A listed once and each
 per block, caches metric values by mask, and builds records only for the
 counterexamples it keeps.
 Its cost follows the bits that change, not the bus count: a set of buses
-is decoded only for a cache miss or a kept record, and then from the
-nearest set already decoded (the last A, the last B or nu).
+is decoded into a frozenset only for a cache miss, and then from the
+nearest set already decoded (the last A, the last B or nu); a kept record
+reads its sorted ids off the case's position bits, once per mask a call.
 Over a warm table, as when one metric serves many audits, a block whose
-values are all cached is tallied from two rows of differences: A's gains
-f(A+s) - f(A), built once per A, and B's drops f(B+s) - f(B), kept for
-the call and reused by every A under B.
+values are all cached is tallied from two marginal rows, X's differences
+f(X+s) - f(X) over the buses s outside X: A's row for the gains and B's
+for the drops. Rows sit in a second table beside the scores, keyed by
+mask, and are built once per placement, for every audit of the metric.
 """
 
 from __future__ import annotations
@@ -288,7 +290,9 @@ def audit(
     (:attr:`~pmuplan.network.NetworkCase.position_bits`): in
     ``metric.scores``, if there is one and ``metric.case`` is ``case``
     itself, so audits of one :func:`~pmuplan.estimation.metric_function`
-    share one table, else for the call. ``start``/``stop``
+    share one table, else for the call. The marginal rows built from those
+    values (below) go to ``metric.margins`` under the same condition, or to
+    a table for the call if the metric has none. ``start``/``stop``
     restrict the run to a contiguous slice of the lexicographic triple
     stream so external drivers can split the work; partial tallies
     recombine with merge_tallies. ``progress(done, planned)`` is called
@@ -318,32 +322,30 @@ def audit(
     The cost follows the bits that change, not the bus count. Set-up looks
     up the position bits of nu's buses and reads the free buses off the
     complement of their mask, sorted by id. A block's A or B is decoded
-    into a frozenset only when a placement built on it misses the cache, or
-    when a record needs its ids, and then from the nearest set already
-    decoded: the last A, the last B or nu, whichever differs from it in
-    the fewest bits, by removing and adding the buses of those bits. A+s
-    and B+s are that set plus one bus. Records of one block share the
-    sorted id tuples of its A and B.
+    into a frozenset only when a placement built on it misses the cache,
+    and then from the nearest set already decoded: the last A, the last B
+    or nu, whichever differs from it in the fewest bits, by removing and
+    adding the buses of those bits. A+s and B+s are that set plus one bus.
+    A kept record reads the sorted ids of its A and B by a walk of the
+    position bits, which lists them in id order, once per mask a call.
 
-    When the table already holds f(A) and f(A+s) for every s of ``rest``,
-    as when one metric serves a sweep of audits, the A gets a gain row
-    ``{s: f(A+s) - f(A)}``, built once at its start. A block under it is
-    then tallied from that row and B's drop row ``[(s, f(B+s) - f(B))]``
-    over B's probes, ``margin = gain - drop``: the same subtractions in
-    the same order as the per-triple loop, so the floats and the verdicts
-    are identical. A reused drop row looks up no value and skips no bit
-    of B, the block advances the triple count once, and a kept record
-    takes B's sorted ids as A's merged with the block's extra buses. A
-    block runs the per-triple loop instead when its A has no gain row,
-    when B was first met with a value unscored, or when it holds the
-    ``start`` offset, a progress checkpoint or ``stop``; so a cold audit
-    pays one comparison per block. Where a B lies under more than one A
-    (|nu| < |A| < |B|), the call keeps B's drop row, or an empty marker
-    if B was first met with a value unscored, keyed by B's mask, for the
-    C(|B| - |nu|, |A| - |nu|) A's under it. Only B's met under an A with
-    a gain row get an entry, so a cold audit keeps none, and a warm one
-    at most one per B: C(|omega| - |nu|, |B| - |nu|) rows of
-    ``|omega| - |B|`` pairs.
+    The marginal row of a placement X is ``{s: f(X+s) - f(X)}`` over the
+    bits of the buses outside X, in ascending-id order. It depends on X
+    alone, not on nu, the sizes or ``tol``, so one table of rows, keyed by
+    mask, serves every audit that shares the score table. A row is tried
+    for A at its start if f(A) is scored, and for B when a block under an
+    A with a row reaches it; it is stored only when the score table holds
+    every value it needs. No A of a cold audit is scored at its start, so
+    a cold audit stores no row, and a row never holds a value the metric
+    failed to return. A warm A reads ``rest`` off its row's keys. A block
+    is then tallied from A's row, the gains, and B's row over B's probes,
+    the drops: ``margin = gain - drop``, the same subtractions in the same
+    order as the per-triple loop, so the floats and the verdicts are
+    identical, and the block advances the triple count once. A block runs
+    the per-triple loop instead when its A or B has no row, or when it
+    holds the ``start`` offset, a progress checkpoint or ``stop``; so a
+    cold audit pays one comparison per block. The table holds at most one
+    row per placement X, of |omega| - |X| entries.
     """
     bits = case.position_bits  # bus id -> position bit, ascending ids
     nu_ids = frozenset(nu)
@@ -363,8 +365,10 @@ def audit(
 
     nu_decoded = (nu_mask, nu_ids)
     decoded = [nu_decoded, nu_decoded]  # the last A and the last B decoded, with their masks
-    named = [(-1, ()), (-1, ())]  # the last A and the last B as sorted ids, with their masks
-    cache = getattr(metric, "scores", {}) if getattr(metric, "case", None) is case else {}
+    shared = getattr(metric, "case", None) is case
+    cache = getattr(metric, "scores", {}) if shared else {}
+    margins = getattr(metric, "margins", {}) if shared else {}
+    id_tuples: dict[int, tuple[int, ...]] = {}  # mask -> its sorted ids, for kept records
 
     def ids_in(mask: int) -> Iterator[int]:
         while mask:
@@ -391,16 +395,14 @@ def audit(
         decoded[slot] = (mask, buses)
         return buses
 
-    def sorted_ids(mask: int, slot: int) -> tuple[int, ...]:
-        known, ids = named[slot]
-        if known != mask:
-            ids = tuple(sorted(members(mask, slot)))
-            named[slot] = (mask, ids)
+    def sorted_ids(mask: int) -> tuple[int, ...]:
+        ids = id_tuples.get(mask)
+        if ids is None:
+            ids = id_tuples[mask] = tuple(case.buses_in(mask))
         return ids
 
     def triple(a: int, b: int, s: int) -> SubsetTriple:
-        return SubsetTriple(a=sorted_ids(a, 0), b=sorted_ids(b, 1),
-                            s=case.buses[s.bit_length() - 1].id)
+        return SubsetTriple(a=sorted_ids(a), b=sorted_ids(b), s=case.buses[s.bit_length() - 1].id)
 
     def evaluate(base: int, plus: int, a: int, b: int, s: int) -> float:
         """Score the missed placement base + plus, where base is the block's A
@@ -422,18 +424,19 @@ def audit(
                             f_b_s=f_b_s, lhs=lhs, rhs=rhs, margin=lhs - rhs,
                             verdict=MarginClass.SUPERMODULAR)
 
-    def drop_row(b: int, rest: list[int]) -> list[tuple[int, float]]:
-        """[(s, f(B+s) - f(B))] over B's probes, or [] if a value is unscored."""
-        f_b = lookup(b)
-        if f_b is None:
-            return []
-        row = []
-        for s in rest:
-            if not s & b:
-                f_b_s = lookup(b | s)
-                if f_b_s is None:
-                    return []
-                row.append((s, f_b_s - f_b))
+    def margin_row(x: int, outside: Iterable[int]) -> dict[int, float] | None:
+        """Store and return X's row {s: f(X+s) - f(X)} over ``outside``, the
+        bits outside X by id, or None if one of its values is unscored."""
+        f_x = lookup(x)
+        if f_x is None:
+            return None
+        row = {}
+        for s in outside:
+            f_x_s = lookup(x | s)
+            if f_x_s is None:
+                return None
+            row[s] = f_x_s - f_x
+        margins[x] = row
         return row
 
     lookup = cache.get
@@ -445,41 +448,33 @@ def audit(
     block, offset = divmod(first, width)
     skip_a, skip_b = divmod(block, comb(len(free) - a_extra, b_extra))
     checkpoint = min(PROGRESS_INTERVAL, planned) if progress is not None else planned
-    # B's mask -> its drop row, or [] if B was first met with a value unscored;
-    # kept only where a B lies under more than one A
-    rows: dict[int, list[tuple[int, float]]] = {}
-    recurs = a_extra > 0 and b_extra > 0
     try:
         for extra_a in itertools.islice(itertools.combinations(free, a_extra), skip_a, None):
             if processed >= planned:  # also ends an empty slice, which meets no checkpoint
                 break
             a = nu_mask + sum(extra_a)
-            rest = [bit for bit in free if not bit & a]
             f_a = lookup(a)
-            gains = None  # {s: f(A+s) - f(A)} over rest, once A's values are all scored
-            if f_a is not None:
-                lifted = [lookup(a | s) for s in rest]
-                if None not in lifted:
-                    gains = {s: f_a_s - f_a for s, f_a_s in zip(rest, lifted)}
+            gains = None if f_a is None else margins.get(a)  # A's row
+            if gains is None:
+                rest = [bit for bit in free if not bit & a]
+                if f_a is not None:
+                    gains = margin_row(a, rest)
+            else:
+                rest = list(gains)
             for extra_b in itertools.islice(itertools.combinations(rest, b_extra), skip_b, None):
                 b = a + sum(extra_b)
                 if gains is not None and not offset and processed + width < checkpoint:
-                    row = rows.get(b)
-                    if row is None:
-                        row = drop_row(b, rest)
-                        if recurs:
-                            rows[b] = row
-                    if row:
-                        for s, rhs in row:
-                            margin = gains[s] - rhs
+                    drops = margins.get(b)  # B's row
+                    if drops is None:
+                        drops = margin_row(b, [bit for bit in rest if not bit & b])
+                    if drops is not None:
+                        for s, drop in drops.items():
+                            margin = gains[s] - drop
                             if margin >= tol:
                                 submod += 1
                             elif margin <= -tol:
                                 supermod += 1
                                 if len(counterexamples) < counterexample_cap:
-                                    if named[1][0] != b:  # A's ids and the block's extras
-                                        b_ids = sorted_ids(a, 0) + tuple(ids_in(b - a))
-                                        named[1] = (b, tuple(sorted(b_ids)))
                                     counterexamples.append(record(
                                         a, b, s, f_a, lookup(a | s), lookup(b), lookup(b | s)))
                             else:

@@ -559,7 +559,7 @@ def test_bad_sigma_is_usage_error_on_every_command(capsys, argv, flag, value):
     code, out, err = run(capsys, *argv, f"{flag}={value}")
     assert (code, out) == (2, "")
     if argv[0] == "metrics":
-        assert err == "error: standard deviations must be finite and positive\n"
+        assert err == f"error: {flag} must be finite and positive, got {float(value)!r}\n"
     else:
         assert f"unrecognized arguments: {flag}={value}\n" in err
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -146,8 +147,9 @@ def test_unobservable_full_state_names_null_dimension(ieee14):
 
 
 def test_covariance_model_validation(ieee14):
-    with pytest.raises(ValueError):
-        CovarianceModel((1.0, 0.0))
+    for bad in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            CovarianceModel((1.0, bad))
     mset = enumerate_channels(ieee14, PmuPlacement.of([2, 6, 7, 9]))
     with pytest.raises(ValueError):
         CovarianceModel.for_channels(mset, sigma_v=-1.0)
@@ -306,12 +308,19 @@ def test_counting_score_keeps_the_pipeline_validation(ieee14, ieee118):
         placement_metric(ieee14, nu, dedupe="sometimes")
     with pytest.raises(ValueError, match="measurement set is empty"):
         placement_metric(ieee14, PmuPlacement.of([]))
-    # the noise levels reach only the SVD pipeline, which validates them
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="standard deviations"):
-            sensitivity_report(ieee14, nu, sigma_v=bad)
-        with pytest.raises(ValueError, match="standard deviations"):
-            sensitivity_report(ieee14, nu, sigma_i=bad)
+    # the noise levels reach only the SVD pipeline, which validates them and
+    # names the argument and its value
+    for name in ("sigma_v", "sigma_i"):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must be a finite, positive standard deviation, got {bad!r}")):
+                sensitivity_report(ieee14, nu, **{name: bad})
+        # finite and positive, but the square overflows to inf or underflows to 0
+        for bad in (1e300, 1.4e154, 1e-170, 1e-320):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} must square to a finite, positive variance, got {bad!r}")):
+                sensitivity_report(ieee14, nu, **{name: bad})
+        assert sensitivity_report(ieee14, nu, **{name: 1.3e154}).m == 36
 
 
 def test_unobservable_null_dimension_by_count(ieee14):

@@ -252,7 +252,7 @@ def test_scorer_values_equal_the_frozenset_values(ieee14, scope, dedupe, channel
     for gain in (False, True):
         metric = metric_function(ieee14, scope=scope, dedupe=dedupe,
                                  channel_limit=channel_limit, gain=gain)
-        assert sorted(vars(metric)) == ["case", "scorer", "scores"]
+        assert sorted(vars(metric)) == ["case", "margins", "scorer", "scores"]
         buses = ieee14.bus_ids
         for r in range(3):
             for added in itertools.combinations(buses, r):
@@ -288,7 +288,7 @@ def test_scorer_is_none_exactly_where_a_bus_cannot_host(ieee14, scope, dedupe, c
     for gain in (False, True):
         metric = metric_function(ieee14, scope=scope, dedupe=dedupe,
                                  channel_limit=channel_limit, gain=gain)
-        assert sorted(vars(metric)) == ["case", "scorer", "scores"]
+        assert sorted(vars(metric)) == ["case", "margins", "scorer", "scores"]
         hostable = dedupe != "bogus" and limit >= 5
         assert _hosts_every_bus(ieee14, dedupe, limit) == hostable
         assert (metric.scorer is not None) == hostable

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -254,6 +255,18 @@ def _recording(metric, calls, poison=None):
     return f
 
 
+def _rows_agree_with_scores(metric, case):
+    """Every stored row is its placement X's marginal row, read off the score
+    table: f(X+s) - f(X) for each bus s outside X, in id order. Returns the
+    number of rows."""
+    for x, row in metric.margins.items():
+        outside = [bit for bit in case.position_bits.values() if not bit & x]
+        assert list(row) == outside
+        assert x in metric.scores and all(x | s in metric.scores for s in outside)
+        assert row == {s: metric.scores[x | s] - metric.scores[x] for s in outside}
+    return len(metric.margins)
+
+
 def _outcome(run):
     try:
         return run().to_dict()
@@ -315,7 +328,7 @@ def test_audit_matches_the_per_triple_reference(setup, gain, tol, cap, interval,
             case, _recording(metric, ref_calls, poison), *args,
             progress=lambda *point: ref_points.append(point), interval=interval))
         recorded = _recording(metric, calls, poison)
-        recorded.scores, recorded.case = {}, case  # a table both runs below share
+        recorded.scores, recorded.margins, recorded.case = {}, {}, case  # tables the runs share
 
         def run():
             calls.clear()
@@ -339,6 +352,27 @@ def test_audit_matches_the_per_triple_reference(setup, gain, tol, cap, interval,
         run()
         failed = [expected[4]] if isinstance(expected, tuple) else []  # the aborting placement
         assert calls == failed
+        # a third time, where each A whose row the second run stored reads the
+        # buses outside it off that row
+        run()
+        assert calls == failed
+        _rows_agree_with_scores(recorded, case)
+        # again over fresh tables that two audits of another size pair warmed,
+        # so that the rows of the second were built under other A's and B's:
+        # only the placements they did not score are scored, in the same order
+        others = [(a, b) for a in range(len(nu), len(case.buses))
+                  for b in range(a, len(case.buses)) if (a, b) != (a_size, b_size)]
+        if others:
+            recorded.scores, recorded.margins = {}, {}
+            other = data.draw(st.sampled_from(others))
+            calls.clear()
+            for _ in range(2):
+                _outcome(lambda: audit(case, recorded, nu, *other, tol=tol))
+            bits = case.position_bits
+            warmed = {p for p in calls if sum(map(bits.__getitem__, p)) in recorded.scores}
+            run()
+            assert calls == [p for p in ref_calls if p not in warmed]
+            _rows_agree_with_scores(recorded, case)
         return scored
 
     placements = runs()
@@ -350,7 +384,8 @@ def test_audit_matches_the_per_triple_reference(setup, gain, tol, cap, interval,
 def test_audit_does_not_depend_on_the_listing_order(ieee14, ieee118):
     """The README audit and criterion 7 on each bundled case and on a copy
     listing its buses and branches in reverse, so that position bits no
-    longer follow the ids: the same tally, records and metric calls."""
+    longer follow the ids: the same tally, records and metric calls, and
+    the same again over the warm tables."""
     cover = greedy_observable_cover(ieee118, channel_limit=8).buses
     for case, nu, a_size, b_size, limit in (
         (ieee14, NU, 12, 13, 8),
@@ -361,10 +396,16 @@ def test_audit_does_not_depend_on_the_listing_order(ieee14, ieee118):
         runs = []
         for c in (case, flipped):
             calls = []
-            metric = _recording(metric_function(c, gain=True, channel_limit=limit), calls)
-            runs.append((audit(c, metric, nu, a_size, b_size).to_dict(), calls))
+            f = metric_function(c, gain=True, channel_limit=limit)
+            metric = functools.wraps(f)(_recording(f, calls))
+            cold = audit(c, metric, nu, a_size, b_size).to_dict()
+            # twice over the warm tables: the first run stores the rows, and the
+            # second reads the buses outside each A off A's row
+            warm = [audit(c, metric, nu, a_size, b_size).to_dict() for _ in range(2)]
+            runs.append((cold, calls, warm))
+            assert f.margins
         assert runs[0] == runs[1]
-        assert runs[0][0]["supermodular"] > 0
+        assert runs[0][0]["supermodular"] > 0 and runs[0][2] == [runs[0][0]] * 2
 
 
 # ---- the score table one metric_function shares across audits --------------
@@ -387,6 +428,47 @@ def test_sweep_at_the_tie_boundary_matches_the_reference(ieee14):
         classes[tol] = tuple(tally)
     # 5,736 margins are exactly 0.0 and 94 more lie strictly inside the band
     assert classes == {0.0: (132_551, 64_279, 0), 1e-9: (126_815, 64_185, 5_830)}
+
+
+def test_a_sweep_in_any_order_matches_the_reference(ieee14):
+    """All 55 pairs through one metric in a shuffled order, so that rows are
+    built under other pairs than in the ascending sweep: every tally and
+    record is the reference's, each placement is scored once, and a second
+    sweep over the warm tables stores a row for every placement but the
+    whole bus set."""
+    f = metric_function(ieee14, gain=True)
+    calls = []
+
+    @functools.wraps(f)
+    def recorded(placement):
+        calls.append(placement)
+        return f(placement)
+
+    pairs = list(SWEEP)
+    random.Random(22).shuffle(pairs)
+    tallies = []
+    for a_size, b_size in pairs:
+        got = audit(ieee14, recorded, NU, a_size, b_size)
+        ref = _reference_audit(ieee14, f, NU, a_size, b_size, 1e-9, 100, 0, None)
+        assert got.to_dict() == ref.to_dict(), (a_size, b_size)
+        tallies.append(got)
+    assert len(calls) == len(set(calls)) == len(f.scores) == 2**10
+    assert _rows_agree_with_scores(f, ieee14) > 0
+    assert [audit(ieee14, recorded, NU, *pair) for pair in pairs] == tallies
+    assert len(calls) == 2**10
+    assert _rows_agree_with_scores(f, ieee14) == 2**10 - 1
+
+
+def test_a_cold_audit_stores_no_row(ieee14):
+    """No A of an audit on a fresh metric is scored at its start, so no row
+    is built, whole or sliced."""
+    for a_size, b_size in SWEEP:
+        f = metric_function(ieee14, gain=True)
+        audit(ieee14, f, NU, a_size, b_size)
+        assert f.margins == {} and f.scores
+    f = metric_function(ieee14, gain=True)
+    assert audit(ieee14, f, NU, 8, 10, start=1000, stop=3000).total == 2000
+    assert f.margins == {} and f.scores
 
 
 def test_one_metric_scores_each_placement_once_across_a_sweep(ieee14, monkeypatch):
@@ -423,13 +505,17 @@ def test_wraps_wrappers_share_the_table(ieee14):
         calls.append(args[0])
         return f(*args, **kwargs)
 
-    assert traced.scores is f.scores and traced.case is ieee14
+    assert traced.scores is f.scores and traced.margins is f.margins
+    assert traced.case is ieee14
     first = audit(ieee14, traced, NU, 10, 11)
-    assert len(calls) == len(set(calls)) == len(f.scores) > 0
+    assert len(calls) == len(set(calls)) == len(f.scores) > 0 and f.margins == {}
     calls.clear()
     assert audit(ieee14, traced, NU, 10, 11) == first
+    rows = dict(f.margins)  # the warm audit's rows
+    assert _rows_agree_with_scores(f, ieee14) > 0
     assert audit(ieee14, f, NU, 12, 13) == audit(ieee14, traced, NU, 12, 13)
     assert calls == []  # every placement was already in the table
+    assert rows.items() <= f.margins.items()
 
 
 def test_a_metric_with_a_case_but_no_table_gets_one_per_call(ieee14):
@@ -443,6 +529,26 @@ def test_a_metric_with_a_case_but_no_table_gets_one_per_call(ieee14):
     scored.case = ieee14
     assert audit(ieee14, scored, NU, 12, 13) == audit(ieee14, f, NU, 12, 13)
     assert len(calls) == len(set(calls)) > 0 and not hasattr(scored, "scores")
+
+
+def test_a_metric_with_a_table_but_no_rows_gets_rows_per_call(ieee14):
+    """A callable carrying ``scores`` and ``case`` but no ``margins`` shares
+    its score table; each call builds its own rows, and matches the
+    reference, cold and warm."""
+    f = metric_function(ieee14, gain=True)
+    calls = []
+
+    def scored(placement):
+        calls.append(placement)
+        return f(placement)
+
+    scored.scores, scored.case = {}, ieee14
+    for a_size, b_size in ((10, 11), (10, 11), (9, 12), (10, 12), (9, 12)):
+        got = audit(ieee14, scored, NU, a_size, b_size)
+        ref = _reference_audit(ieee14, f, NU, a_size, b_size, 1e-9, 100, 0, None)
+        assert got.to_dict() == ref.to_dict(), (a_size, b_size)
+    assert len(calls) == len(set(calls)) == len(scored.scores)
+    assert not hasattr(scored, "margins")
 
 
 def test_a_failing_placement_is_never_cached(ieee14):
@@ -460,7 +566,17 @@ def test_a_failing_placement_is_never_cached(ieee14):
     assert expected[0] == "aborted" and expected[1] > 0
     for _ in range(2):  # the second run reads the first run's values
         assert _outcome(lambda: audit(ieee14, poisoned, *args)) == expected
-    assert sum(map(ieee14.position_bits.__getitem__, poison)) not in f.scores
+    mask = sum(map(ieee14.position_bits.__getitem__, poison))
+    assert mask not in f.scores
+    # pairs around the poisoned placement, twice each, the second time over
+    # rows: each aborts or not as the reference does, and no row holds it
+    for a_size, b_size in ((11, 12), (12, 12), (11, 13), (13, 13)):
+        expected = _outcome(lambda: _reference_audit(
+            ieee14, poisoned, NU, a_size, b_size, 1e-9, 100, 0, None))
+        for _ in range(2):
+            assert _outcome(lambda: audit(ieee14, poisoned, NU, a_size, b_size)) == expected
+    assert _rows_agree_with_scores(f, ieee14) > 0
+    assert mask not in f.scores and mask not in f.margins
 
 
 def test_audit_rejects_bad_arguments(ieee14):
