@@ -7,7 +7,7 @@ fan-out (the parallel audit) lives here; library modules stay serial.
 
 A command imports the linear-algebra pipeline, the planner, the audit or
 the knapsack module when it runs, so a process loads only the modules its
-command uses.
+command uses, and the parser builds the flags of that command alone.
 
 Exit codes: 0 success, 1 internal error (a metric failed for a reason
 none of the others names), 2 usage/parse/validation or an output that
@@ -611,16 +611,31 @@ _SCORE_FLAGS = "--case --format --scope --dedupe --channel-limit"
 _PLAN_FLAGS = _SCORE_FLAGS + " --tol --nu --stages"
 
 
-def _leaf(parent, name: str, help: str, flags: str) -> argparse.ArgumentParser:
-    """The command ``name`` under ``parent``: ``flags``, then ``--out`` and ``--output``."""
-    leaf = parent.add_parser(name, help=help)
-    for flag in (flags + " --out --output").split():
-        leaf.add_argument(flag, **_FLAGS[flag])
-    return leaf
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that adds the flags it is given when it first
+    parses, which a command's parser does only when argv names the command:
+    a process builds the flags of the one command it runs."""
+
+    def __init__(self, *args, flags: tuple = (), **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = flags  # (flag, add_argument keywords) pairs
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag, keywords in self._pending:
+            self.add_argument(flag, **keywords)
+        self._pending = ()
+        return super().parse_known_args(args, namespace)
+
+
+def _leaf(parent, name: str, help: str, flags: str, *extra: tuple) -> None:
+    """The command ``name`` under ``parent``: ``flags``, ``--out`` and
+    ``--output``, then the ``extra`` (flag, keywords) pairs."""
+    pairs = tuple((flag, _FLAGS[flag]) for flag in (flags + " --out --output").split())
+    parent.add_parser(name, help=help, flags=pairs + extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pmuplan",
         description="plan and audit phasor sensor placements",
     )
@@ -630,10 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     case_sub = case.add_subparsers(dest="action", required=True)
     _leaf(case_sub, "info", "counts, connectivity, degrees", "--case --format")
 
-    metrics = _leaf(sub, "metrics", "sensitivity summary for one placement",
-                    _SCORE_FLAGS + " --sigma-v --sigma-i --flat-branch-model")
-    metrics.add_argument("--nu", required=True,
-                         help="placement bus ids, e.g. 2,6,7,9 or @file")
+    _leaf(sub, "metrics", "sensitivity summary for one placement",
+          _SCORE_FLAGS + " --sigma-v --sigma-i --flat-branch-model",
+          ("--nu", dict(required=True, help="placement bus ids, e.g. 2,6,7,9 or @file")))
 
     plan = sub.add_parser("plan", help="multi-stage placement planning")
     modes = plan.add_subparsers(dest="mode", required=True)
@@ -669,13 +683,13 @@ def _check_flags(args) -> None:
                 raise ValueError(f"{flag} must square to a finite, positive variance, "
                                  f"got {sigma!r}")
     if "tol" in flags and not 0 <= args.tol < math.inf:
-        raise ValueError("tolerance must be nonnegative and finite")
+        raise ValueError(f"--tol must be nonnegative and finite, got {args.tol!r}")
     if flags.get("enum_cap") is not None and args.enum_cap < 1:
-        raise ValueError("enumeration cap must be positive")
+        raise ValueError(f"--enum-cap must be positive, got {args.enum_cap}")
     if flags.get("channel_limit", 1) < 1:
-        raise ValueError("channel limit must be positive")
+        raise ValueError(f"--channel-limit must be positive, got {args.channel_limit}")
     if flags.get("parallel", 0) < 0:
-        raise ValueError("parallel degree must be nonnegative")
+        raise ValueError(f"--parallel must be nonnegative, got {args.parallel}")
     if flags.get("counterexamples", 0) < 0:
         raise ValueError(f"--counterexamples must be nonnegative, got {args.counterexamples}")
     _check_output(args.output)

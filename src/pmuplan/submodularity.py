@@ -29,6 +29,10 @@ Its cost follows the bits that change, not the bus count: a set of buses
 is decoded into a frozenset only for a cache miss, and then from the
 nearest set already decoded (the last A, the last B or nu); a kept record
 reads its sorted ids off the case's position bits, once per mask a call.
+The records are frozen, slotted dataclasses built positionally, so a kept
+record costs its two constructors, SubsetTriple's checks included (about
+5 us on a 2-vCPU host), and a counterexample past the cap one test of
+the room left.
 Over a warm table, as when one metric serves many audits, a block whose
 values are all cached is tallied from two marginal rows, X's differences
 f(X+s) - f(X) over the buses s outside X: A's row for the gains and B's
@@ -72,7 +76,7 @@ class MarginClass(str, Enum):
     TIE = "tie"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetTriple:
     """One audited configuration: nested sets A ⊆ B and a probe bus s ∉ B."""
 
@@ -81,14 +85,16 @@ class SubsetTriple:
     s: int
 
     def __post_init__(self) -> None:
+        a, b = self.a, self.b
         # strictly sorted: each id below the next, so no id repeats
-        if not (isinstance(self.a, tuple) and all(map(operator.lt, self.a, self.a[1:]))):
+        if not (isinstance(a, tuple) and all(map(operator.lt, a, a[1:]))):
             raise ValueError("A must be a strictly sorted tuple")
-        if not (isinstance(self.b, tuple) and all(map(operator.lt, self.b, self.b[1:]))):
+        if not (isinstance(b, tuple) and all(map(operator.lt, b, b[1:]))):
             raise ValueError("B must be a strictly sorted tuple")
-        if not set(self.b).issuperset(self.a):
+        members = set(b)
+        if not members.issuperset(a):
             raise ValueError("A must be a subset of B")
-        if self.s in self.b:
+        if self.s in members:
             raise ValueError(f"probe bus {self.s} already belongs to B")
 
     @property
@@ -103,7 +109,7 @@ class SubsetTriple:
         return (self.a, self.b, self.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarginRecord:
     """Four metric evaluations for one triple and the resulting verdict."""
 
@@ -326,8 +332,13 @@ def audit(
     and then from the nearest set already decoded: the last A, the last B
     or nu, whichever differs from it in the fewest bits, by removing and
     adding the buses of those bits. A+s and B+s are that set plus one bus.
-    A kept record reads the sorted ids of its A and B by a walk of the
-    position bits, which lists them in id order, once per mask a call.
+    One builder makes the records of both loops. It reads the sorted ids
+    of A and B from a memo for the call, filled by a walk of the position
+    bits, which lists them in id order, once per mask, and builds the
+    SubsetTriple and the MarginRecord positionally; their constructors,
+    with SubsetTriple's checks, are what a kept record costs. A count of
+    the records the cap still admits is all a supermodular triple tests,
+    so one past the cap costs no more than one comparison.
 
     The marginal row of a placement X is ``{s: f(X+s) - f(X)}`` over the
     bits of the buses outside X, in ascending-id order. It depends on X
@@ -369,6 +380,7 @@ def audit(
     cache = getattr(metric, "scores", {}) if shared else {}
     margins = getattr(metric, "margins", {}) if shared else {}
     id_tuples: dict[int, tuple[int, ...]] = {}  # mask -> its sorted ids, for kept records
+    supermodular, neg_tol = MarginClass.SUPERMODULAR, -tol
 
     def ids_in(mask: int) -> Iterator[int]:
         while mask:
@@ -395,15 +407,6 @@ def audit(
         decoded[slot] = (mask, buses)
         return buses
 
-    def sorted_ids(mask: int) -> tuple[int, ...]:
-        ids = id_tuples.get(mask)
-        if ids is None:
-            ids = id_tuples[mask] = tuple(case.buses_in(mask))
-        return ids
-
-    def triple(a: int, b: int, s: int) -> SubsetTriple:
-        return SubsetTriple(a=sorted_ids(a), b=sorted_ids(b), s=case.buses[s.bit_length() - 1].id)
-
     def evaluate(base: int, plus: int, a: int, b: int, s: int) -> float:
         """Score the missed placement base + plus, where base is the block's A
         or B and plus is 0 or the probe bit."""
@@ -412,17 +415,25 @@ def audit(
         try:
             value = cache[base | plus] = float(metric(placement))
         except Exception as exc:
-            raise MetricEvaluationError(triple(a, b, s), placement) from exc
+            triple = SubsetTriple(tuple(case.buses_in(a)), tuple(case.buses_in(b)),
+                                  case.buses[s.bit_length() - 1].id)
+            raise MetricEvaluationError(triple, placement) from exc
         return value
 
     def record(a: int, b: int, s: int, f_a: float, f_a_s: float, f_b: float,
                f_b_s: float) -> MarginRecord:
-        """A kept counterexample, its differences taken as the loops take them."""
+        """A kept counterexample, its differences taken as the loops take them
+        and the sorted ids of A and B decoded once per mask a call."""
+        ids_a = id_tuples.get(a)
+        if ids_a is None:
+            ids_a = id_tuples[a] = tuple(case.buses_in(a))
+        ids_b = id_tuples.get(b)
+        if ids_b is None:
+            ids_b = id_tuples[b] = tuple(case.buses_in(b))
         lhs = f_a_s - f_a
         rhs = f_b_s - f_b
-        return MarginRecord(triple=triple(a, b, s), f_a=f_a, f_a_s=f_a_s, f_b=f_b,
-                            f_b_s=f_b_s, lhs=lhs, rhs=rhs, margin=lhs - rhs,
-                            verdict=MarginClass.SUPERMODULAR)
+        return MarginRecord(SubsetTriple(ids_a, ids_b, case.buses[s.bit_length() - 1].id),
+                            f_a, f_a_s, f_b, f_b_s, lhs, rhs, lhs - rhs, supermodular)
 
     def margin_row(x: int, outside: Iterable[int]) -> dict[int, float] | None:
         """Store and return X's row {s: f(X+s) - f(X)} over ``outside``, the
@@ -442,6 +453,7 @@ def audit(
     lookup = cache.get
     submod = supermod = ties = processed = 0
     counterexamples: list[MarginRecord] = []
+    room = counterexample_cap  # records the cap still admits
     a_extra, b_extra = a_size - len(nu_ids), b_size - a_size
     free = [bits[bus] for bus in sorted(ids_in(((1 << len(bits)) - 1) ^ nu_mask))]
     width = len(bits) - b_size  # probes per block
@@ -472,9 +484,10 @@ def audit(
                             margin = gains[s] - drop
                             if margin >= tol:
                                 submod += 1
-                            elif margin <= -tol:
+                            elif margin <= neg_tol:
                                 supermod += 1
-                                if len(counterexamples) < counterexample_cap:
+                                if room > 0:
+                                    room -= 1
                                     counterexamples.append(record(
                                         a, b, s, f_a, lookup(a | s), lookup(b), lookup(b | s)))
                             else:
@@ -508,9 +521,10 @@ def audit(
                     margin = lhs - rhs
                     if margin >= tol:
                         submod += 1
-                    elif margin <= -tol:
+                    elif margin <= neg_tol:
                         supermod += 1
-                        if len(counterexamples) < counterexample_cap:
+                        if room > 0:
+                            room -= 1
                             counterexamples.append(record(a, b, s, f_a, f_a_s, f_b, f_b_s))
                     else:
                         ties += 1

@@ -525,7 +525,30 @@ def test_a_repeated_nu_id_is_a_usage_error(tmp_path, capsys, argv):
 )
 def test_bad_tolerance_is_usage_error(capsys, argv, tol):
     code, out, err = run(capsys, *argv, f"--tol={tol}")
-    assert (code, out, err) == (2, "", "error: tolerance must be nonnegative and finite\n")
+    assert (code, out, err) == (
+        2, "", f"error: --tol must be nonnegative and finite, got {float(tol)!r}\n")
+
+
+# the count flags and the bound each must keep, with the commands that take them
+BOUNDED_COUNTS = [
+    ("--enum-cap", "positive", ["0", "-3"],
+     [["plan", "budget", "--stages", "2"], ["plan", "compare", "--stages", "2"]]),
+    ("--channel-limit", "positive", ["0", "-1"],
+     [["metrics", "--nu", "2,6,7,9"], ["plan", "greedy", "--stages", "2"],
+      ["submod", "audit", "--parallel", "1"], ["submod", "count"]]),
+    ("--parallel", "nonnegative", ["-1", "-8"], [["submod", "audit"]]),
+]
+
+
+@pytest.mark.parametrize("argv, flag, bound, value", [
+    pytest.param(argv, flag, bound, value, id=" ".join([*argv, f"{flag}={value}"]))
+    for flag, bound, values, commands in BOUNDED_COUNTS
+    for argv in commands
+    for value in values
+])
+def test_a_bad_count_names_its_flag_and_value(capsys, argv, flag, bound, value):
+    code, out, err = run(capsys, *argv, f"{flag}={value}")
+    assert (code, out, err) == (2, "", f"error: {flag} must be {bound}, got {value}\n")
 
 
 def _not_json(constant: str):

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import itertools
+import pickle
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from pmuplan.submodularity import (
     AuditAbortedError,
     ClassificationTally,
     MarginClass,
+    MarginRecord,
     MetricEvaluationError,
     SubsetTriple,
     audit,
@@ -590,3 +593,94 @@ def test_audit_rejects_bad_arguments(ieee14):
             classify_triple(f, SubsetTriple(a=(2, 6, 7, 9), b=(1, 2, 6, 7, 9), s=3), tol=bad)
     with pytest.raises(ValueError, match="nonnegative"):
         audit(ieee14, f, NU, 12, 13, start=-1)
+
+
+# ---- kept records -------------------------------------------------------------
+
+
+def test_records_are_frozen_hashable_and_slotted(ieee14):
+    tally = audit(ieee14, metric_function(ieee14, gain=True), NU, 12, 13)
+    record = tally.counterexamples[0]
+    for obj, field in ((record, "margin"), (record.triple, "s")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 0)
+        # a name that is no field has no slot; CPython 3.10 and 3.11 refuse it
+        # with a TypeError from the frozen class's __setattr__
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            obj.extra = 0
+        assert not hasattr(obj, "__dict__") and not hasattr(obj, "extra")
+    assert hash(record) == hash(dataclasses.replace(record)) and record == dataclasses.replace(record)
+    assert len(set(tally.counterexamples + tally.counterexamples)) == 12
+    assert repr(SubsetTriple((1,), (1, 2), 3)) == "SubsetTriple(a=(1,), b=(1, 2), s=3)"
+
+
+def test_records_cross_a_pickle_unchanged(ieee14):
+    """As the CLI's worker pool sends them: a capped tally comes back equal,
+    and slices audited apart and pickled merge to the serial tally."""
+    whole = audit(ieee14, metric_function(ieee14, gain=True), NU, 5, 9)
+    # 6,300 triples, 2,885 of them supermodular: the default cap of 100 binds
+    assert (whole.total, whole.supermodular, len(whole.counterexamples)) == (6300, 2885, 100)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(whole, protocol))
+        assert copy == whole and copy.to_dict() == whole.to_dict()
+        assert {type(r) for r in copy.counterexamples} == {MarginRecord}
+    for workers in (2, 3):
+        bounds = [whole.total * i // workers for i in range(workers + 1)]
+        parts = [
+            pickle.loads(pickle.dumps(audit(
+                ieee14, metric_function(ieee14, gain=True), NU, 5, 9, start=lo, stop=hi)))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert all(len(p.counterexamples) == 100 for p in parts)
+        assert merge_tallies(parts) == whole
+
+
+def test_large_audit_records_are_classify_triples(ieee118):
+    """Criterion 7's 90 counterexamples, field by field, are what
+    classify_triple makes of their triples."""
+    cover = greedy_observable_cover(ieee118, channel_limit=8).buses
+    metric = metric_function(ieee118, gain=True, channel_limit=16)
+    tally = audit(ieee118, metric, cover, 116, 117)
+    assert len(tally.counterexamples) == tally.supermodular == 90
+    for record in tally.counterexamples:
+        expected = classify_triple(metric, record.triple)
+        for field in dataclasses.fields(MarginRecord):
+            assert getattr(record, field.name) == getattr(expected, field.name), field.name
+
+
+class _NotedRows(dict):
+    """A row table that notes every mask the audit asks it for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, mask, default=None):
+        self.asked.append(mask)
+        return super().get(mask, default)
+
+
+@pytest.mark.parametrize("a_size, b_size, inside", [(4, 6, "first"), (4, 7, "last")])
+def test_a_cap_inside_a_row_tallied_block_keeps_the_prefix(ieee14, a_size, b_size, inside):
+    """Over a warm table, caps of 1, n - 1 and n, n the supermodular count,
+    keep the reference's first records; the cap of 1 (4, 6) or of n - 1
+    (4, 7) falls between two records of one block tallied from rows."""
+    f = metric_function(ieee14, gain=True)
+    metric = functools.wraps(f)(lambda placement: f(placement))
+    metric.margins = _NotedRows()
+    for _ in range(2):  # score every placement, then store the rows
+        full = audit(ieee14, metric, NU, a_size, b_size, counterexample_cap=10**6)
+    n = full.supermodular
+    records = _reference_audit(ieee14, f, NU, a_size, b_size, 1e-9, n, 0, None).counterexamples
+    assert full.counterexamples == records and len(records) == n
+    k = 1 if inside == "first" else n - 1
+    kept, dropped = records[k - 1].triple, records[k].triple
+    assert (kept.a, kept.b) == (dropped.a, dropped.b)
+    block = sum(map(ieee14.position_bits.__getitem__, kept.b))
+    for cap in (1, n - 1, n):
+        metric.margins.asked.clear()
+        tally = audit(ieee14, metric, NU, a_size, b_size, counterexample_cap=cap)
+        assert tally.counterexamples == records[:cap]
+        assert tally.supermodular == n
+        # the block was tallied from B's row, which only the row path asks for
+        assert block in metric.margins.asked and block in metric.margins
