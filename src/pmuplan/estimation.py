@@ -57,6 +57,7 @@ from .measurements import (
     METERED_COLUMN,
     PmuPlacement,
     _busiest_over_limit,
+    _is_channel_limit,
     _union,
 )
 from .network import NetworkCase
@@ -182,7 +183,8 @@ def metric_function(
     - the planners' incremental ``scorer``.
 
     The scorer is None unless every bus of the case can host a PMU: the
-    dedupe policy is valid, the channel limit is at least 1 and no bus has
+    dedupe policy is valid, the channel limit is an int of at least 1 (see
+    :class:`~pmuplan.measurements.PmuPlacement`) and no bus has
     more incident branches than the limit. Otherwise the planners call f on
     every candidate, and f raises as it should.
     ``scorer(base)`` returns ``score(added, candidates)``: the list of f's
@@ -197,13 +199,13 @@ def metric_function(
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
 
     def f(buses) -> float:
-        value = placement_metric(case, PmuPlacement.of(buses, channel_limit=limit),
-                                 scope=scope, dedupe=dedupe)
+        value = placement_metric(case, PmuPlacement(buses, limit), scope=scope, dedupe=dedupe)
         return -value if gain else value
 
     f.scores, f.margins, f.case, f.scorer = {}, {}, case, None
     column = METERED_COLUMN.get(dedupe)
-    if column is None or limit < 1 or _busiest_over_limit(case, limit) is not None:
+    if (column is None or not _is_channel_limit(limit)
+            or _busiest_over_limit(case, limit) is not None):
         return f
     full = scope == StateScope.FULL
     index = case.incidence

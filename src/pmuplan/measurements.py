@@ -145,17 +145,31 @@ class ChannelLimitError(ValueError):
         )
 
 
+def _is_channel_limit(limit) -> bool:
+    """Whether ``limit`` is a channel limit: an int of at least 1, not a bool."""
+    return isinstance(limit, int) and not isinstance(limit, bool) and limit >= 1
+
+
 @dataclass(frozen=True)
 class PmuPlacement:
-    """A set of PMU-hosting buses plus the per-PMU branch-input budget."""
+    """A set of PMU-hosting buses plus the per-PMU branch-input budget.
+
+    ``buses`` becomes the sorted tuple of the distinct ids given; a set or
+    frozenset is sorted as it is, without a copy, and any other iterable
+    goes through a set first. ``channel_limit`` must be an int of at least
+    1; a bool, a float or nan raises ValueError naming it and the value.
+    """
 
     buses: tuple[int, ...]
     channel_limit: int = DEFAULT_CHANNEL_LIMIT
 
     def __post_init__(self) -> None:
-        if self.channel_limit <= 0:
-            raise ValueError("channel_limit must be positive")
-        object.__setattr__(self, "buses", tuple(sorted(set(self.buses))))
+        if not _is_channel_limit(self.channel_limit):
+            raise ValueError(f"channel_limit must be a positive integer, got {self.channel_limit!r}")
+        buses = self.buses
+        if not isinstance(buses, (set, frozenset)):
+            buses = set(buses)
+        object.__setattr__(self, "buses", tuple(sorted(buses)))
 
     @classmethod
     def of(cls, buses: Iterable[int], channel_limit: int = DEFAULT_CHANNEL_LIMIT) -> "PmuPlacement":

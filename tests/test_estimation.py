@@ -218,6 +218,22 @@ def test_flat_branch_model_changes_entries_not_average(ieee14):
     assert flat_report.average == pytest.approx(placement_metric(ieee14, nu), abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [0, 2.5, float("nan"), True])
+def test_metric_function_with_a_bad_limit_raises_when_called(ieee14, bad):
+    """As with a limit of 0, f takes any limit but has no scorer, and raises
+    on every placement, naming the limit: at nan it scored (2, 6, 7, 9) as
+    0.7778 although bus 2 has 4 incident branches."""
+    for gain in (False, True):
+        f = metric_function(ieee14, channel_limit=bad, gain=gain)
+        assert f.scorer is None
+        with pytest.raises(ValueError, match=re.escape(f"channel_limit must be a positive "
+                                                       f"integer, got {bad!r}")):
+            f(frozenset({2, 6, 7, 9}))
+        assert f.scores == {}
+    with pytest.raises(ValueError, match="channel_limit must be a positive integer, got nan"):
+        placement_metric(ieee14, PmuPlacement.of((2, 6, 7, 9), channel_limit=float("nan")))
+
+
 def test_metric_function_orientation_and_cache(ieee14):
     score = metric_function(ieee14)
     improve = metric_function(ieee14, gain=True)

@@ -34,7 +34,8 @@ def triangle():
 
 
 def test_placement_normalizes_and_validates():
-    inputs = [[9, 2, 2, 7], (9, 2, 7), (b for b in (9, 2, 7)), frozenset({9, 2, 7}), [9, 7, 2, 9]]
+    inputs = [[9, 2, 2, 7], (9, 2, 7), (b for b in (9, 2, 7)), frozenset({9, 2, 7}), {9, 2, 7},
+              [9, 7, 2, 9]]
     for buses in inputs:
         p = PmuPlacement.of(buses)
         assert type(p.buses) is tuple and p.buses == (2, 7, 9)
@@ -42,6 +43,15 @@ def test_placement_normalizes_and_validates():
         assert len(p) == 3
     with pytest.raises(ValueError):
         PmuPlacement.of([1], channel_limit=0)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 8.0, float("nan"), float("inf"), True, "8", None])
+def test_channel_limit_must_be_a_positive_int(bad):
+    """A limit that is no int >= 1 is refused by name and value: nan passed
+    the old ``<= 0`` test and then never limited a bus."""
+    with pytest.raises(ValueError) as err:
+        PmuPlacement.of((2, 6, 7, 9), channel_limit=bad)
+    assert str(err.value) == f"channel_limit must be a positive integer, got {bad!r}"
 
 
 def test_channel_ordering_is_canonical(triangle):

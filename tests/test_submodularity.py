@@ -147,9 +147,9 @@ def test_sliced_audits_merge_to_the_serial_tally(ieee14):
         assert merge_tallies(parts).to_dict() == whole.to_dict()
     with pytest.raises(ValueError):
         merge_tallies([])
-    with pytest.raises(ValueError, match="counterexample cap must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="counterexample_cap must be a nonnegative integer, got -1"):
         merge_tallies(parts, counterexample_cap=-1)
-    with pytest.raises(ValueError, match="counterexample cap must be nonnegative, got -1"):
+    with pytest.raises(ValueError, match="counterexample_cap must be a nonnegative integer, got -1"):
         audit(ieee14, f, NU, 12, 13, counterexample_cap=-1)
 
 
@@ -385,14 +385,17 @@ def test_audit_matches_the_per_triple_reference(setup, gain, tol, cap, interval,
 
 
 def test_audit_does_not_depend_on_the_listing_order(ieee14, ieee118):
-    """The README audit and criterion 7 on each bundled case and on a copy
-    listing its buses and branches in reverse, so that position bits no
-    longer follow the ids: the same tally, records and metric calls, and
-    the same again over the warm tables."""
+    """The README audit, criterion 7 and an ieee14 audit at |A|=6, |B|=8 on
+    each bundled case and on a copy listing its buses and branches in
+    reverse, so that position bits no longer follow the ids: the same tally,
+    records and metric calls, and the same again over the warm tables. The
+    last audit decodes a missed placement from both sides: each A from its
+    6 set bits and each B+s from its 5 clear bits."""
     cover = greedy_observable_cover(ieee118, channel_limit=8).buses
     for case, nu, a_size, b_size, limit in (
         (ieee14, NU, 12, 13, 8),
         (ieee118, cover, 116, 117, 16),
+        (ieee14, NU, 6, 8, 8),
     ):
         flipped = NetworkCase(case.name, case.buses[::-1], case.branches[::-1])
         assert flipped.position_bits[min(case.bus_ids)] == 1 << (len(case.buses) - 1)
@@ -407,6 +410,9 @@ def test_audit_does_not_depend_on_the_listing_order(ieee14, ieee118):
             warm = [audit(c, metric, nu, a_size, b_size).to_dict() for _ in range(2)]
             runs.append((cold, calls, warm))
             assert f.margins
+            # each placement f is called on is a frozenset of the case's ids
+            assert all(type(p) is frozenset and p <= set(c.bus_ids) for p in calls)
+            assert {len(p) for p in calls} == {a_size, a_size + 1, b_size, b_size + 1}
         assert runs[0] == runs[1]
         assert runs[0][0]["supermodular"] > 0 and runs[0][2] == [runs[0][0]] * 2
 
@@ -593,6 +599,29 @@ def test_audit_rejects_bad_arguments(ieee14):
             classify_triple(f, SubsetTriple(a=(2, 6, 7, 9), b=(1, 2, 6, 7, 9), s=3), tol=bad)
     with pytest.raises(ValueError, match="nonnegative"):
         audit(ieee14, f, NU, 12, 13, start=-1)
+
+
+@pytest.mark.parametrize("name", ["counterexample_cap", "start", "stop"])
+@pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), True, -1, "3", 2.0])
+def test_audit_counts_must_be_nonnegative_ints(ieee14, name, bad):
+    """A cap, start or stop that is no int >= 0 is refused by name and value,
+    before the metric runs: a float cap kept ceil(cap) records, a nan cap
+    none, and a float stop cut the stream at an odd place."""
+    calls = []
+    metric = _recording(metric_function(ieee14, gain=True), calls)
+    message = f"{name} must be a nonnegative integer, got {bad!r}"
+    with pytest.raises(ValueError) as err:
+        audit(ieee14, metric, NU, 12, 13, **{name: bad})
+    assert str(err.value) == message
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), True, -1, None])
+def test_merge_tallies_cap_must_be_a_nonnegative_int(ieee14, bad):
+    part = audit(ieee14, metric_function(ieee14, gain=True), NU, 12, 13)
+    with pytest.raises(ValueError) as err:
+        merge_tallies([part], counterexample_cap=bad)
+    assert str(err.value) == f"counterexample_cap must be a nonnegative integer, got {bad!r}"
 
 
 # ---- kept records -------------------------------------------------------------
