@@ -202,8 +202,7 @@ def count_combinations(omega: int, nu: int, a: int, b: int) -> int:
     alpha = C(omega-nu, a-nu) * C(omega-a, b-a) * C(omega-b, 1)
     """
     for name, val in (("omega", omega), ("nu", nu), ("a", a), ("b", b)):
-        if not isinstance(val, int) or val < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {val!r}")
+        _require_count(name, val)
     if not (nu <= a <= b < omega):
         raise ValueError(
             f"size ordering violated: need nu <= a <= b < omega, "
@@ -337,9 +336,8 @@ def audit(
     bookkeeping.
 
     The cost follows the bits that change, not the bus count. Set-up sorts
-    the free buses, the case's ids outside nu, and reads nu's mask from
-    its short side: the complement of the free bits when they are fewer
-    than half the case, else the sum of nu's own bits. A placement, a
+    the free buses, the case's ids outside nu, and reads nu's mask as the
+    complement of their bits. A placement, a
     block's A or B or either plus the probe, is decoded into a frozenset
     only when it misses the cache, and then once, straight from its mask
     and from its short side: the ids of its set bits when they are at most
@@ -389,11 +387,7 @@ def audit(
 
     everyone = (1 << len(bits)) - 1
     free = [bits[bus] for bus in sorted(omega.difference(nu_ids))]
-    # nu's mask from its short side: the free bits or nu's own
-    if 2 * len(free) < len(bits):
-        nu_mask = everyone ^ sum(free)
-    else:
-        nu_mask = sum(map(bits.__getitem__, nu_ids))
+    nu_mask = everyone ^ sum(free)
     shared = getattr(metric, "case", None) is case
     cache = getattr(metric, "scores", {}) if shared else {}
     margins = getattr(metric, "margins", {}) if shared else {}

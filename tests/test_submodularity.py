@@ -616,6 +616,21 @@ def test_audit_counts_must_be_nonnegative_ints(ieee14, name, bad):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_audit_sizes_refuse_a_bool(ieee14, name):
+    """A bool size is refused like a bool cap: ``a_size=True`` once audited
+    156 triples as if it were 1."""
+    calls = []
+    metric = _recording(metric_function(ieee14, gain=True), calls)
+    sizes = {"a": (True, 2), "b": (1, True)}[name]
+    with pytest.raises(ValueError) as err:
+        audit(ieee14, metric, (2,), *sizes)
+    assert str(err.value) == f"{name} must be a nonnegative integer, got True"
+    assert calls == []
+    with pytest.raises(ValueError, match="a must be a nonnegative integer, got 2.0"):
+        count_combinations(14, 4, 2.0, 5)
+
+
 @pytest.mark.parametrize("bad", [2.5, float("nan"), True, -1, None])
 def test_merge_tallies_cap_must_be_a_nonnegative_int(ieee14, bad):
     part = audit(ieee14, metric_function(ieee14, gain=True), NU, 12, 13)
