@@ -399,9 +399,10 @@ def _replay_progress(before: int, after: int, total: int) -> None:
 
 
 def _audit_workers(parallel: int, alpha: int) -> int:
-    """Worker processes for an audit of ``alpha`` triples: ``--parallel N``
-    asks for N; 0 runs serially below AUTO_POOL_MIN_TRIPLES, where starting
-    a pool costs more than it saves, else asks for one worker per CPU."""
+    """Workers, that is shards, for an audit of ``alpha`` triples:
+    ``--parallel N`` asks for N; 0 runs serially below
+    AUTO_POOL_MIN_TRIPLES, where starting a pool costs more than it saves,
+    else asks for one worker per CPU."""
     if parallel:
         return parallel
     if alpha < AUTO_POOL_MIN_TRIPLES:
@@ -458,7 +459,8 @@ def _cmd_submod(args) -> str:
         # then either the first failure or the merged tally.
         parts: list[ClassificationTally] = []
         done = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # N shards start at most one process per CPU; the rest queue
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             for part, code in pool.map(_audit_shard, payloads):
                 _replay_progress(done, done + part.total, alpha)
                 done += part.total
@@ -596,7 +598,8 @@ _FLAGS = {
     "--tol": dict(type=float, default=1e-9, help="tie / margin classification tolerance"),
     "--enum-cap": dict(type=int, help="max subsets an exhaustive stage may evaluate"),
     "--parallel": dict(type=int, default=0,
-                       help="worker processes (0 = serial for a small audit, else all cores)"),
+                       help="audit shards, run by at most one process per CPU "
+                            "(0 = serial for a small audit, else one per CPU)"),
     "--nu": dict(help="base placement, e.g. 2,6,7,9 or @file (default: observable core)"),
     "--stages": dict(type=int, required=True, help="stages to plan (budget: the single stage k)"),
     "--a-size": dict(type=int, help="|A| (default omega-2)"),

@@ -75,6 +75,17 @@ class StateScope(str, Enum):
     PMU = "pmu-state"
 
 
+def _state_scope(scope) -> StateScope:
+    """``scope`` as a StateScope member, which passes on two identity tests;
+    a value that is neither member nor member value raises ValueError."""
+    if scope is StateScope.PMU or scope is StateScope.FULL:
+        return scope
+    try:
+        return StateScope(scope)
+    except ValueError:
+        raise ValueError(f"scope must be a StateScope or its value, got {scope!r}") from None
+
+
 class UnobservableStateError(ValueError):
     """The gain matrix H'R^-1H is numerically singular."""
 
@@ -119,7 +130,8 @@ def placement_metric(
         one. The null dimension is ``n - m`` when there are fewer channels
         than states, else twice the number of unobserved buses.
     """
-    full = scope == StateScope.FULL
+    scope = _state_scope(scope)
+    full = scope is StateScope.FULL
     k, metered, observed = _union(case, placement.buses, dedupe, placement.channel_limit, full)
     unobserved = len(case.buses) - observed.bit_count()
     (value,) = _counted_scores(case, scope, k, [metered.bit_count()], [unobserved] if full else None)
@@ -145,7 +157,7 @@ def _counted_scores(
     None. A value is None where there is no score: the placement has no
     channels, or leaves a bus unobserved.
     """
-    n = 2 * len(case.buses) if scope == StateScope.FULL else 2 * k
+    n = 2 * len(case.buses) if scope is StateScope.FULL else 2 * k
     channels = [2 * k + 2 * count for count in metered]
     values = [(m - n) / m if m else None for m in channels]
     if unobserved:
@@ -197,6 +209,7 @@ def metric_function(
     :attr:`~pmuplan.network.NetworkCase.incidence` row and one popcount.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
+    scope = _state_scope(scope)
 
     def f(buses) -> float:
         value = placement_metric(case, PmuPlacement(buses, limit), scope=scope, dedupe=dedupe)
@@ -207,7 +220,7 @@ def metric_function(
     if (column is None or not _is_channel_limit(limit)
             or _busiest_over_limit(case, limit) is not None):
         return f
-    full = scope == StateScope.FULL
+    full = scope is StateScope.FULL
     index = case.incidence
     everyone = (1 << len(index)) - 1
 

@@ -150,6 +150,13 @@ def _check_enumerable(instance: KnapsackInstance) -> None:
         raise ItemLimitError(instance.n, MAX_EXHAUSTIVE_ITEMS)
 
 
+def _check_budget(budget: float) -> None:
+    """Raise ValueError unless ``budget`` is a real number >= 0, inf included;
+    a bool or nan is none."""
+    if isinstance(budget, bool) or not (isinstance(budget, (int, float)) and budget >= 0):
+        raise ValueError(f"budget must be nonnegative, got {budget!r}")
+
+
 def optimal_solve(
     instance: KnapsackInstance, budget: float
 ) -> tuple[tuple[int, ...], float]:
@@ -158,8 +165,7 @@ def optimal_solve(
     Returns (sorted item indices, objective). Value ties go to the
     lexicographically smallest index tuple, so outputs are reproducible.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(budget)
     _check_enumerable(instance)
     return _best(instance, ((), 0.0), (
         combo
@@ -200,8 +206,7 @@ def greedy_solve(
     fixed property of the instance; the budget only decides how long a
     prefix of it gets bought.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
+    _check_budget(budget)
     order, spent = _purchase_order(instance)
     # running weights never fall, so the prefixes the budget admits are the
     # entries up to the last one within it

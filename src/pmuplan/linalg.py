@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .estimation import StateScope, UnobservableStateError
+from .estimation import StateScope, UnobservableStateError, _state_scope
 from .measurements import PmuPlacement, _union
 from .network import Branch, NetworkCase
 
@@ -299,7 +299,7 @@ def build_jacobian(
     """
     if not mset.channels:
         raise ValueError("measurement set is empty")
-    if scope == StateScope.FULL:
+    if _state_scope(scope) is StateScope.FULL:
         state_buses = list(case.bus_ids)
     else:
         members = mset.placement.bus_set

@@ -216,6 +216,24 @@ def _integral(value, label: str) -> int:
     return int(value)
 
 
+def _require_count(name: str, value, low: int = 0, high: int | None = None) -> None:
+    """Raise ValueError naming ``name`` and ``value`` unless it is an int, not
+    a bool, that is >= 0, or in ``low..high`` when ``high`` is given."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return
+    span = "a nonnegative integer" if high is None else f"in {low}..{high}"
+    raise ValueError(f"{name} must be {span}, got {value!r}")
+
+
+def _require_tol(name: str, value) -> None:
+    """Raise ValueError naming ``name`` and ``value`` unless it is a finite
+    real number >= 0, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 <= value < math.inf):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
 def _number(entry: dict, key: str, default: float | None = None) -> float:
     """A JSON entry's numeric field as float; strings and booleans fail."""
     value = entry[key] if default is None else entry.get(key, default)

@@ -13,7 +13,8 @@ in enumeration order, whose value lies within ``tie_tol`` of the stage
 minimum wins. Greedy enumerates the free buses in ascending id order, so the
 lowest bus id in the tie group wins; the exhaustive planner enumerates
 ``itertools.combinations(free, k)``, so the lexicographically smallest
-addition set wins.
+addition set wins. ``tie_tol`` must be finite and >= 0: NaN or a negative
+one would leave a stage without a winner, and inf would tie every candidate.
 
 The search walks groups of candidates that share the buses they add on top
 of the base: one group per greedy stage, and one per exhaustive
@@ -36,6 +37,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb, inf
 from typing import Callable, Iterable
+
+from .network import _require_count, _require_tol
 
 __all__ = [
     "StageResult",
@@ -113,8 +116,7 @@ class PriorityList:
 
     def stage_result(self, stage: int) -> StageResult:
         """Stage-k set is the first k entries of the order, as a sorted set."""
-        if not 1 <= stage <= len(self.order):
-            raise ValueError(f"stage must be in 1..{len(self.order)}")
+        _require_count("stage", stage, 1, len(self.order))
         return StageResult(
             stage=stage,
             selected=tuple(sorted(self.order[:stage])),
@@ -194,12 +196,6 @@ def _scorer(metric, base: Iterable[int]) -> Callable[[Iterable[int], list[int]],
     return None if scorer is None else scorer(base)
 
 
-def _check_tie_tol(tie_tol: float) -> None:
-    # NaN or a negative tol would leave a stage without a winner; inf would tie every candidate
-    if not 0.0 <= tie_tol < inf:
-        raise ValueError(f"tie tolerance must be nonnegative and finite, got {tie_tol}")
-
-
 def _stage_search(stage, groups, score, metric, base: frozenset, tie_tol: float, bare: bool):
     """The first candidate, in enumeration order, within ``tie_tol`` of the minimum.
 
@@ -249,10 +245,9 @@ def greedy_plan(
     scorer, one call per stage scores every candidate, at one OR and one
     popcount each.
     """
-    _check_tie_tol(tie_tol)
+    _require_tol("tie tolerance", tie_tol)
     base, free = _free_buses(case, nu)
-    if not 0 <= stages <= len(free):
-        raise ValueError(f"stages must be in 0..{len(free)}, got {stages}")
+    _require_count("stages", stages, 0, len(free))
 
     base_set = frozenset(base)
     score = _scorer(metric, base)
@@ -288,10 +283,10 @@ def budget_constrained_plan(
     over the free buses after its last, so a scorer scores them in one call
     per prefix.
     """
-    _check_tie_tol(tie_tol)
+    _require_tol("tie tolerance", tie_tol)
+    _require_count("enum_cap", enum_cap)
     base, free = _free_buses(case, nu)
-    if not 1 <= k <= len(free):
-        raise ValueError(f"k must be in 1..{len(free)}, got {k}")
+    _require_count("k", k, 1, len(free))
     candidates = comb(len(free), k)
     if candidates > enum_cap:
         raise EnumerationCapError(candidates, enum_cap, k)
@@ -329,7 +324,9 @@ def compare_plans(
     function of the placement set. The check runs on every row, but at
     stage 1, where both rows are one result, it cannot fire.
     """
-    _check_tie_tol(tie_tol)
+    _require_tol("tie tolerance", tie_tol)
+    _require_count("enum_cap", enum_cap)
+    _require_count("stages", stages)
     if stages < 1:
         raise ValueError("comparison needs at least one stage")
     greedy = greedy_plan(case, nu, metric, stages, tie_tol=tie_tol)

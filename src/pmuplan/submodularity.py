@@ -19,26 +19,8 @@ The enumeration is lexicographic in (A, B, s), so counterexample lists are
 reproducible run to run and mergeable across work slices.
 
 enumerate_triples and classify_triple state the definition one triple at a
-time. audit computes the same tally without an object per triple: it holds
-placements as int masks of the case's position bits, walks them in
-ascending-id order with the free bits outside each A listed once and each
-(A, B) block's probes visited in place among them, reads f(A) and f(B) once
-per block, caches metric values by mask, and builds records only for the
-counterexamples it keeps.
-Its cost follows the bits that change, not the bus count: a placement is
-decoded into a frozenset only for a cache miss, once, from the short side
-of its mask (its set bits, or the case's ids but those of its clear bits);
-a kept record reads its sorted ids off the case's position bits, once per
-mask a call.
-The records are frozen, slotted dataclasses built positionally, so a kept
-record costs its two constructors, SubsetTriple's checks included (about
-5 us on a 2-vCPU host), and a counterexample past the cap one test of
-the room left.
-Over a warm table, as when one metric serves many audits, a block whose
-values are all cached is tallied from two marginal rows, X's differences
-f(X+s) - f(X) over the buses s outside X: A's row for the gains and B's
-for the drops. Rows sit in a second table beside the scores, keyed by
-mask, and are built once per placement, for every audit of the metric.
+time; audit computes the same tally over int masks of the case's position
+bits, with no object per triple.
 """
 
 from __future__ import annotations
@@ -47,8 +29,10 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, inf
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
+
+from .network import _require_count, _require_tol
 
 __all__ = [
     "MarginClass",
@@ -189,13 +173,6 @@ class AuditAbortedError(RuntimeError):
         )
 
 
-def _require_count(name: str, value) -> None:
-    """Raise ValueError naming ``name`` and ``value`` unless it is an int >= 0
-    (a bool is not one)."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
 def count_combinations(omega: int, nu: int, a: int, b: int) -> int:
     """Number of (A, B, s) triples for the given cardinalities.
 
@@ -251,8 +228,7 @@ def classify_triple(
     margin <= -tol, tie otherwise. Metric failures propagate with the
     offending triple and placement attached.
     """
-    if not 0.0 <= tol < inf:
-        raise ValueError("tolerance must be nonnegative and finite")
+    _require_tol("tolerance", tol)
     a = triple.a_set
     b = triple.b_set
     evals = {}
@@ -298,77 +274,34 @@ def audit(
     """Classify every triple over the case's bus set and tally the verdicts.
 
     ``metric`` is any set function mapping a frozenset of bus ids to a real
-    number. It runs once per distinct placement, and a value it returns is
-    cached, keyed by the placement's mask of position bits
-    (:attr:`~pmuplan.network.NetworkCase.position_bits`): in
-    ``metric.scores``, if there is one and ``metric.case`` is ``case``
-    itself, so audits of one :func:`~pmuplan.estimation.metric_function`
-    share one table, else for the call. The marginal rows built from those
-    values (below) go to ``metric.margins`` under the same condition, or to
-    a table for the call if the metric has none. ``start``/``stop``
-    restrict the run to a contiguous slice of the lexicographic triple
-    stream so external drivers can split the work; partial tallies
-    recombine with merge_tallies. ``progress(done, planned)`` is called
-    every PROGRESS_INTERVAL triples and after the last one.
+    number. ``start``/``stop`` restrict the run to a contiguous slice of the
+    lexicographic triple stream; partial tallies recombine with
+    merge_tallies. ``progress(done, planned)`` is called every
+    PROGRESS_INTERVAL triples and after the last one.
     ``counterexample_cap``, ``start`` and ``stop`` (unless None) must be
-    ints >= 0; a bool, a float or nan raises ValueError naming the argument
-    and the value, before the metric runs.
+    ints >= 0, and ``tol`` finite and >= 0; anything else raises ValueError
+    naming the argument and the value, before the metric runs.
 
     The verdicts, values and counterexample order are those of
-    classify_triple applied to enumerate_triples, but no object is built
-    per triple: placements are int bitmasks, f(A) and f(B) are read once
-    per (A, B) block, and a MarginRecord is built only for a counterexample
-    the audit keeps. Placements are evaluated lazily in classify_triple's
-    order, f(A), f(A+s), f(B), f(B+s), so on a metric failure the audit
-    aborts with the same offending triple and placement, and the tally
-    accumulated so far attached. A block tallied from rows (below) needs
-    no metric call; every block that may call the metric runs the
-    per-triple loop, in that order.
+    classify_triple applied to enumerate_triples. The metric runs once per
+    distinct placement, lazily, in classify_triple's order: f(A), f(A+s),
+    f(B), f(B+s). When it raises, the audit raises AuditAbortedError with
+    the count of triples processed and their tally so far, from a
+    MetricEvaluationError naming the triple and the placement.
 
-    The walk is three nested loops in the order of enumerate_triples. For
-    each A it lists ``rest``, the bits of the buses outside A, once; each B
-    is A plus a combination of ``rest``, and its probes are the bits of
-    ``rest`` outside B, visited in place. Every block holds the same number
-    of probes and every A the same number of blocks, so ``start`` skips
-    whole A's and blocks by division, and only the first block it lands in
-    lists its probes to drop the leading ones. ``stop`` is the last of the
-    progress checkpoints, so each triple costs one comparison of
-    bookkeeping.
-
-    The cost follows the bits that change, not the bus count. Set-up sorts
-    the free buses, the case's ids outside nu, and reads nu's mask as the
-    complement of their bits. A placement, a
-    block's A or B or either plus the probe, is decoded into a frozenset
-    only when it misses the cache, and then once, straight from its mask
-    and from its short side: the ids of its set bits when they are at most
-    half the case, else the case's set of ids minus the ids of its clear
-    bits, one set difference in C. For a 116-bus ieee118 placement that is
-    a difference over 2 ids, and the frozenset goes to the metric as it is.
-    One builder makes the records of both loops. It reads the sorted ids
-    of A and B from a memo for the call, filled by a walk of the position
-    bits, which lists them in id order, once per mask, and builds the
-    SubsetTriple and the MarginRecord positionally; their constructors,
-    with SubsetTriple's checks, are what a kept record costs. A count of
-    the records the cap still admits is all a supermodular triple tests,
-    so one past the cap costs no more than one comparison.
-
-    The marginal row of a placement X is ``{s: f(X+s) - f(X)}`` over the
-    bits of the buses outside X, in ascending-id order. It depends on X
-    alone, not on nu, the sizes or ``tol``, so one table of rows, keyed by
-    mask, serves every audit that shares the score table. A row is tried
-    for A at its start if f(A) is scored, and for B when a block under an
-    A with a row reaches it; it is stored only when the score table holds
-    every value it needs. No A of a cold audit is scored at its start, so
-    a cold audit stores no row, and a row never holds a value the metric
-    failed to return. A warm A reads ``rest`` off its row's keys. A block
-    is then tallied from A's row, the gains, and B's row over B's probes,
-    the drops: ``margin = gain - drop``, the same subtractions in the same
-    order as the per-triple loop, so the floats and the verdicts are
-    identical, and the block advances the triple count once. A block runs
-    the per-triple loop instead when its A or B has no row, or when it
-    holds the ``start`` offset, a progress checkpoint or ``stop``; so a
-    cold audit pays one comparison per block. The table holds at most one
-    row per placement X, of |omega| - |X| entries.
+    Values are cached by placement mask (see
+    :attr:`~pmuplan.network.NetworkCase.position_bits`) in
+    ``metric.scores`` when ``metric.case`` is ``case`` itself, so audits of
+    one :func:`~pmuplan.estimation.metric_function` share them, else for
+    the call. The marginal row of a placement X, ``{s: f(X+s) - f(X)}``
+    over the bits outside X in ascending-id order, goes to
+    ``metric.margins`` under the same condition, or to a table for the call.
+    A row is stored only when the score table holds every value it needs:
+    it is tried for A when f(A) is scored at A's start, and for B under
+    such an A. So a cold audit stores no row, and no row holds a value the
+    metric failed to return. A block whose A and B have rows is tallied
+    from them, by the same subtractions as the per-triple loop, unless it
+    holds the ``start`` offset, a progress checkpoint or ``stop``.
     """
     bits = case.position_bits  # bus id -> position bit, ascending ids
     nu_ids = frozenset(nu)
@@ -376,8 +309,7 @@ def audit(
     omega = case._id_set
     if not nu_ids <= omega:
         raise ValueError("nu must be a subset of omega")
-    if not 0.0 <= tol < inf:
-        raise ValueError("tolerance must be nonnegative and finite")
+    _require_tol("tolerance", tol)
     _require_count("counterexample_cap", counterexample_cap)
     _require_count("start", start)
     if stop is not None:
@@ -391,8 +323,19 @@ def audit(
     shared = getattr(metric, "case", None) is case
     cache = getattr(metric, "scores", {}) if shared else {}
     margins = getattr(metric, "margins", {}) if shared else {}
-    id_tuples: dict[int, tuple[int, ...]] = {}  # mask -> its sorted ids, for kept records
+    id_tuples: dict[int, tuple[int, ...]] = {}  # mask -> its sorted ids
     supermodular, neg_tol = MarginClass.SUPERMODULAR, -tol
+
+    def triple(a: int, b: int, s: int) -> SubsetTriple:
+        """The triple of masks a, b and probe bit s, each mask's sorted ids
+        decoded once a call."""
+        ids_a = id_tuples.get(a)
+        if ids_a is None:
+            ids_a = id_tuples[a] = tuple(case.buses_in(a))
+        ids_b = id_tuples.get(b)
+        if ids_b is None:
+            ids_b = id_tuples[b] = tuple(case.buses_in(b))
+        return SubsetTriple(ids_a, ids_b, case.buses[s.bit_length() - 1].id)
 
     def ids_in(mask: int) -> Iterator[int]:
         while mask:
@@ -411,25 +354,16 @@ def audit(
         try:
             value = cache[x] = float(metric(placement))
         except Exception as exc:
-            triple = SubsetTriple(tuple(case.buses_in(a)), tuple(case.buses_in(b)),
-                                  case.buses[s.bit_length() - 1].id)
-            raise MetricEvaluationError(triple, placement) from exc
+            raise MetricEvaluationError(triple(a, b, s), placement) from exc
         return value
 
     def record(a: int, b: int, s: int, f_a: float, f_a_s: float, f_b: float,
                f_b_s: float) -> MarginRecord:
-        """A kept counterexample, its differences taken as the loops take them
-        and the sorted ids of A and B decoded once per mask a call."""
-        ids_a = id_tuples.get(a)
-        if ids_a is None:
-            ids_a = id_tuples[a] = tuple(case.buses_in(a))
-        ids_b = id_tuples.get(b)
-        if ids_b is None:
-            ids_b = id_tuples[b] = tuple(case.buses_in(b))
+        """A kept counterexample, its differences taken as the loops take them."""
         lhs = f_a_s - f_a
         rhs = f_b_s - f_b
-        return MarginRecord(SubsetTriple(ids_a, ids_b, case.buses[s.bit_length() - 1].id),
-                            f_a, f_a_s, f_b, f_b_s, lhs, rhs, lhs - rhs, supermodular)
+        return MarginRecord(triple(a, b, s), f_a, f_a_s, f_b, f_b_s, lhs, rhs, lhs - rhs,
+                            supermodular)
 
     def margin_row(x: int, outside: Iterable[int]) -> dict[int, float] | None:
         """Store and return X's row {s: f(X+s) - f(X)} over ``outside``, the
@@ -455,6 +389,7 @@ def audit(
     block, offset = divmod(first, width)
     skip_a, skip_b = divmod(block, comb(len(free) - a_extra, b_extra))
     checkpoint = min(PROGRESS_INTERVAL, planned) if progress is not None else planned
+    failure = None
     try:
         for extra_a in itertools.islice(itertools.combinations(free, a_extra), skip_a, None):
             if processed >= planned:  # also ends an empty slice, which meets no checkpoint
@@ -494,24 +429,18 @@ def audit(
                     probes = [bit for bit in rest if not bit & b][offset:]
                     offset = 0
                 f_b = lookup(b)
-                if f_a is None or f_b is None:
-                    for s in probes:  # the block's first probe
-                        if not s & b:
-                            break
-                    if f_a is None:
-                        f_a = evaluate(a, a, b, s)
-                        f_b = lookup(b)  # f(A) itself when |A| = |B|
-                    if f_b is None:
-                        # the block's first triple scores f(A+s) before f(B)
-                        if lookup(a | s) is None:
-                            evaluate(a | s, a, b, s)
-                        f_b = evaluate(b, a, b, s)
                 for s in probes:
                     if s & b:
                         continue
+                    if f_a is None:
+                        f_a = evaluate(a, a, b, s)
                     f_a_s = lookup(a | s)
                     if f_a_s is None:
                         f_a_s = evaluate(a | s, a, b, s)
+                    if f_b is None:
+                        f_b = lookup(b)  # f(A) itself when |A| = |B|
+                        if f_b is None:
+                            f_b = evaluate(b, a, b, s)
                     f_b_s = lookup(b | s)
                     if f_b_s is None:
                         f_b_s = evaluate(b | s, a, b, s)
@@ -538,22 +467,11 @@ def audit(
                     break
             skip_b = 0
     except MetricEvaluationError as err:
-        partial = ClassificationTally(
-            total=processed,
-            submodular=submod,
-            supermodular=supermod,
-            ties=ties,
-            counterexamples=tuple(counterexamples),
-        )
-        raise AuditAbortedError(processed, partial) from err
-
-    return ClassificationTally(
-        total=processed,
-        submodular=submod,
-        supermodular=supermod,
-        ties=ties,
-        counterexamples=tuple(counterexamples),
-    )
+        failure = err
+    tally = ClassificationTally(processed, submod, supermod, ties, tuple(counterexamples))
+    if failure is not None:
+        raise AuditAbortedError(processed, tally) from failure
+    return tally
 
 
 def merge_tallies(
@@ -587,6 +505,7 @@ def check_monotone(
     tol: float = 1e-12,
 ) -> bool:
     """True iff f is non-increasing along a nested increasing chain of sets."""
+    _require_tol("tolerance", tol)
     sets = [frozenset(c) for c in chain]
     for small, big in zip(sets, sets[1:]):
         if not small <= big:

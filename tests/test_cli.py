@@ -795,20 +795,20 @@ def test_parallel_audit_of_a_case_file_matches_serial(tmp_path, capsys):
         assert fanned_err == serial_err + f"audited {alpha} triples across 2 workers\n"
 
 
-def test_parallel0_audits_serially_below_the_break_even(monkeypatch, capsys):
-    """``--parallel 0`` on the README audit (90 triples) starts no pool; at
-    and above the break-even it asks for one worker per CPU. The upper side
-    is checked on the same audit by moving the break-even to 90 triples and
-    running the shards in this process, so no large audit runs and no
-    process starts."""
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the CLI's pool by one that runs its shards in this process
+    and records, per pool, its ``max_workers`` and the shards it ran."""
     started = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            started.append([max_workers, 0])
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            for args in zip(*iterables):
+                started[-1][1] += 1
+                yield fn(*args)
 
         def __enter__(self):
             return self
@@ -816,6 +816,17 @@ def test_parallel0_audits_serially_below_the_break_even(monkeypatch, capsys):
         def __exit__(self, *exc_info):
             pass
 
+    monkeypatch.setattr(pmuplan.cli, "ProcessPoolExecutor", InProcessPool)
+    return started
+
+
+def test_parallel0_audits_serially_below_the_break_even(monkeypatch, capsys, in_process_pool):
+    """``--parallel 0`` on the README audit (90 triples) starts no pool; at
+    and above the break-even it asks for one worker per CPU. The upper side
+    is checked on the same audit by moving the break-even to 90 triples and
+    running the shards in this process, so no large audit runs and no
+    process starts."""
+    started = in_process_pool
     cli = pmuplan.cli
     assert cli._audit_workers(0, cli.AUTO_POOL_MIN_TRIPLES - 1) == 1
     for alpha in (cli.AUTO_POOL_MIN_TRIPLES, 10**9):
@@ -824,14 +835,28 @@ def test_parallel0_audits_serially_below_the_break_even(monkeypatch, capsys):
     assert [cli._audit_workers(n, 90) for n in (1, 2, 3)] == [1, 2, 3]
 
     _, out, serial = run(capsys, "submod", "audit", "--parallel", "1")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run(capsys, "submod", "audit") == (0, out, serial)
     assert started == []
     monkeypatch.setattr(cli, "AUTO_POOL_MIN_TRIPLES", 90)
     assert run(capsys, "submod", "audit") == (
         0, out, serial + "audited 90 triples across 2 workers\n")
-    assert started == [2]
+    assert started == [[2, 2]]
+
+
+@pytest.mark.parametrize("cpus, processes", [(2, 2), (None, 1), (64, 11)])
+def test_parallel_n_starts_at_most_one_process_per_cpu(monkeypatch, capsys, in_process_pool,
+                                                        cpus, processes):
+    """``--parallel 11`` on the README audit (90 triples, 8 or more per shard)
+    keeps 11 shards, so its output and its ``across 11 workers`` line are
+    those of an uncapped pool, but asks the pool for at most one process per
+    CPU. Uncapped, ``--parallel 60000`` would ask for 60,000 processes on an
+    audit large enough to shard that far."""
+    _, out, serial = run(capsys, "submod", "audit", "--parallel", "1")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run(capsys, "submod", "audit", "--parallel", "11") == (
+        0, out, serial + "audited 90 triples across 11 workers\n")
+    assert in_process_pool == [[processes, 11]]
 
 
 # Each README command in a fresh interpreter, reporting which of the modules

@@ -77,6 +77,10 @@ COMMANDS = [
     "metrics --nu 5 --scope full",
     "submod audit --scope full --nu 1 --a-size 1 --b-size 2 --parallel 1",
     "submod audit --scope full --nu 1 --a-size 1 --b-size 2 --parallel 2",
+    # aborts after 714 of 990 triples: the partial tally, past a progress
+    # line and across shards
+    "submod audit --scope full --nu 6,7,9 --a-size 11 --b-size 12 --parallel 1",
+    "submod audit --scope full --nu 6,7,9 --a-size 11 --b-size 12 --parallel 2",
     # exit 4
     "plan budget --nu 2,6,7,9 --stages 3 --enum-cap 10",
     "plan compare --case ieee118 --channel-limit 16 --stages 4 --enum-cap 1000",

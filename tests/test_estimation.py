@@ -62,6 +62,28 @@ def test_two_bus_jacobian_is_pinned(two_bus):
     np.testing.assert_allclose(H.matrix, expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", ["bogus", "full", None, True, 0])
+def test_scope_must_be_a_state_scope_or_its_value(ieee14, bad):
+    """Every scope but StateScope.FULL once scored as pmu-state:
+    ``scope="bogus"`` gave 0.7778. A member's value stands for the member."""
+    placement = PmuPlacement.of([2, 6, 7, 9])
+    mset = enumerate_channels(ieee14, placement)
+    message = f"scope must be a StateScope or its value, got {bad!r}"
+    for call in (lambda: placement_metric(ieee14, placement, scope=bad),
+                 lambda: metric_function(ieee14, scope=bad),
+                 lambda: build_jacobian(ieee14, mset, scope=bad),
+                 lambda: sensitivity_report(ieee14, placement, scope=bad)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    for scope in StateScope:
+        value = placement_metric(ieee14, placement, scope=scope)
+        assert placement_metric(ieee14, placement, scope=scope.value) == value
+        assert metric_function(ieee14, scope=scope.value)(placement.buses) == value
+        assert build_jacobian(ieee14, mset, scope=scope.value).n == (
+            build_jacobian(ieee14, mset, scope=scope).n)
+
+
 def test_jacobian_shapes_by_scope(ieee14):
     nu = PmuPlacement.of([2, 6, 7, 9])
     mset = enumerate_channels(ieee14, nu)

@@ -78,6 +78,19 @@ def test_greedy_point_solves():
         greedy_solve(inst, -0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), True, "5", None, -1.0])
+def test_point_solves_refuse_a_budget_that_is_no_nonnegative_number(bad):
+    """A nan budget once bought nothing from the exhaustive solver and every
+    item from the greedy one; an infinite budget admits every item."""
+    inst = example_instance()
+    for solve in (optimal_solve, greedy_solve):
+        with pytest.raises(ValueError) as err:
+            solve(inst, bad)
+        assert str(err.value) == f"budget must be nonnegative, got {bad!r}"
+    assert optimal_solve(inst, math.inf) == ((0, 1, 2, 3), 17.0)
+    assert greedy_solve(inst, math.inf) == ((1, 2, 0, 3), 17.0)
+
+
 def test_greedy_purchase_order_is_budget_independent():
     inst = example_instance()
     full, _ = greedy_solve(inst, math.inf)

@@ -125,10 +125,11 @@ def test_comparison_serialization(ieee14, score):
     assert again.to_dict() == d
 
 
-@pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf"), True, "0", None])
 def test_planners_reject_a_bad_tie_tolerance(ieee14, score, bad):
     # the first two would leave a stage without a winner (a bare StopIteration
-    # from the stage search); inf would tie every candidate
+    # from the stage search); inf would tie every candidate, and so did True
+    # at stage 1, picking bus 1 instead of bus 8
     with pytest.raises(ValueError, match="tie tolerance must be nonnegative"):
         greedy_plan(ieee14, NU, score, stages=2, tie_tol=bad)
     with pytest.raises(ValueError, match="tie tolerance must be nonnegative"):
@@ -147,6 +148,49 @@ def test_stage_bounds(ieee14, score):
         budget_constrained_plan(ieee14, NU, score, 11)
     with pytest.raises(ValueError, match="at least one"):
         compare_plans(ieee14, NU, score, stages=0)
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+def _uncalled(score, calls):
+    """``score`` without its scorer, recording each placement it is called on."""
+    def f(placement):
+        calls.append(placement)
+        return score(placement)
+
+    return f
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, float("nan"), "2", None, -1])
+def test_planner_counts_refuse_what_is_no_int(ieee14, score, bad):
+    """Stages and k must be ints in range and never bools, refused by name
+    and value before the metric runs: ``stages=True`` once planned one
+    stage and a float ``k`` raised a bare TypeError."""
+    calls = []
+    f = _uncalled(score, calls)
+    assert _refusal(lambda: greedy_plan(ieee14, NU, f, bad)) == (
+        f"stages must be in 0..10, got {bad!r}")
+    assert _refusal(lambda: budget_constrained_plan(ieee14, NU, f, bad)) == (
+        f"k must be in 1..10, got {bad!r}")
+    assert _refusal(lambda: compare_plans(ieee14, NU, f, bad)) == (
+        f"stages must be a nonnegative integer, got {bad!r}")
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, float("nan"), float("inf"), "5", None, -1])
+def test_planner_enum_cap_refuses_what_is_no_count(ieee14, score, bad):
+    """A nan cap once enumerated with no cap, and ``enum_cap=True`` printed
+    "over the cap of True"."""
+    calls = []
+    f = _uncalled(score, calls)
+    message = f"enum_cap must be a nonnegative integer, got {bad!r}"
+    assert _refusal(lambda: budget_constrained_plan(ieee14, NU, f, 3, enum_cap=bad)) == message
+    assert _refusal(lambda: compare_plans(ieee14, NU, f, 3, enum_cap=bad)) == message
+    assert calls == []
 
 
 @st.composite
@@ -333,8 +377,9 @@ def test_result_validation():
         PriorityList(base=(1,), order=(1, 2), stage_values=(0.0, 0.0))
     plan = PriorityList(base=(9,), order=(4, 2), stage_values=(0.5, 0.25))
     assert plan.stage_result(2).selected == (2, 4)
-    with pytest.raises(ValueError, match="stage"):
-        plan.stage_result(3)
+    for bad in (3, 0, True, 1.0):  # True once gave StageResult(stage=True, ...)
+        with pytest.raises(ValueError, match=f"stage must be in 1..2, got {bad!r}"):
+            plan.stage_result(bad)
 
 
 def test_unknown_base_bus_rejected(ieee14, score):

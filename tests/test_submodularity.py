@@ -203,6 +203,10 @@ def test_monotone_checker(ieee14):
     assert not check_monotone(lambda q: float(len(q)), chain)
     with pytest.raises(ValueError, match="nested"):
         check_monotone(score, [(1, 2), (2, 3)])
+    # a nan tolerance once read every chain as not monotone
+    for bad in (float("nan"), True, -1.0):
+        with pytest.raises(ValueError, match="tolerance must be nonnegative and finite"):
+            check_monotone(score, chain, tol=bad)
 
 
 # ---- differential check against the per-triple reference -------------------
@@ -629,6 +633,25 @@ def test_audit_sizes_refuse_a_bool(ieee14, name):
     assert calls == []
     with pytest.raises(ValueError, match="a must be a nonnegative integer, got 2.0"):
         count_combinations(14, 4, 2.0, 5)
+
+
+@pytest.mark.parametrize("bad", [True, False, "0", None])
+def test_audit_tolerance_must_be_a_real_number(ieee14, bad):
+    """A tolerance that is no number, or a bool, is refused by value before
+    the metric runs: ``tol=True`` once tallied 90 ties, as ``tol=1`` does,
+    where the default finds 78 submodular and 12 supermodular triples."""
+    calls = []
+    metric = _recording(metric_function(ieee14, gain=True), calls)
+    message = f"tolerance must be nonnegative and finite, got {bad!r}"
+    with pytest.raises(ValueError) as err:
+        audit(ieee14, metric, NU, 12, 13, tol=bad)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        classify_triple(metric, SubsetTriple(a=(2, 6, 7, 9), b=(1, 2, 6, 7, 9), s=3), tol=bad)
+    assert str(err.value) == message
+    assert calls == []
+    tally = audit(ieee14, metric, NU, 12, 13, tol=1)
+    assert (tally.submodular, tally.supermodular, tally.ties) == (0, 0, 90)
 
 
 @pytest.mark.parametrize("bad", [2.5, float("nan"), True, -1, None])
