@@ -38,7 +38,9 @@ from .measurements import (
     _busiest_over_limit,
     greedy_observable_cover,
 )
-from .network import CaseFormatError, NetworkCase, parse_case
+from .network import (
+    CaseFormatError, NetworkCase, _require_buses, _require_sigma, _require_tol, parse_case,
+)
 
 if TYPE_CHECKING:
     from .knapsack import KnapsackInstance
@@ -129,11 +131,7 @@ def _resolve_nu(args, case: NetworkCase) -> list[int]:
     what the metric may score, not which buses make sensible hosts.
     """
     if args.nu is not None:
-        nu = sorted(_parse_nu(args.nu))
-        missing = sorted(set(nu) - set(case.bus_ids))
-        if missing:
-            raise ValueError(f"nu buses not in the case: {missing}")
-        return nu
+        return sorted(_require_buses(case, _parse_nu(args.nu), "nu"))
     if args.case == "ieee14":
         return list(FALLBACK_NU)
     host_limit = min(args.channel_limit, DEFAULT_CHANNEL_LIMIT)
@@ -231,12 +229,9 @@ def _cmd_metrics(args) -> str:
     case = _load_case(args)
     if not args.nu:
         raise ValueError("metrics requires a placement: pass --nu with bus ids")
-    buses = sorted(_parse_nu(args.nu))
+    buses = sorted(_require_buses(case, _parse_nu(args.nu), "placement"))
     if not buses:
         raise ValueError("placement is empty: pass at least one bus id in --nu")
-    missing = sorted(set(buses) - set(case.bus_ids))
-    if missing:
-        raise ValueError(f"placement buses not in the case: {missing}")
     placement = PmuPlacement.of(buses, channel_limit=args.channel_limit)
     scope = _scope(args)
     report = sensitivity_report(
@@ -368,7 +363,7 @@ def _audit_shard(payload: tuple) -> tuple[ClassificationTally, int]:
 
     Returns the slice's tally and EXIT_OK, or, when the metric fails, the
     partial tally (its total is the triples processed) and the exit code of
-    the failure's root cause.
+    the failure's cause chain.
     """
     from .submodularity import AuditAbortedError, audit
 
@@ -378,7 +373,7 @@ def _audit_shard(payload: tuple) -> tuple[ClassificationTally, int]:
                       tol=args.tol, counterexample_cap=args.counterexamples,
                       start=start, stop=stop)
     except AuditAbortedError as err:
-        return err.partial, _root_cause_code(err)
+        return err.partial, _exit_code(err)
     return tally, EXIT_OK
 
 
@@ -677,16 +672,10 @@ def _check_flags(args) -> None:
     any case is read."""
     flags = vars(args)
     if "sigma_v" in flags:
-        for flag, sigma in (("--sigma-v", args.sigma_v), ("--sigma-i", args.sigma_i)):
-            if not 0 < sigma < math.inf:
-                raise ValueError(f"{flag} must be finite and positive, got {sigma!r}")
-            # the covariance holds sigma * sigma, which over- or underflows far
-            # inside the finite range (sigma ** 2 would raise OverflowError instead)
-            if not 0 < sigma * sigma < math.inf:
-                raise ValueError(f"{flag} must square to a finite, positive variance, "
-                                 f"got {sigma!r}")
-    if "tol" in flags and not 0 <= args.tol < math.inf:
-        raise ValueError(f"--tol must be nonnegative and finite, got {args.tol!r}")
+        _require_sigma("--sigma-v", args.sigma_v)
+        _require_sigma("--sigma-i", args.sigma_i)
+    if "tol" in flags:
+        _require_tol("--tol", args.tol)
     if flags.get("enum_cap") is not None and args.enum_cap < 1:
         raise ValueError(f"--enum-cap must be positive, got {args.enum_cap}")
     if flags.get("channel_limit", 1) < 1:
@@ -726,22 +715,33 @@ def _loaded(*names: str) -> tuple[type, ...]:
     return tuple(found)
 
 
-def _root_cause_code(err: Exception) -> int:
-    """Exit code for a wrapped metric failure, from the first cause in its
-    chain that names one; any other cause is an internal error."""
+def _exit_code(err: BaseException) -> int | None:
+    """The exit code ``main`` returns for ``err``, or None for an error it
+    does not expect, which keeps its traceback.
+
+    A planner's or the audit's wrapped metric failure takes the code that
+    the first error in its cause chain names, a pool worker's code
+    included, else EXIT_INTERNAL. Any other error is read by its class,
+    and a ValueError or OSError is EXIT_USAGE."""
+    wrapped = isinstance(err, _loaded("planner.CandidateEvaluationError",
+                                      "submodularity.AuditAbortedError"))
+    named = [(UnobservableStateError, EXIT_NUMERIC),
+             (_loaded("planner.EnumerationCapError"), EXIT_COMBINATORIAL),
+             ((ChannelLimitError, CaseFormatError), EXIT_USAGE)]
+    if not wrapped:
+        named += [(_loaded("knapsack.ItemLimitError"), EXIT_COMBINATORIAL),
+                  ((ValueError, OSError), EXIT_USAGE)]
     seen = set()
-    cause: BaseException | None = err
-    while cause is not None and id(cause) not in seen:
-        seen.add(id(cause))
-        if isinstance(cause, UnobservableStateError):
-            return EXIT_NUMERIC
-        if isinstance(cause, _loaded("planner.EnumerationCapError")):
-            return EXIT_COMBINATORIAL
-        if isinstance(cause, (ChannelLimitError, CaseFormatError)):
-            return EXIT_USAGE
-        if isinstance(cause, _WorkerFailure):
-            return cause.code
-        cause = cause.__cause__
+    while err is not None and id(err) not in seen:
+        seen.add(id(err))
+        if isinstance(err, _WorkerFailure):
+            return err.code
+        for classes, code in named:
+            if isinstance(err, classes):
+                return code
+        if not wrapped:
+            return None
+        err = err.__cause__
     return EXIT_INTERNAL
 
 
@@ -757,18 +757,12 @@ def main(argv=None) -> int:
         command = {"case": _cmd_case_info, "metrics": _cmd_metrics, "plan": _cmd_plan,
                    "submod": _cmd_submod, "knapsack": _cmd_knapsack}[args.command]
         text = command(args)
-    except _loaded("planner.EnumerationCapError", "knapsack.ItemLimitError") as err:
+    except Exception as err:
+        code = _exit_code(err)
+        if code is None:
+            raise
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_COMBINATORIAL
-    except UnobservableStateError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _loaded("planner.CandidateEvaluationError", "submodularity.AuditAbortedError") as err:
-        print(f"error: {err}", file=sys.stderr)
-        return _root_cause_code(err)
-    except (CaseFormatError, ChannelLimitError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return code
     if args.output in ("", "-"):
         try:
             print(text, flush=True)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .estimation import StateScope, UnobservableStateError, _state_scope
 from .measurements import PmuPlacement, _union
-from .network import Branch, NetworkCase
+from .network import Branch, NetworkCase, _require_sigma
 
 __all__ = [
     "ChannelKind",
@@ -232,17 +232,12 @@ class CovarianceModel:
     ) -> "CovarianceModel":
         """Per-kind standard deviations expanded to a per-channel diagonal.
 
-        Each sigma must be finite and positive, and so must its square,
-        which overflows above about 1.34e154 and underflows below about
-        2.2e-162; the error names the argument and its value.
+        Each sigma must be a finite, positive number, not a bool, and so
+        must its square, which overflows above about 1.34e154 and underflows
+        below about 2.2e-162; the error names the argument and its value.
         """
-        for name, sigma in (("sigma_v", sigma_v), ("sigma_i", sigma_i)):
-            if not 0.0 < sigma < math.inf:
-                raise ValueError(f"{name} must be a finite, positive standard deviation, "
-                                 f"got {sigma!r}")
-            if not 0.0 < sigma * sigma < math.inf:
-                raise ValueError(f"{name} must square to a finite, positive variance, "
-                                 f"got {sigma!r}")
+        _require_sigma("sigma_v", sigma_v)
+        _require_sigma("sigma_i", sigma_i)
         out = []
         for ch in mset.channels:
             sigma = sigma_v if ch.kind in (ChannelKind.VR, ChannelKind.VX) else sigma_i

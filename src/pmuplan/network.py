@@ -234,6 +234,33 @@ def _require_tol(name: str, value) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
+def _require_sigma(name: str, value) -> None:
+    """Raise ValueError naming ``name`` and ``value`` unless it is a finite
+    real number > 0, not a bool, whose square is finite and > 0 too: the
+    covariance holds sigma * sigma, which over- or underflows far inside
+    the finite range (sigma ** 2 would raise OverflowError instead)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not 0.0 < value * value < math.inf:
+        raise ValueError(f"{name} must square to a finite, positive variance, got {value!r}")
+
+
+def _require_buses(case: NetworkCase, buses, what: str) -> frozenset:
+    """``buses`` as a frozenset of the case's bus ids. Raise ValueError
+    naming ``what`` and the first entry that is not an int or is a bool,
+    or else the ids the case lacks. The types are read from the entries as
+    given, since a set would fold ``True`` into 1 and ``2.0`` into 2."""
+    ids = tuple(buses)
+    if not {int}.issuperset(map(type, ids)):
+        bad = next(bus for bus in ids if type(bus) is not int)
+        raise ValueError(f"{what} bus ids must be integers, got {bad!r}")
+    found = frozenset(ids)
+    if not found <= case._id_set:
+        raise ValueError(f"{what} buses not in the case: {sorted(found - case._id_set)}")
+    return found
+
+
 def _number(entry: dict, key: str, default: float | None = None) -> float:
     """A JSON entry's numeric field as float; strings and booleans fail."""
     value = entry[key] if default is None else entry.get(key, default)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import comb, inf
 from typing import Callable, Iterable
 
-from .network import _require_count, _require_tol
+from .network import _require_buses, _require_count, _require_tol
 
 __all__ = [
     "StageResult",
@@ -55,8 +55,6 @@ __all__ = [
 
 DEFAULT_ENUM_CAP = 10_000_000
 DEFAULT_TIE_TOL = 1e-9
-# slack for the exhaustive-dominates-greedy invariant check
-DOMINANCE_TOL = 1e-12
 
 
 class EnumerationCapError(RuntimeError):
@@ -181,12 +179,8 @@ class PlanComparison:
 
 def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The sorted base and the case's other buses, in ascending id order."""
-    base_set = set(nu)
-    ids = case.position_bits  # keyed in ascending id order
-    missing = sorted(base_set.difference(ids))
-    if missing:
-        raise ValueError(f"base buses not in the case: {missing}")
-    free = tuple(bus for bus in ids if bus not in base_set)
+    base_set = _require_buses(case, nu, "base")
+    free = tuple(bus for bus in case.position_bits if bus not in base_set)
     return tuple(sorted(base_set)), free
 
 
@@ -319,8 +313,9 @@ def compare_plans(
     ``enum_cap``, and over the cap the exhaustive planner raises as it does
     at any stage. From stage 2 on, :func:`budget_constrained_plan` runs.
 
-    Raises if the exhaustive plan ever scores worse than greedy beyond
-    floating-point slack; that would mean the injected metric is not a
+    Raises if the exhaustive plan ever scores more than ``tie_tol`` above
+    greedy: its pick lies within ``tie_tol`` of a minimum that greedy's set
+    is a candidate for, so that would mean the injected metric is not a
     function of the placement set. The check runs on every row, but at
     stage 1, where both rows are one result, it cannot fire.
     """
@@ -341,7 +336,7 @@ def compare_plans(
             budget = budget_constrained_plan(
                 case, base, metric, stage, enum_cap=enum_cap, tie_tol=tie_tol
             )
-        if budget.metric_value > gres.metric_value + DOMINANCE_TOL:
+        if budget.metric_value > gres.metric_value + tie_tol:
             raise RuntimeError(
                 f"exhaustive stage {stage} scored worse than greedy; "
                 f"the metric is not deterministic over placements"

@@ -32,7 +32,7 @@ from enum import Enum
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .network import _require_count, _require_tol
+from .network import _require_buses, _require_count, _require_tol
 
 __all__ = [
     "MarginClass",
@@ -278,9 +278,10 @@ def audit(
     lexicographic triple stream; partial tallies recombine with
     merge_tallies. ``progress(done, planned)`` is called every
     PROGRESS_INTERVAL triples and after the last one.
-    ``counterexample_cap``, ``start`` and ``stop`` (unless None) must be
-    ints >= 0, and ``tol`` finite and >= 0; anything else raises ValueError
-    naming the argument and the value, before the metric runs.
+    ``nu`` must hold int ids of the case's buses, ``counterexample_cap``,
+    ``start`` and ``stop`` (unless None) must be ints >= 0, and ``tol``
+    finite and >= 0; anything else raises ValueError naming the argument
+    and the value, before the metric runs.
 
     The verdicts, values and counterexample order are those of
     classify_triple applied to enumerate_triples. The metric runs once per
@@ -304,11 +305,9 @@ def audit(
     holds the ``start`` offset, a progress checkpoint or ``stop``.
     """
     bits = case.position_bits  # bus id -> position bit, ascending ids
-    nu_ids = frozenset(nu)
+    nu_ids = _require_buses(case, nu, "nu")
     total = count_combinations(len(bits), len(nu_ids), a_size, b_size)
     omega = case._id_set
-    if not nu_ids <= omega:
-        raise ValueError("nu must be a subset of omega")
     _require_tol("tolerance", tol)
     _require_count("counterexample_cap", counterexample_cap)
     _require_count("start", start)

@@ -17,8 +17,17 @@ import pmuplan.planner
 from pmuplan.cases import bundled_case_text, load_case
 from pmuplan.cli import main
 from pmuplan.estimation import UnobservableStateError
-from pmuplan.network import serialize_case
-from pmuplan.submodularity import count_combinations
+from pmuplan.knapsack import ItemLimitError
+from pmuplan.measurements import ChannelLimitError
+from pmuplan.network import CaseFormatError, serialize_case
+from pmuplan.planner import CandidateEvaluationError, EnumerationCapError
+from pmuplan.submodularity import (
+    AuditAbortedError,
+    ClassificationTally,
+    MetricEvaluationError,
+    SubsetTriple,
+    count_combinations,
+)
 
 
 def run(capsys, *argv):
@@ -728,6 +737,53 @@ def test_unrecognised_metric_failure_is_internal_error(monkeypatch, capsys):
     code, out, err = run(capsys, "submod", "audit", "--parallel", "1")
     assert (code, out) == (1, "")
     assert "audit aborted after 0 triples" in err
+
+
+# an error a command raises, its exit code bare, and its code as the cause of
+# a planner's or the audit's wrapped metric failure; None: the bare error is
+# a bug, which main lets through with its traceback
+EXIT_CODES = [
+    (UnobservableStateError, (2,), 3, 3),
+    (EnumerationCapError, (11, 10, 2), 4, 4),
+    (ItemLimitError, (30, 20), 4, 1),
+    (ChannelLimitError, (49, 9, 8), 2, 2),
+    (CaseFormatError, ("case:3: bad numeric row",), 2, 2),
+    (ValueError, ("bad value",), 2, 1),
+    (OSError, ("cannot read",), 2, 1),
+    (RuntimeError, ("bug inside the metric",), None, 1),
+]
+
+
+@pytest.mark.parametrize("wrapper", ["bare", "planner", "audit"])
+@pytest.mark.parametrize("cls, cls_args, bare_code, wrapped_code", EXIT_CODES,
+                         ids=[row[0].__name__ for row in EXIT_CODES])
+def test_each_error_exits_with_its_code_and_one_line(monkeypatch, capsys, wrapper, cls,
+                                                     cls_args, bare_code, wrapped_code):
+    cause = cls(*cls_args)
+    wrapped = {
+        "planner": CandidateEvaluationError(1, 5),
+        "audit": AuditAbortedError(0, ClassificationTally(0, 0, 0, 0, ())),
+    }
+
+    def command(args):
+        if wrapper == "bare":
+            raise cause
+        if wrapper == "planner":
+            raise wrapped["planner"] from cause
+        try:
+            # the audit's chain holds the failed triple between the two
+            raise MetricEvaluationError(SubsetTriple((2,), (2,), 5), frozenset((2, 5))) from cause
+        except MetricEvaluationError as exc:
+            raise wrapped["audit"] from exc
+
+    monkeypatch.setattr(pmuplan.cli, "_cmd_case_info", command)
+    if wrapper == "bare" and bare_code is None:
+        with pytest.raises(cls):
+            main(["case", "info"])
+        return
+    code, out, err = run(capsys, "case", "info")
+    assert (code, out) == (bare_code if wrapper == "bare" else wrapped_code, "")
+    assert err == f"error: {cause if wrapper == 'bare' else wrapped[wrapper]}\n"
 
 
 def test_parallel_audit_failures_match_serial(monkeypatch, capsys):

@@ -49,6 +49,8 @@ COMMANDS = [
     "metrics --case ieee118 --nu 3,12,49,80 --channel-limit 16 --out json",
     "plan compare --nu 2,6,7,9 --stages 10 --scope full",
     "plan compare --nu 2,6,7,9 --stages 10 --dedupe per-end --out csv",
+    # stage 3's exhaustive pick lies inside the tie band, above greedy's value
+    "plan compare --nu 1,2,3,4,7,8,10,11 --stages 3 --dedupe per-end --tol 0.01",
     "plan greedy --stages 3",
     "plan greedy --case ieee118 --channel-limit 16 --stages 5 --out json",
     "plan compare --case ieee118 --channel-limit 16 --stages 2",

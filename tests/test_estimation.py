@@ -349,9 +349,10 @@ def test_counting_score_keeps_the_pipeline_validation(ieee14, ieee118):
     # the noise levels reach only the SVD pipeline, which validates them and
     # names the argument and its value
     for name in ("sigma_v", "sigma_i"):
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
+        # a bool is no sigma, nor is a number's text
+        for bad in (0.0, -1.0, float("nan"), float("inf"), True, "2"):
             with pytest.raises(ValueError, match=re.escape(
-                    f"{name} must be a finite, positive standard deviation, got {bad!r}")):
+                    f"{name} must be finite and positive, got {bad!r}")):
                 sensitivity_report(ieee14, nu, **{name: bad})
         # finite and positive, but the square overflows to inf or underflows to 0
         for bad in (1e300, 1.4e154, 1e-170, 1e-320):

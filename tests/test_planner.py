@@ -256,6 +256,36 @@ def test_comparison_equals_both_planners_run_apart(data):
     assert _outcome(together) == _outcome(apart)
 
 
+@pytest.mark.parametrize("bare", [False, True])
+def test_an_exhaustive_pick_inside_the_tie_band_may_score_above_greedy(bare):
+    """At stage 3 the exhaustive search picks (5, 12, 14) at 29/40, the
+    first set within 0.01 of the minimum, above greedy's 28/39. That is the
+    tie rule, not a metric that is no set function: compare_plans once
+    raised on it, and the property test above drew this input."""
+    case = load_case("ieee14")
+    metric = metric_function(case, scope=StateScope.PMU, dedupe="per-end", channel_limit=16)
+    if bare:
+        metric = lambda q, f=metric: f(q)  # no scorer: the planners call it per candidate
+    base = (1, 2, 3, 4, 7, 8, 10, 11)
+    comparison = compare_plans(case, base, metric, 3, tie_tol=0.01)
+    row = comparison.rows[2]
+    assert row.budget == budget_constrained_plan(case, base, metric, 3, tie_tol=0.01)
+    assert (row.budget.selected, row.greedy.selected) == ((5, 12, 14), (12, 13, 14))
+    assert (row.budget.metric_value, row.greedy.metric_value) == (
+        float(Fraction(29, 40)), float(Fraction(28, 39)))
+    assert (row.sets_differ, row.greedy_strictly_worse) == (True, False)
+
+
+def test_comparison_refuses_a_metric_that_is_no_set_function(ieee14):
+    calls = itertools.count()
+
+    def drifting(placement):  # each call scores above every call before it
+        return float(next(calls))
+
+    with pytest.raises(RuntimeError, match="^exhaustive stage 2 scored worse than greedy"):
+        compare_plans(ieee14, NU, drifting, 2)
+
+
 @pytest.mark.parametrize("stages", [1, 2, 3])
 def test_comparison_scores_stage_1_once(ieee14, score, stages):
     """Without a scorer every candidate is a metric call; the comparison
@@ -380,6 +410,26 @@ def test_result_validation():
     for bad in (3, 0, True, 1.0):  # True once gave StageResult(stage=True, ...)
         with pytest.raises(ValueError, match=f"stage must be in 1..2, got {bad!r}"):
             plan.stage_result(bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+@pytest.mark.parametrize("planner", ["greedy", "budget", "compare"])
+def test_base_bus_ids_must_be_ints(ieee14, planner, bad):
+    """A bool or float id in the base is refused by value, before the metric
+    runs: ``greedy_plan(ieee14, (True, 6, 7, 9), f, 2)`` once returned a
+    plan whose base was ``(True, 6, 7, 9)``, read as bus 1."""
+    calls = []
+
+    def metric(placement):
+        calls.append(placement)
+        return 0.0
+
+    plan = {"greedy": greedy_plan, "budget": budget_constrained_plan,
+            "compare": compare_plans}[planner]
+    with pytest.raises(ValueError) as err:
+        plan(ieee14, (bad, 6, 7, 9), metric, 2)
+    assert str(err.value) == f"base bus ids must be integers, got {bad!r}"
+    assert calls == []
 
 
 def test_unknown_base_bus_rejected(ieee14, score):

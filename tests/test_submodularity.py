@@ -594,7 +594,7 @@ def test_a_failing_placement_is_never_cached(ieee14):
 
 def test_audit_rejects_bad_arguments(ieee14):
     f = metric_function(ieee14, gain=True)
-    with pytest.raises(ValueError, match="subset of omega"):
+    with pytest.raises(ValueError, match=r"^nu buses not in the case: \[99\]$"):
         audit(ieee14, f, (2, 99), 12, 13)
     for bad in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="nonnegative and finite"):
@@ -603,6 +603,19 @@ def test_audit_rejects_bad_arguments(ieee14):
             classify_triple(f, SubsetTriple(a=(2, 6, 7, 9), b=(1, 2, 6, 7, 9), s=3), tol=bad)
     with pytest.raises(ValueError, match="nonnegative"):
         audit(ieee14, f, NU, 12, 13, start=-1)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_audit_nu_ids_must_be_ints(ieee14, bad):
+    """A bool or float id in nu is refused by value, before the metric runs:
+    ``(True, 6, 7, 9)`` once audited 90 triples with bus 1 in nu, since a
+    set holds True as 1."""
+    calls = []
+    metric = _recording(metric_function(ieee14, gain=True), calls)
+    with pytest.raises(ValueError) as err:
+        audit(ieee14, metric, (bad, 6, 7, 9), 12, 13)
+    assert str(err.value) == f"nu bus ids must be integers, got {bad!r}"
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["counterexample_cap", "start", "stop"])
