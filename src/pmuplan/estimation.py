@@ -37,12 +37,13 @@ Every count comes from one accumulator in :mod:`pmuplan.measurements`. It
 ORs the :attr:`~pmuplan.network.NetworkCase.incidence` rows of a set of
 buses, the metered masks always and the closed-neighborhood masks only in
 full-state scope, and validates the buses as the channel list does. The
-count rule :func:`_counted_scores` turns counts into values, None where
-there is no score, and :func:`placement_metric` raises there. The set
+count rule :func:`_count_rule` turns a count into a value, and
+:func:`placement_metric` raises where there is none. The set
 function :func:`metric_function` returns calls it; where every bus of the
 case can host a PMU, f also carries the planners' scorer, which ORs a base
-once and a stage's or prefix's added buses once per call, then scores each
-candidate bus at one OR and one popcount. The audit calls f, keeping its
+once and a stage's or prefix's added buses once per call, then keys each
+candidate bus by its metered count, at one OR and one popcount, and hands
+back the count rule with the keys. The audit calls f, keeping its
 values in the score table f carries, and the marginal rows it builds from
 them in a second table beside it.
 """
@@ -133,36 +134,32 @@ def placement_metric(
     scope = _state_scope(scope)
     full = scope is StateScope.FULL
     k, metered, observed = _union(case, placement.buses, dedupe, placement.channel_limit, full)
+    count = metered.bit_count()
     unobserved = len(case.buses) - observed.bit_count()
-    (value,) = _counted_scores(case, scope, k, [metered.bit_count()], [unobserved] if full else None)
-    if value is None:
-        m, n = 2 * k + 2 * metered.bit_count(), 2 * len(case.buses)
-        if not m:
-            raise ValueError("measurement set is empty")
+    if not k:
+        raise ValueError("measurement set is empty")
+    if full and unobserved:
+        m, n = 2 * k + 2 * count, 2 * len(case.buses)
         raise UnobservableStateError(n - m if m < n else 2 * unobserved)
-    return value
+    return _count_rule(case, scope, k)(count)
 
 
-def _counted_scores(
-    case: NetworkCase,
-    scope: StateScope,
-    k: int,
-    metered: list[int],
-    unobserved: list[int] | None,
-) -> list[float | None]:
-    """The count rule: placement_metric's values ``(m - n) / m`` for
-    placements of ``k`` PMUs, one per entry of ``metered``, the placement's
-    metered branches (branch ends); in full-state scope ``unobserved`` holds
-    the matching numbers of unobserved buses, and in pmu-state scope it is
-    None. A value is None where there is no score: the placement has no
-    channels, or leaves a bus unobserved.
+def _count_rule(case: NetworkCase, scope: StateScope, k: int,
+                gain: bool = False) -> Callable[[int], float]:
+    """The count rule: placement_metric's value ``(m - n) / m`` for a
+    placement of ``k`` >= 1 PMUs, as a function of its metered branches
+    (branch ends), or under ``gain`` of their negated count, to the
+    negated value. With halved ``m`` and ``n``, the value is ``(k + c -
+    N) / (k + c)`` in full-state scope and ``c / (k + c)`` in pmu-state
+    scope, for ``c`` metered: one exact integer division, so the same
+    correctly rounded float. Either rises strictly with ``c`` at fixed
+    ``k``, so the rule rises strictly with its argument, and its floats
+    never decrease as it grows.
     """
-    n = 2 * len(case.buses) if scope is StateScope.FULL else 2 * k
-    channels = [2 * k + 2 * count for count in metered]
-    values = [(m - n) / m if m else None for m in channels]
-    if unobserved:
-        values = [None if left else value for value, left in zip(values, unobserved)]
-    return values
+    n = len(case.buses) if scope is StateScope.FULL else k
+    if gain:
+        return lambda key: -((k - key - n) / (k - key))
+    return lambda count: (k + count - n) / (k + count)
 
 
 def metric_function(
@@ -199,14 +196,22 @@ def metric_function(
     :class:`~pmuplan.measurements.PmuPlacement`) and no bus has
     more incident branches than the limit. Otherwise the planners call f on
     every candidate, and f raises as it should.
-    ``scorer(base)`` returns ``score(added, candidates)``: the list of f's
-    values on ``base`` plus the buses ``added`` (a tuple or list) plus each
-    bus of ``candidates`` in turn (all buses of the case, none listed twice
-    across the three), with None where the placement is unobservable in
-    full-state scope, and f raises. The base is ORed once, as ``added`` is
-    once per call, by the accumulator placement_metric reads; each
-    candidate then costs one OR of its
-    :attr:`~pmuplan.network.NetworkCase.incidence` row and one popcount.
+
+    ``scorer(base)`` returns ``score(added, candidates)``, which ranks the
+    placements of ``base`` plus the buses ``added`` (a tuple or list) plus
+    each bus of ``candidates`` in turn (all buses of the case, none listed
+    twice across the three). It returns ``(keys, value)``: one integer key
+    per candidate, the placement's metered branches (branch ends), negated
+    under ``gain``, or None where the placement is unobservable in
+    full-state scope and f raises; and the count rule ``value(key)``, f's
+    float on a placement of that key, bit for bit. All the placements of
+    one call have the same size, so ``value`` rises strictly with the key,
+    and comparing keys compares f's values (see :func:`_count_rule`). The
+    base is ORed once, and ``added`` once per call, by the accumulator
+    placement_metric reads. Each candidate then costs one OR of its metered
+    mask, read from its :attr:`~pmuplan.network.NetworkCase.incidence` row,
+    and one popcount; in full-state scope, also one OR and one compare of
+    its closed mask.
     """
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
     scope = _state_scope(scope)
@@ -224,20 +229,19 @@ def metric_function(
     index = case.incidence
     everyone = (1 << len(index)) - 1
 
-    def scorer(base: Iterable[int]) -> Callable[[Sequence[int], list[int]], list]:
+    def scorer(base: Iterable[int]) -> Callable[[Sequence[int], list[int]], tuple]:
         start = _union(case, tuple(base), dedupe, limit, full)
 
-        def score(added: Sequence[int], candidates: list[int]) -> list[float | None]:
+        def score(added: Sequence[int], candidates: list[int]) -> tuple[list, Callable]:
             k, union, observed = _union(case, added, dedupe, limit, full, start)
-            rows = [index[bus] for bus in candidates]
-            metered = [(union | row[column]).bit_count() for row in rows]
-            unobserved = None
             if full:
-                unobserved = [(everyone ^ (observed | row[3])).bit_count() for row in rows]
-            values = _counted_scores(case, scope, k + 1, metered, unobserved)
+                keys = [(union | index[bus][column]).bit_count()
+                        if observed | index[bus][3] == everyone else None for bus in candidates]
+            else:
+                keys = [(union | index[bus][column]).bit_count() for bus in candidates]
             if gain:
-                values = [None if value is None else -value for value in values]
-            return values
+                keys = [None if key is None else -key for key in keys]
+            return keys, _count_rule(case, scope, k + 1, gain)
 
         return score
 

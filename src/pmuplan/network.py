@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -235,26 +236,35 @@ def _require_tol(name: str, value) -> None:
 
 
 def _require_sigma(name: str, value) -> None:
-    """Raise ValueError naming ``name`` and ``value`` unless it is a finite
-    real number > 0, not a bool, whose square is finite and > 0 too: the
-    covariance holds sigma * sigma, which over- or underflows far inside
-    the finite range (sigma ** 2 would raise OverflowError instead)."""
+    """Raise ValueError naming ``name`` and ``value`` unless it is a real
+    number > 0 within the float range, not a bool, whose square as a float
+    is finite and > 0 too: the covariance holds sigma * sigma, which over-
+    or underflows far inside the finite range (sigma ** 2 would raise
+    OverflowError instead), and an int past the largest float cannot be
+    converted at all."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0.0 < value < math.inf):
+            or not 0.0 < value <= sys.float_info.max):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if not 0.0 < value * value < math.inf:
+    sigma = float(value)
+    if not 0.0 < sigma * sigma < math.inf:
         raise ValueError(f"{name} must square to a finite, positive variance, got {value!r}")
+
+
+def _require_ids(ids: tuple, what: str) -> None:
+    """Raise ValueError naming ``what`` and the first of ``ids`` that is not
+    an int or is a bool. Read the entries as given: a set would fold
+    ``True`` into 1 and ``2.0`` into 2."""
+    if not {int}.issuperset(map(type, ids)):
+        bad = next(bus for bus in ids if type(bus) is not int)
+        raise ValueError(f"{what} bus ids must be integers, got {bad!r}")
 
 
 def _require_buses(case: NetworkCase, buses, what: str) -> frozenset:
     """``buses`` as a frozenset of the case's bus ids. Raise ValueError
-    naming ``what`` and the first entry that is not an int or is a bool,
-    or else the ids the case lacks. The types are read from the entries as
-    given, since a set would fold ``True`` into 1 and ``2.0`` into 2."""
+    naming ``what`` and the first entry that is not an int or is a bool
+    (see :func:`_require_ids`), or else the ids the case lacks."""
     ids = tuple(buses)
-    if not {int}.issuperset(map(type, ids)):
-        bad = next(bus for bus in ids if type(bus) is not int)
-        raise ValueError(f"{what} bus ids must be integers, got {bad!r}")
+    _require_ids(ids, what)
     found = frozenset(ids)
     if not found <= case._id_set:
         raise ValueError(f"{what} buses not in the case: {sorted(found - case._id_set)}")

@@ -18,11 +18,18 @@ one would leave a stage without a winner, and inf would tie every candidate.
 
 The search walks groups of candidates that share the buses they add on top
 of the base: one group per greedy stage, and one per exhaustive
-(k-1)-prefix over the free buses after it. It scores a group with one call
-to the metric's incremental ``scorer`` (see
-:func:`~pmuplan.estimation.metric_function`) when the metric has one, and
-calls the metric wherever there is no scorer or it returns None, in
-enumeration order, so a failure raises at the first failing candidate.
+(k-1)-prefix over the free buses after it. It ranks a group by keys. With
+the metric's incremental ``scorer`` (see
+:func:`~pmuplan.estimation.metric_function`), one call per group gives
+integer keys, the candidates' metered counts, and the count rule that maps
+a key to the metric's value; at a fixed stage size the value rises
+strictly with the count, so comparing integers compares values. Without a
+scorer the keys are the metric's own values and the rule is the identity.
+A group costs one comprehension and one ``min``, and the winner a few
+``index`` lookups; the rule runs only on the tie band and the winner, so
+the reported value is the metric's float, bit for bit. The metric is
+called wherever there is no scorer or a key is None, in enumeration order,
+so a failure raises at the first failing candidate.
 
 At stage 1 the two planners solve one problem: greedy's single group, no
 buses added over every free bus, is ``combinations(free, 1)`` in the same
@@ -36,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, inf
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .network import _require_buses, _require_count, _require_tol
 
@@ -184,43 +191,80 @@ def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(sorted(base_set)), free
 
 
-def _scorer(metric, base: Iterable[int]) -> Callable[[Iterable[int], list[int]], list] | None:
+def _scorer(metric, base: Iterable[int]) -> Callable[[Sequence[int], list[int]], tuple] | None:
     """The metric's ``scorer(base)``, or None when it has none."""
     scorer = getattr(metric, "scorer", None)
     return None if scorer is None else scorer(base)
+
+
+def _evaluate(stage, metric, base: frozenset, added, bus, bare: bool) -> float:
+    """The metric's float on ``base`` plus ``added`` plus ``bus``. A metric
+    that raises or returns NaN raises a CandidateEvaluationError naming the
+    candidate: the bus when ``bare``, else the tuple of ``added`` and the
+    bus."""
+    try:
+        value = float(metric(base.union(added, (bus,))))
+        if value != value:
+            raise ValueError("the metric returned NaN")
+    except Exception as exc:
+        raise CandidateEvaluationError(stage, bus if bare else (*added, bus)) from exc
+    return value
 
 
 def _stage_search(stage, groups, score, metric, base: frozenset, tie_tol: float, bare: bool):
     """The first candidate, in enumeration order, within ``tie_tol`` of the minimum.
 
     ``groups`` yields ``(added, tail)`` pairs: each bus of ``tail`` in turn,
-    on top of ``base`` and ``added``, is one candidate. Only the first value,
-    so that a stage of infinite values has a winner, and the values that
-    set a new minimum are kept, and a group whose smallest value is not
-    below the minimum so far is passed over. The first kept value within
-    ``tie_tol`` of the final minimum is the first such value of all, since
-    every value before it lies above it. Returns ``(added, bus, value)``.
-    A metric that raises or returns NaN raises a CandidateEvaluationError
-    naming the candidate: the bus when ``bare``, else the tuple of
-    ``added`` and the bus.
+    on top of ``base`` and ``added``, is one candidate. ``score(added,
+    tail)`` gives a group's keys, one per candidate, and the rule
+    ``value(key)`` that gives the metric's float; every candidate of one
+    search adds as many buses, so one rule serves every group. With no
+    scorer, the keys are the metric's floats, from calls in enumeration
+    order (see :func:`_evaluate`), and the rule is the identity. The
+    search compares keys and computes values only for the tie band and the
+    winner. That is the float rule: ``value`` never decreases as the key
+    grows, so the smallest key has the smallest value, and the keys whose
+    values lie within ``tie_tol`` of it, the tie band, are all the keys up
+    to a bound.
+
+    The first group and each group whose smallest key is below the minimum
+    so far are kept; the others are passed over. Let c be the first
+    candidate in the band. Every candidate before c lies outside the band,
+    so above c in value and in key. So c's group is kept, no earlier kept
+    group has a key in the band, and c is the first index of a band key in
+    its group. The search finds it from the first index of the group's
+    smallest key, stepping to the first index of the smallest key before
+    it while that key is in the band. Returns ``(added, bus, value)``.
+
+    A None key marks a placement the metric raises on, so the metric is
+    called there, before any later candidate; should it return, the
+    search raises all the same.
     """
     best, kept = inf, []
     for added, tail in groups:
-        scored = [None] * len(tail) if score is None else score(added, tail)
-        if kept and None not in scored and min(scored) >= best:
-            continue
-        for bus, value in zip(tail, scored):
-            if value is None:
-                try:
-                    value = float(metric(base.union(added, (bus,))))
-                    if value != value:
-                        raise ValueError("the metric returned NaN")
-                except Exception as exc:
-                    raise CandidateEvaluationError(stage, bus if bare else (*added, bus)) from exc
-            if value < best or not kept:
-                best = value
-                kept.append((added, bus, value))
-    return next(hit for hit in kept if hit[2] <= best + tie_tol)
+        if score is None:
+            keys = [_evaluate(stage, metric, base, added, bus, bare) for bus in tail]
+            value = float  # the identity on keys that are floats
+        else:
+            keys, value = score(added, tail)
+        try:
+            low = min(keys)
+        except TypeError:  # None beside int keys
+            low = None
+        if low is None:
+            bus = tail[keys.index(None)]
+            got = _evaluate(stage, metric, base, added, bus, bare)
+            raise CandidateEvaluationError(stage, bus if bare else (*added, bus)) from ValueError(
+                f"the metric returned {got!r} where its scorer has no key")
+        if low < best or not kept:
+            best = low
+            kept.append((low, added, tail, keys))
+    limit = value(best) + tie_tol
+    low, added, tail, keys = next(group for group in kept if value(group[0]) <= limit)
+    first = keys.index(low)
+    while first and value(low := min(keys[:first])) <= limit:  # an earlier key is in the band
+        first = keys.index(low)
+    return added, tail[first], value(keys[first])
 
 
 def greedy_plan(

@@ -32,7 +32,7 @@ from enum import Enum
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .network import _require_buses, _require_count, _require_tol
+from .network import _require_buses, _require_count, _require_ids, _require_tol
 
 __all__ = [
     "MarginClass",
@@ -197,9 +197,13 @@ def enumerate_triples(
     lexicographic order directly: for two distinct sets sharing the fixed
     part, the sorted-tuple comparison is decided by the smallest element in
     their symmetric difference, which the fixed part never contains.
+    Every id must be an int and no bool; the first that is not is named.
     """
-    omega_t = tuple(sorted(set(omega)))
-    nu_t = tuple(sorted(set(nu)))
+    omega_t, nu_t = tuple(omega), tuple(nu)
+    _require_ids(omega_t, "omega")
+    _require_ids(nu_t, "nu")
+    omega_t = tuple(sorted(set(omega_t)))
+    nu_t = tuple(sorted(set(nu_t)))
     if not set(nu_t) <= set(omega_t):
         raise ValueError("nu must be a subset of omega")
     # validates nu <= a <= b < omega as a side effect

@@ -55,6 +55,10 @@ COMMANDS = [
     "plan greedy --case ieee118 --channel-limit 16 --stages 5 --out json",
     "plan compare --case ieee118 --channel-limit 16 --stages 2",
     "plan compare --case ieee118 --channel-limit 16 --stages 3 --out json",
+    # the same 85,320 stage-3 subsets under each dedupe policy and scope
+    "plan compare --case ieee118 --channel-limit 16 --stages 3",
+    "plan compare --case ieee118 --channel-limit 16 --stages 3 --dedupe per-end",
+    "plan compare --case ieee118 --channel-limit 16 --stages 3 --scope full",
     "plan budget --stages 2 --scope full --out json",
     _AUDIT + " --parallel 1",
     _AUDIT + " --parallel 1 --out json --counterexamples 3",

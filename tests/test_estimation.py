@@ -362,6 +362,22 @@ def test_counting_score_keeps_the_pipeline_validation(ieee14, ieee118):
         assert sensitivity_report(ieee14, nu, **{name: 1.3e154}).m == 36
 
 
+@pytest.mark.parametrize("name", ["sigma_v", "sigma_i"])
+def test_an_int_sigma_past_the_float_range_is_refused_by_name(ieee14, name):
+    """An int is compared and squared as the float the covariance holds:
+    10**200 once passed the check, as its int square is below inf, and
+    the covariance raised a bare OverflowError naming no argument."""
+    nu = PmuPlacement.of([2, 6, 7, 9])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must square to a finite, positive variance, got {10**200!r}")):
+        sensitivity_report(ieee14, nu, **{name: 10**200})
+    # past the largest float, no conversion is possible
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be finite and positive, got {10**400!r}")):
+        sensitivity_report(ieee14, nu, **{name: 10**400})
+    assert sensitivity_report(ieee14, nu, **{name: 10**100}).m == 36
+
+
 def test_unobservable_null_dimension_by_count(ieee14):
     # fewer channels than states: the deficit is n - m
     with pytest.raises(UnobservableStateError) as err:

@@ -32,7 +32,8 @@ from pmuplan.planner import (
 )
 
 IEEE14 = load_case("ieee14")
-TIE_TOLS = (0.0, 1e-9, 0.01)
+# at 0.1 one tie band spans several metered counts
+TIE_TOLS = (0.0, 1e-9, 0.01, 0.1)
 
 
 def _plain(metric):
@@ -141,14 +142,16 @@ def test_mask_planners_match_the_frozenset_planners(case, data):
                 assert calls == []
 
 
+@pytest.mark.parametrize("gain", [False, True])
 @pytest.mark.parametrize("tie_tol", TIE_TOLS)
 @pytest.mark.parametrize("scope", list(StateScope))
 @pytest.mark.parametrize("dedupe", ["by-branch", "per-end"])
-def test_mask_planners_match_the_reference_on_ieee14(ieee14, scope, dedupe, tie_tol):
+def test_mask_planners_match_the_reference_on_ieee14(ieee14, scope, dedupe, tie_tol, gain):
     """Every stage of both planners over the README base, where the wider
-    tie band joins values the narrower ones keep apart."""
+    tie bands join values the narrower ones keep apart, in both
+    orientations."""
     nu = (2, 6, 7, 9)
-    metric = metric_function(ieee14, scope=scope, dedupe=dedupe)
+    metric = metric_function(ieee14, scope=scope, dedupe=dedupe, gain=gain)
     assert (greedy_plan(ieee14, nu, metric, 10, tie_tol=tie_tol)
             == _reference_greedy(ieee14, nu, metric, 10, tie_tol))
     for k in range(1, 11):
@@ -223,18 +226,24 @@ def test_exhaustive_candidates_come_in_combinations_order(ieee14):
 
 
 def _scorer_agrees(metric, base, added, candidates):
-    """Each candidate's value is f's float on base + added + that candidate,
-    bit for bit, where f returns, and None exactly where f finds the
-    placement unobservable."""
-    got = metric.scorer(base)(added, candidates)
-    assert len(got) == len(candidates)
-    for bus, value in zip(candidates, got):
+    """One key per candidate: None exactly where f finds base + added + that
+    candidate unobservable, and where f returns, a key whose value under
+    the call's count rule is f's float, bit for bit. The rule's values
+    never decrease as the key grows, over every integer from the smallest
+    key to the largest."""
+    keys, value = metric.scorer(base)(added, candidates)
+    assert len(keys) == len(candidates)
+    for bus, key in zip(candidates, keys):
         try:
             want = metric(frozenset(base) | frozenset(added) | {bus})
         except UnobservableStateError:
-            assert value is None
+            assert key is None
         else:
-            assert value is not None and value.hex() == want.hex()
+            assert type(key) is int and value(key).hex() == want.hex()
+    known = [key for key in keys if key is not None]
+    if known:
+        values = [value(key) for key in range(min(known), max(known) + 1)]
+        assert values == sorted(values)
 
 
 def _hosts_every_bus(case, dedupe, limit):
@@ -263,7 +272,7 @@ def test_scorer_values_equal_the_frozenset_values(ieee14, scope, dedupe, channel
         rest = sorted(set(buses) - set(core))
         for added in itertools.combinations(rest, 2):
             _scorer_agrees(metric, core, added, [b for b in rest if b not in added])
-        assert metric.scorer(core)((), []) == []
+        assert metric.scorer(core)((), [])[0] == []
 
 
 @pytest.mark.parametrize("scope", list(StateScope))
@@ -321,13 +330,16 @@ def test_scorer_values_equal_the_frozenset_values_on_drawn_cases(case, data):
 @pytest.mark.parametrize("scope", list(StateScope))
 def test_scorer_scores_no_isolated_bus_under_a_zero_limit(scope):
     """A bus with no branch is within any limit but 0, where f raises on
-    every placement: there is no scorer at 0, and at 1 it scores all."""
+    every placement: there is no scorer at 0, and at 1 it scores all. The
+    placement of bus 3 alone meters nothing and scores 0.0, and under
+    ``gain`` -0.0, which the count rule keeps."""
     case = NetworkCase(name="isolated", buses=(Bus(1), Bus(2), Bus(3)),
                        branches=(Branch(1, 2, 0.0, 0.5),))
     assert metric_function(case, scope=scope, channel_limit=0).scorer is None
-    metric = metric_function(case, scope=scope, channel_limit=1)
-    for r in range(3):
-        for base in itertools.combinations((1, 2, 3), r):
-            rest = [b for b in (1, 2, 3) if b not in base]
-            _scorer_agrees(metric, base, (), rest)
-            _scorer_agrees(metric, (), base, rest)
+    for gain in (False, True):
+        metric = metric_function(case, scope=scope, channel_limit=1, gain=gain)
+        for r in range(3):
+            for base in itertools.combinations((1, 2, 3), r):
+                rest = [b for b in (1, 2, 3) if b not in base]
+                _scorer_agrees(metric, base, (), rest)
+                _scorer_agrees(metric, (), base, rest)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmuplan.cases import load_case
-from pmuplan.estimation import StateScope, metric_function
+from pmuplan.estimation import StateScope, UnobservableStateError, metric_function
 from pmuplan.network import Branch, Bus, NetworkCase
 from pmuplan.planner import (
     CandidateEvaluationError,
@@ -338,6 +339,27 @@ def test_metric_failures_name_the_candidate(ieee14):
     assert err.value.candidate == 8
     with pytest.raises(CandidateEvaluationError):
         budget_constrained_plan(ieee14, NU, flaky, 2)
+
+
+def test_a_none_key_fails_its_candidate_where_the_metric_scores(ieee14):
+    """A scorer's None key says that the metric raises there. A wrapper
+    that copies the scorer but scores unobservable placements breaks that
+    contract, and the search fails at that candidate all the same."""
+    metric = metric_function(ieee14, scope=StateScope.FULL)
+
+    @functools.wraps(metric)
+    def lenient(placement):
+        try:
+            return metric(placement)
+        except UnobservableStateError:
+            return 1.0
+
+    for plan, candidate in ((lambda: greedy_plan(ieee14, (2,), lenient, 1), 1),
+                            (lambda: budget_constrained_plan(ieee14, (2,), lenient, 2), (1, 3))):
+        with pytest.raises(CandidateEvaluationError) as err:
+            plan()
+        assert err.value.candidate == candidate
+        assert str(err.value.__cause__) == "the metric returned 1.0 where its scorer has no key"
 
 
 @pytest.mark.parametrize("nan_bus", [14, 1])

@@ -78,6 +78,16 @@ def test_enumeration_rejects_foreign_nu():
         list(enumerate_triples(range(1, 15), (2, 99), 12, 13))
 
 
+@pytest.mark.parametrize("bad", [True, 2.0])
+def test_enumeration_ids_must_be_ints(bad):
+    """A bool or float id in nu or omega is refused by value: ``(True, 6,
+    7, 9)`` once yielded 90 triples whose A held True in place of bus 1."""
+    with pytest.raises(ValueError, match=f"^nu bus ids must be integers, got {bad!r}$"):
+        next(enumerate_triples(range(1, 15), (bad, 6, 7, 9), 12, 13))
+    with pytest.raises(ValueError, match=f"^omega bus ids must be integers, got {bad!r}$"):
+        next(enumerate_triples((bad, *range(3, 15)), NU, 11, 12))
+
+
 def test_negated_squared_cardinality_is_submodular():
     f = lambda q: -float(len(q) ** 2)
     grown = classify_triple(f, SubsetTriple(a=(1, 2), b=(1, 2, 3, 4), s=5))
