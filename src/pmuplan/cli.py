@@ -224,6 +224,10 @@ def _cmd_case_info(args) -> str:
 
 
 def _cmd_metrics(args) -> str:
+    # one OpenBLAS thread unless the caller set a count, fixed before numpy
+    # loads: the SVD then rounds alike on every host, whatever its CPU count,
+    # and numpy starts sooner
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .linalg import sensitivity_report
 
     case = _load_case(args)

@@ -184,11 +184,12 @@ class PlanComparison:
         }
 
 
-def _free_buses(case, nu: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The sorted base and the case's other buses, in ascending id order."""
+def _free_buses(case, nu: Iterable[int]) -> tuple[frozenset, tuple[int, ...], tuple[int, ...]]:
+    """The base as a set and sorted, and the case's other buses, in
+    ascending id order."""
     base_set = _require_buses(case, nu, "base")
     free = tuple(bus for bus in case.position_bits if bus not in base_set)
-    return tuple(sorted(base_set)), free
+    return base_set, tuple(sorted(base_set)), free
 
 
 def _scorer(metric, base: Iterable[int]) -> Callable[[Sequence[int], list[int]], tuple] | None:
@@ -284,10 +285,9 @@ def greedy_plan(
     popcount each.
     """
     _require_tol("tie tolerance", tie_tol)
-    base, free = _free_buses(case, nu)
+    base_set, base, free = _free_buses(case, nu)
     _require_count("stages", stages, 0, len(free))
 
-    base_set = frozenset(base)
     score = _scorer(metric, base)
     chosen: list[int] = []
     values: list[float] = []
@@ -323,7 +323,7 @@ def budget_constrained_plan(
     """
     _require_tol("tie tolerance", tie_tol)
     _require_count("enum_cap", enum_cap)
-    base, free = _free_buses(case, nu)
+    base_set, base, free = _free_buses(case, nu)
     _require_count("k", k, 1, len(free))
     candidates = comb(len(free), k)
     if candidates > enum_cap:
@@ -336,7 +336,7 @@ def budget_constrained_plan(
         for prefix in itertools.combinations(range(len(free) - 1), k - 1)
     )
     added, bus, value = _stage_search(
-        k, groups, _scorer(metric, base), metric, frozenset(base), tie_tol, bare=False
+        k, groups, _scorer(metric, base), metric, base_set, tie_tol, bare=False
     )
     return StageResult(stage=k, selected=(*added, bus), metric_value=value)
 

@@ -94,6 +94,40 @@ class SubsetTriple:
         return (self.a, self.b, self.s)
 
 
+# the slots' own setters, which a frozen class's __setattr__ does not guard
+_set_a, _set_b, _set_s = (SubsetTriple.__dict__[name].__set__ for name in ("a", "b", "s"))
+
+
+def _mask_triple(
+    case, id_tuples: dict[int, tuple[int, ...]], a: int, b: int, s: int
+) -> SubsetTriple:
+    """The SubsetTriple of masks ``a`` and ``b`` over the case's position
+    bits and probe bit ``s``, with SubsetTriple's four checks made on the
+    masks instead of by ``__post_init__``. ``id_tuples`` maps a mask to its
+    sorted ids: a mask missing from it is decoded, and stored only once its
+    ids are strictly ascending, so each mask's order is checked once.
+    A ⊆ B is ``not a & ~b`` and s ∉ B is ``not s & b``. When a check fails,
+    the public constructor raises SubsetTriple's own ValueError."""
+    ids_a = id_tuples.get(a)
+    if ids_a is None:
+        ids_a = tuple(case.buses_in(a))
+        if all(map(operator.lt, ids_a, ids_a[1:])):
+            id_tuples[a] = ids_a
+    ids_b = id_tuples.get(b)
+    if ids_b is None:
+        ids_b = tuple(case.buses_in(b))
+        if all(map(operator.lt, ids_b, ids_b[1:])):
+            id_tuples[b] = ids_b
+    probe = case.buses[s.bit_length() - 1].id
+    if a & ~b or s & b or a not in id_tuples or b not in id_tuples:
+        return SubsetTriple(ids_a, ids_b, probe)  # raises for the failed check
+    triple = object.__new__(SubsetTriple)
+    _set_a(triple, ids_a)
+    _set_b(triple, ids_b)
+    _set_s(triple, probe)
+    return triple
+
+
 @dataclass(frozen=True, slots=True)
 class MarginRecord:
     """Four metric evaluations for one triple and the resulting verdict."""
@@ -307,6 +341,12 @@ def audit(
     metric failed to return. A block whose A and B have rows is tallied
     from them, by the same subtractions as the per-triple loop, unless it
     holds the ``start`` offset, a progress checkpoint or ``stop``.
+
+    A kept counterexample is noted as its masks and four values. The
+    records are built at the one exit that a finished and an aborted audit
+    share, so a partial tally keeps its records, and their triples are
+    checked by mask (see :func:`_mask_triple`), not by
+    ``SubsetTriple.__post_init__``.
     """
     bits = case.position_bits  # bus id -> position bit, ascending ids
     nu_ids = _require_buses(case, nu, "nu")
@@ -326,19 +366,8 @@ def audit(
     shared = getattr(metric, "case", None) is case
     cache = getattr(metric, "scores", {}) if shared else {}
     margins = getattr(metric, "margins", {}) if shared else {}
-    id_tuples: dict[int, tuple[int, ...]] = {}  # mask -> its sorted ids
-    supermodular, neg_tol = MarginClass.SUPERMODULAR, -tol
-
-    def triple(a: int, b: int, s: int) -> SubsetTriple:
-        """The triple of masks a, b and probe bit s, each mask's sorted ids
-        decoded once a call."""
-        ids_a = id_tuples.get(a)
-        if ids_a is None:
-            ids_a = id_tuples[a] = tuple(case.buses_in(a))
-        ids_b = id_tuples.get(b)
-        if ids_b is None:
-            ids_b = id_tuples[b] = tuple(case.buses_in(b))
-        return SubsetTriple(ids_a, ids_b, case.buses[s.bit_length() - 1].id)
+    id_tuples: dict[int, tuple[int, ...]] = {}  # mask -> its sorted ids, order checked
+    neg_tol = -tol
 
     def ids_in(mask: int) -> Iterator[int]:
         while mask:
@@ -357,16 +386,8 @@ def audit(
         try:
             value = cache[x] = float(metric(placement))
         except Exception as exc:
-            raise MetricEvaluationError(triple(a, b, s), placement) from exc
+            raise MetricEvaluationError(_mask_triple(case, id_tuples, a, b, s), placement) from exc
         return value
-
-    def record(a: int, b: int, s: int, f_a: float, f_a_s: float, f_b: float,
-               f_b_s: float) -> MarginRecord:
-        """A kept counterexample, its differences taken as the loops take them."""
-        lhs = f_a_s - f_a
-        rhs = f_b_s - f_b
-        return MarginRecord(triple(a, b, s), f_a, f_a_s, f_b, f_b_s, lhs, rhs, lhs - rhs,
-                            supermodular)
 
     def margin_row(x: int, outside: Iterable[int]) -> dict[int, float] | None:
         """Store and return X's row {s: f(X+s) - f(X)} over ``outside``, the
@@ -385,7 +406,7 @@ def audit(
 
     lookup = cache.get
     submod = supermod = ties = processed = 0
-    counterexamples: list[MarginRecord] = []
+    kept: list[tuple] = []  # (a, b, s, f_a, f_a_s, f_b, f_b_s) per kept counterexample
     room = counterexample_cap  # records the cap still admits
     a_extra, b_extra = a_size - len(nu_ids), b_size - a_size
     width = len(bits) - b_size  # probes per block
@@ -421,8 +442,8 @@ def audit(
                                 supermod += 1
                                 if room > 0:
                                     room -= 1
-                                    counterexamples.append(record(
-                                        a, b, s, f_a, lookup(a | s), lookup(b), lookup(b | s)))
+                                    kept.append(
+                                        (a, b, s, f_a, lookup(a | s), lookup(b), lookup(b | s)))
                             else:
                                 ties += 1
                         processed += width
@@ -456,7 +477,7 @@ def audit(
                         supermod += 1
                         if room > 0:
                             room -= 1
-                            counterexamples.append(record(a, b, s, f_a, f_a_s, f_b, f_b_s))
+                            kept.append((a, b, s, f_a, f_a_s, f_b, f_b_s))
                     else:
                         ties += 1
                     processed += 1
@@ -471,7 +492,13 @@ def audit(
             skip_b = 0
     except MetricEvaluationError as err:
         failure = err
-    tally = ClassificationTally(processed, submod, supermod, ties, tuple(counterexamples))
+    records = []
+    for a, b, s, f_a, f_a_s, f_b, f_b_s in kept:
+        lhs = f_a_s - f_a  # the differences as the loops take them
+        rhs = f_b_s - f_b
+        records.append(MarginRecord(_mask_triple(case, id_tuples, a, b, s), f_a, f_a_s, f_b,
+                                    f_b_s, lhs, rhs, lhs - rhs, MarginClass.SUPERMODULAR))
+    tally = ClassificationTally(processed, submod, supermod, ties, tuple(records))
     if failure is not None:
         raise AuditAbortedError(processed, tally) from failure
     return tally

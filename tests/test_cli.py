@@ -970,6 +970,39 @@ def test_only_metrics_loads_numpy(argv, loaded):
         assert _README_ROW in proc.stdout.splitlines()
 
 
+_BLAS_PROBE = """
+import os, sys
+if sys.argv[1] == "library":
+    import pmuplan, pmuplan.linalg
+else:
+    from pmuplan.cli import main
+    main(sys.argv[1:])
+print(os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    ("argv", "preset", "seen"),
+    [
+        (["metrics", "--nu", "2,6,7,9"], None, "1"),
+        (["metrics", "--nu", "2,6,7,9"], "2", "2"),
+        (["plan", "greedy", "--nu", "2,6,7,9", "--stages", "2"], None, "None"),
+        (["library"], None, "None"),
+    ],
+    ids=["metrics", "metrics-preset", "plan", "library"],
+)
+def test_metrics_runs_one_blas_thread_unless_told(monkeypatch, argv, preset, seen):
+    """``metrics`` sets OPENBLAS_NUM_THREADS to 1 before numpy loads, so its
+    figures do not follow the CPU count, and keeps a count the caller set;
+    no other command and no library import sets it."""
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    proc = _probe(_BLAS_PROBE, *argv)
+    assert proc.stderr.splitlines()[-1] == seen
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",

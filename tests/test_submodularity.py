@@ -3,6 +3,7 @@ import functools
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -736,6 +737,92 @@ def test_large_audit_records_are_classify_triples(ieee118):
         expected = classify_triple(metric, record.triple)
         for field in dataclasses.fields(MarginRecord):
             assert getattr(record, field.name) == getattr(expected, field.name), field.name
+
+
+def _kept(run):
+    """The records an audit or reference run keeps, and whether it aborted:
+    an aborted run keeps those of its partial tally."""
+    try:
+        return run().counterexamples, False
+    except AuditAbortedError as err:
+        return err.partial.counterexamples, True
+
+
+@settings(max_examples=200, deadline=None)
+@given(audit_setups(), st.booleans(), st.sampled_from([0.0, 1e-9, 0.01]))
+def test_kept_records_match_the_reference_at_every_cap(setup, gain, tol):
+    """At caps 0, 1, n - 1, n and 10**6, n the slice's supermodular count,
+    an audit over cold tables and one over a warm table keep the
+    reference's records, field by field, and each triple is the one the
+    public constructor builds, with all four of its checks."""
+    case, nu, a_size, b_size, start, stop = setup
+    args = (nu, a_size, b_size, tol)
+    f = metric_function(case, gain=gain, channel_limit=64)
+    everything, _ = _kept(lambda: _reference_audit(case, f, *args, 10**6, start, stop))
+    n = len(everything)
+    warm = metric_function(case, gain=gain, channel_limit=64)
+    for _ in range(2):  # scores every placement it can, then stores the rows
+        _kept(lambda: audit(case, warm, nu, a_size, b_size, tol=tol))
+    for cap in sorted({0, 1, max(n - 1, 0), n, 10**6}):
+        expected = _kept(lambda: _reference_audit(case, f, *args, cap, start, stop))
+        assert expected[0] == everything[:cap]
+        for metric in (metric_function(case, gain=gain, channel_limit=64), warm):
+            got = _kept(lambda: audit(case, metric, nu, a_size, b_size, tol=tol,
+                                      counterexample_cap=cap, start=start, stop=stop))
+            assert got[1] == expected[1] and len(got[0]) == len(expected[0])
+            for record, want in zip(got[0], expected[0]):
+                assert type(record) is MarginRecord and type(record.triple) is SubsetTriple
+                for field in dataclasses.fields(MarginRecord):
+                    assert getattr(record, field.name) == getattr(want, field.name), field.name
+                t = record.triple
+                assert t == SubsetTriple(t.a, t.b, t.s)
+
+
+class _ReversedDecode:
+    """A case whose mask decoder lists a mask's ids in descending order."""
+
+    def __init__(self, case):
+        self.buses = case.buses
+        self._case = case
+
+    def buses_in(self, mask):
+        return self._case.buses_in(mask)[::-1]
+
+
+def test_the_mask_builder_raises_subset_triples_errors(ieee14):
+    """The builder checks nesting and the probe on the masks and each mask's
+    order once, when it decodes it; a failed check raises the ValueError
+    that SubsetTriple raises for the same ids, and leaves an unsorted
+    decode out of the memo."""
+    bits = ieee14.position_bits
+
+    def mask(*ids):
+        return sum(bits[bus] for bus in ids)
+
+    def message(*triple):
+        with pytest.raises(ValueError) as err:
+            SubsetTriple(*triple)
+        return f"^{re.escape(str(err.value))}$"
+
+    memo = {}
+    triple = submodularity._mask_triple(ieee14, memo, mask(2, 6), mask(2, 6, 7), bits[9])
+    assert triple == SubsetTriple((2, 6), (2, 6, 7), 9) and type(triple) is SubsetTriple
+    assert memo == {mask(2, 6): (2, 6), mask(2, 6, 7): (2, 6, 7)}
+    # A is not a subset of B
+    with pytest.raises(ValueError, match=message((2, 9), (2, 6, 7), 1)):
+        submodularity._mask_triple(ieee14, {}, mask(2, 9), mask(2, 6, 7), bits[1])
+    # the probe lies inside B
+    with pytest.raises(ValueError, match=message((2,), (2, 7), 7)):
+        submodularity._mask_triple(ieee14, {}, mask(2), mask(2, 7), bits[7])
+    # a decode out of order, of A and then of B
+    memo = {}
+    with pytest.raises(ValueError, match="^A must be a strictly sorted tuple$"):
+        submodularity._mask_triple(
+            _ReversedDecode(ieee14), memo, mask(2, 6), mask(2, 6, 7), bits[9])
+    with pytest.raises(ValueError, match="^B must be a strictly sorted tuple$"):
+        submodularity._mask_triple(
+            _ReversedDecode(ieee14), memo, mask(2), mask(2, 7), bits[9])
+    assert memo == {mask(2): (2,)}
 
 
 class _NotedRows(dict):
