@@ -188,7 +188,7 @@ def _free_buses(case, nu: Iterable[int]) -> tuple[frozenset, tuple[int, ...], tu
     """The base as a set and sorted, and the case's other buses, in
     ascending id order."""
     base_set = _require_buses(case, nu, "base")
-    free = tuple(bus for bus in case.position_bits if bus not in base_set)
+    free = tuple(sorted(case._id_set.difference(base_set)))
     return base_set, tuple(sorted(base_set)), free
 
 

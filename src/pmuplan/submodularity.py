@@ -94,32 +94,58 @@ class SubsetTriple:
         return (self.a, self.b, self.s)
 
 
+class _SortedIds(dict):
+    """Mask of a case's position bits -> the sorted ids of its buses, filled
+    for one audit call. A mask missing from it is decoded once, from its
+    short side, and stored: a mask of at most half the buses is read from
+    its set bits, a larger one is the case's ids by position sliced around
+    its clear bits. ``ids`` lists the ids by position; when they do not
+    ascend, every decode is sorted, so no entry is ever out of order."""
+
+    __slots__ = ("ids", "_ascending", "_everyone")
+
+    def __init__(self, case) -> None:
+        super().__init__()
+        self.ids = ids = case.bus_ids
+        self._ascending = all(map(operator.lt, ids, ids[1:]))
+        self._everyone = (1 << len(ids)) - 1
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        ids = self.ids
+        if 2 * mask.bit_count() <= len(ids):
+            listed, rest = [], mask
+            while rest:
+                bit = rest & -rest
+                listed.append(ids[bit.bit_length() - 1])
+                rest ^= bit
+            found = tuple(listed)
+        else:  # the runs between clear bits, sliced from the top down
+            clear, end, found = self._everyone ^ mask, len(ids), ()
+            while clear:
+                position = clear.bit_length() - 1
+                found = ids[position + 1:end] + found
+                clear ^= 1 << position
+                end = position
+            found = ids[:end] + found
+        value = self[mask] = found if self._ascending else tuple(sorted(found))
+        return value
+
+
 # the slots' own setters, which a frozen class's __setattr__ does not guard
 _set_a, _set_b, _set_s = (SubsetTriple.__dict__[name].__set__ for name in ("a", "b", "s"))
 
 
-def _mask_triple(
-    case, id_tuples: dict[int, tuple[int, ...]], a: int, b: int, s: int
-) -> SubsetTriple:
-    """The SubsetTriple of masks ``a`` and ``b`` over the case's position
-    bits and probe bit ``s``, with SubsetTriple's four checks made on the
-    masks instead of by ``__post_init__``. ``id_tuples`` maps a mask to its
-    sorted ids: a mask missing from it is decoded, and stored only once its
-    ids are strictly ascending, so each mask's order is checked once.
-    A ⊆ B is ``not a & ~b`` and s ∉ B is ``not s & b``. When a check fails,
-    the public constructor raises SubsetTriple's own ValueError."""
-    ids_a = id_tuples.get(a)
-    if ids_a is None:
-        ids_a = tuple(case.buses_in(a))
-        if all(map(operator.lt, ids_a, ids_a[1:])):
-            id_tuples[a] = ids_a
-    ids_b = id_tuples.get(b)
-    if ids_b is None:
-        ids_b = tuple(case.buses_in(b))
-        if all(map(operator.lt, ids_b, ids_b[1:])):
-            id_tuples[b] = ids_b
-    probe = case.buses[s.bit_length() - 1].id
-    if a & ~b or s & b or a not in id_tuples or b not in id_tuples:
+def _mask_triple(ids_of: _SortedIds, a: int, b: int, s: int) -> SubsetTriple:
+    """The SubsetTriple of masks ``a`` and ``b`` over a case's position bits
+    and probe bit ``s``, their ids read from ``ids_of``, with SubsetTriple's
+    four checks made without ``__post_init__``: the ids are strictly
+    ascending as ``ids_of`` decodes them, A ⊆ B is ``not a & ~b`` and
+    s ∉ B is ``not s & b``. When a check fails, the public constructor
+    raises SubsetTriple's own ValueError."""
+    ids_a = ids_of[a]
+    ids_b = ids_of[b]
+    probe = ids_of.ids[s.bit_length() - 1]
+    if a & ~b or s & b:
         return SubsetTriple(ids_a, ids_b, probe)  # raises for the failed check
     triple = object.__new__(SubsetTriple)
     _set_a(triple, ids_a)
@@ -156,6 +182,43 @@ class MarginRecord:
             "margin": self.margin,
             "verdict": self.verdict.value,
         }
+
+
+# MarginRecord's slot setters, in field order, for _kept_records
+_record_setters = tuple(
+    MarginRecord.__dict__[name].__set__
+    for name in ("triple", "f_a", "f_a_s", "f_b", "f_b_s", "lhs", "rhs", "margin", "verdict")
+)
+
+
+def _kept_records(case, kept: list[tuple]) -> tuple[MarginRecord, ...]:
+    """The supermodular MarginRecords of ``kept``, one per ``(a, b, s, f_a,
+    f_a_s, f_b, f_b_s)`` as the audit notes it, equal to what the public
+    constructor makes of them: each is made with ``object.__new__`` and
+    its slots' setters, its triple by :func:`_mask_triple`. The case's ids
+    are read by position only when there is a record to build."""
+    if not kept:
+        return ()
+    ids_of = _SortedIds(case)
+    (set_triple, set_f_a, set_f_a_s, set_f_b, set_f_b_s, set_lhs, set_rhs, set_margin,
+     set_verdict) = _record_setters
+    new, verdict = object.__new__, MarginClass.SUPERMODULAR
+    records = []
+    for a, b, s, f_a, f_a_s, f_b, f_b_s in kept:
+        lhs = f_a_s - f_a  # the differences as the loops take them
+        rhs = f_b_s - f_b
+        record = new(MarginRecord)
+        set_triple(record, _mask_triple(ids_of, a, b, s))
+        set_f_a(record, f_a)
+        set_f_a_s(record, f_a_s)
+        set_f_b(record, f_b)
+        set_f_b_s(record, f_b_s)
+        set_lhs(record, lhs)
+        set_rhs(record, rhs)
+        set_margin(record, lhs - rhs)
+        set_verdict(record, verdict)
+        records.append(record)
+    return tuple(records)
 
 
 @dataclass(frozen=True)
@@ -344,9 +407,11 @@ def audit(
 
     A kept counterexample is noted as its masks and four values. The
     records are built at the one exit that a finished and an aborted audit
-    share, so a partial tally keeps its records, and their triples are
-    checked by mask (see :func:`_mask_triple`), not by
-    ``SubsetTriple.__post_init__``.
+    share, so a partial tally keeps its records (see :func:`_kept_records`):
+    each is made without the dataclass ``__init__``, its triple checked by
+    mask, not by ``SubsetTriple.__post_init__``, and each mask's sorted ids
+    are decoded once, from its short side (see :class:`_SortedIds`). An
+    audit that keeps no record decodes none.
     """
     bits = case.position_bits  # bus id -> position bit, ascending ids
     nu_ids = _require_buses(case, nu, "nu")
@@ -366,7 +431,6 @@ def audit(
     shared = getattr(metric, "case", None) is case
     cache = getattr(metric, "scores", {}) if shared else {}
     margins = getattr(metric, "margins", {}) if shared else {}
-    id_tuples: dict[int, tuple[int, ...]] = {}  # mask -> its sorted ids, order checked
     neg_tol = -tol
 
     def ids_in(mask: int) -> Iterator[int]:
@@ -386,7 +450,7 @@ def audit(
         try:
             value = cache[x] = float(metric(placement))
         except Exception as exc:
-            raise MetricEvaluationError(_mask_triple(case, id_tuples, a, b, s), placement) from exc
+            raise MetricEvaluationError(_mask_triple(_SortedIds(case), a, b, s), placement) from exc
         return value
 
     def margin_row(x: int, outside: Iterable[int]) -> dict[int, float] | None:
@@ -492,13 +556,7 @@ def audit(
             skip_b = 0
     except MetricEvaluationError as err:
         failure = err
-    records = []
-    for a, b, s, f_a, f_a_s, f_b, f_b_s in kept:
-        lhs = f_a_s - f_a  # the differences as the loops take them
-        rhs = f_b_s - f_b
-        records.append(MarginRecord(_mask_triple(case, id_tuples, a, b, s), f_a, f_a_s, f_b,
-                                    f_b_s, lhs, rhs, lhs - rhs, MarginClass.SUPERMODULAR))
-    tally = ClassificationTally(processed, submod, supermod, ties, tuple(records))
+    tally = ClassificationTally(processed, submod, supermod, ties, _kept_records(case, kept))
     if failure is not None:
         raise AuditAbortedError(processed, tally) from failure
     return tally

@@ -8,6 +8,8 @@ are reproduced deterministically, and the tests are marked strict-xfail so
 any drift in either direction still trips the gate.
 """
 
+import dataclasses
+import functools
 import math
 import random
 import time
@@ -30,7 +32,15 @@ from pmuplan.linalg import (
 from pmuplan.measurements import PmuPlacement, greedy_observable_cover
 from pmuplan.network import Branch, Bus, NetworkCase
 from pmuplan.planner import compare_plans
-from pmuplan.submodularity import audit, count_combinations, enumerate_triples
+from pmuplan.submodularity import (
+    MarginClass,
+    MarginRecord,
+    SubsetTriple,
+    audit,
+    classify_triple,
+    count_combinations,
+    enumerate_triples,
+)
 
 NU14 = (2, 6, 7, 9)
 
@@ -163,6 +173,17 @@ def test_criterion_7_large_audit_completes(ieee118):
         (114, [114, 115], [114]),
         (109, [108, 109], [109]),
     ])
+    # all 90 records, field by field, are classify_triple's records of the
+    # supermodular triples of the stream, in its order: their A and B hold
+    # 116 and 117 of the 118 buses, so each is decoded from its clear bits
+    stream = enumerate_triples(ieee118.bus_ids, cover.buses, 116, 117)
+    expected = [r for r in map(functools.partial(classify_triple, metric), stream)
+                if r.verdict is MarginClass.SUPERMODULAR]
+    assert len(expected) == len(tally.counterexamples) == 90
+    for record, want in zip(tally.counterexamples, expected):
+        assert type(record) is MarginRecord and type(record.triple) is SubsetTriple
+        for field in dataclasses.fields(MarginRecord):
+            assert getattr(record, field.name) == getattr(want, field.name), field.name
 
 
 def test_dense_118_audit_is_pinned(ieee118):

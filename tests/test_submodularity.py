@@ -726,19 +726,6 @@ def test_records_cross_a_pickle_unchanged(ieee14):
         assert merge_tallies(parts) == whole
 
 
-def test_large_audit_records_are_classify_triples(ieee118):
-    """Criterion 7's 90 counterexamples, field by field, are what
-    classify_triple makes of their triples."""
-    cover = greedy_observable_cover(ieee118, channel_limit=8).buses
-    metric = metric_function(ieee118, gain=True, channel_limit=16)
-    tally = audit(ieee118, metric, cover, 116, 117)
-    assert len(tally.counterexamples) == tally.supermodular == 90
-    for record in tally.counterexamples:
-        expected = classify_triple(metric, record.triple)
-        for field in dataclasses.fields(MarginRecord):
-            assert getattr(record, field.name) == getattr(expected, field.name), field.name
-
-
 def _kept(run):
     """The records an audit or reference run keeps, and whether it aborted:
     an aborted run keeps those of its partial tally."""
@@ -778,22 +765,11 @@ def test_kept_records_match_the_reference_at_every_cap(setup, gain, tol):
                 assert t == SubsetTriple(t.a, t.b, t.s)
 
 
-class _ReversedDecode:
-    """A case whose mask decoder lists a mask's ids in descending order."""
-
-    def __init__(self, case):
-        self.buses = case.buses
-        self._case = case
-
-    def buses_in(self, mask):
-        return self._case.buses_in(mask)[::-1]
-
-
 def test_the_mask_builder_raises_subset_triples_errors(ieee14):
-    """The builder checks nesting and the probe on the masks and each mask's
-    order once, when it decodes it; a failed check raises the ValueError
-    that SubsetTriple raises for the same ids, and leaves an unsorted
-    decode out of the memo."""
+    """The builder checks nesting and the probe on the masks; a failed check
+    raises the ValueError that SubsetTriple raises for the same ids. The
+    memo decodes a mask once, on its first lookup, from its set bits or
+    from its clear bits, to the sorted ids buses_in walks."""
     bits = ieee14.position_bits
 
     def mask(*ids):
@@ -804,25 +780,43 @@ def test_the_mask_builder_raises_subset_triples_errors(ieee14):
             SubsetTriple(*triple)
         return f"^{re.escape(str(err.value))}$"
 
-    memo = {}
-    triple = submodularity._mask_triple(ieee14, memo, mask(2, 6), mask(2, 6, 7), bits[9])
+    memo = submodularity._SortedIds(ieee14)
+    triple = submodularity._mask_triple(memo, mask(2, 6), mask(2, 6, 7), bits[9])
     assert triple == SubsetTriple((2, 6), (2, 6, 7), 9) and type(triple) is SubsetTriple
-    assert memo == {mask(2, 6): (2, 6), mask(2, 6, 7): (2, 6, 7)}
+    assert dict(memo) == {mask(2, 6): (2, 6), mask(2, 6, 7): (2, 6, 7)}
+    assert submodularity._mask_triple(memo, mask(2, 6), mask(2, 6, 7), bits[1]).a is triple.a
     # A is not a subset of B
     with pytest.raises(ValueError, match=message((2, 9), (2, 6, 7), 1)):
-        submodularity._mask_triple(ieee14, {}, mask(2, 9), mask(2, 6, 7), bits[1])
+        submodularity._mask_triple(
+            submodularity._SortedIds(ieee14), mask(2, 9), mask(2, 6, 7), bits[1])
     # the probe lies inside B
     with pytest.raises(ValueError, match=message((2,), (2, 7), 7)):
-        submodularity._mask_triple(ieee14, {}, mask(2), mask(2, 7), bits[7])
-    # a decode out of order, of A and then of B
-    memo = {}
-    with pytest.raises(ValueError, match="^A must be a strictly sorted tuple$"):
-        submodularity._mask_triple(
-            _ReversedDecode(ieee14), memo, mask(2, 6), mask(2, 6, 7), bits[9])
-    with pytest.raises(ValueError, match="^B must be a strictly sorted tuple$"):
-        submodularity._mask_triple(
-            _ReversedDecode(ieee14), memo, mask(2), mask(2, 7), bits[9])
-    assert memo == {mask(2): (2,)}
+        submodularity._mask_triple(submodularity._SortedIds(ieee14), mask(2), mask(2, 7), bits[7])
+    memo = submodularity._SortedIds(ieee14)
+    for every in range(1 << len(bits)):
+        assert memo[every] == tuple(ieee14.buses_in(every))
+    assert len(memo) == 1 << len(bits)
+
+
+@pytest.mark.parametrize("order", [(1, 2, 4, 3), (5, 1, 4, 2, 3), (9, 7, 30, 2, 11, 4)])
+def test_the_mask_decode_is_sorted_in_any_bus_order(order):
+    """A case that lists its buses out of id order decodes every mask, from
+    either side, to the sorted ids buses_in walks, so no out-of-order tuple
+    enters the memo or a triple; the audit's records over it are the public
+    constructor's triples, in the stream's order."""
+    case = NetworkCase("shuffled", tuple(Bus(i) for i in order),
+                       tuple(Branch(u, v, 0.0, 0.5) for u, v in zip(order, order[1:])))
+    memo = submodularity._SortedIds(case)
+    for mask in range(1 << len(order)):
+        assert memo[mask] == tuple(case.buses_in(mask))
+    size = len(order)
+    tally = audit(case, lambda q: float(len(q) ** 2), (), 1, size - 2)
+    stream = enumerate_triples(order, (), 1, size - 2)
+    assert [r.triple for r in tally.counterexamples] == list(stream)[:len(tally.counterexamples)]
+    assert tally.supermodular == tally.total > 0
+    for record in tally.counterexamples:
+        t = record.triple
+        assert type(t) is SubsetTriple and t == SubsetTriple(t.a, t.b, t.s)
 
 
 class _NotedRows(dict):
