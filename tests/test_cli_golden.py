@@ -68,6 +68,10 @@ COMMANDS = [
     "submod audit --a-size 6 --b-size 8 --parallel 2 --out csv",
     "submod audit --case ieee118 --channel-limit 16 --parallel 1",
     "submod audit --case ieee118 --channel-limit 16 --parallel 2 --out json --counterexamples 2",
+    # near-full placements counted from the buses outside them: the closed
+    # masks in full scope, and the end masks per end
+    "submod audit --case ieee118 --channel-limit 16 --scope full --out json --counterexamples 3",
+    "submod audit --case ieee118 --channel-limit 16 --dedupe per-end --out json --counterexamples 3",
     "submod count --case ieee14 --a-size 5 --b-size 7 --out json",
     "knapsack demo --values 3,1,4 --weights 2,1,3",
     # exit 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmuplan import estimation
 from pmuplan.estimation import (
     StateScope,
     UnobservableStateError,
@@ -22,7 +23,14 @@ from pmuplan.linalg import (
     sensitivity_report,
     wls_estimate,
 )
-from pmuplan.measurements import ChannelLimitError, PmuPlacement, greedy_observable_cover
+from pmuplan.measurements import (
+    ChannelLimitError,
+    PmuPlacement,
+    _union,
+    greedy_observable_cover,
+    metered_mask,
+    observability_check,
+)
 from pmuplan.network import Branch, Bus, NetworkCase
 
 
@@ -360,6 +368,73 @@ def test_counting_score_keeps_the_pipeline_validation(ieee14, ieee118):
                     f"{name} must square to a finite, positive variance, got {bad!r}")):
                 sensitivity_report(ieee14, nu, **{name: bad})
         assert sensitivity_report(ieee14, nu, **{name: 1.3e154}).m == 36
+
+
+def _outcome(call, *args, **kwargs):
+    """What a call gives: its value, floats by their bits, or the type and
+    message of the error it raises."""
+    try:
+        value = call(*args, **kwargs)
+    except (KeyError, ValueError) as err:
+        return type(err), str(err)
+    return value.hex() if isinstance(value, float) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_set_and_tuple_placements_count_alike(ieee14, ieee118, data):
+    """The count path reads a placement's frozenset, kept as given or copied
+    from a tuple, list, set or generator; it gives the values and errors of
+    the sorted tuple the accumulator read before, on both sides of its N/8
+    rule: unknown and over-limit buses, empty placements and unobservable
+    ones in full scope included."""
+    case = data.draw(st.sampled_from([ieee14, ieee118]), label="case")
+    n = len(case.bus_ids)
+    size = data.draw(st.one_of(st.integers(0, n - n // 8 - 1), st.integers(n - n // 8, n)),
+                     label="size")
+    chosen = data.draw(st.permutations(case.bus_ids), label="order")[:size]
+    chosen += data.draw(st.sampled_from([[], [999], chosen[:1]]), label="unknown or repeat")
+    limit = data.draw(st.sampled_from([3, case._max_degree, 16]), label="limit")
+    scope = data.draw(st.sampled_from(list(StateScope)), label="scope")
+    dedupe = data.draw(st.sampled_from(["by-branch", "per-end"]), label="dedupe")
+    ordered = tuple(sorted(set(chosen)))
+    forms = [PmuPlacement(shape(chosen), limit)
+             for shape in (frozenset, tuple, list, lambda ids: set(reversed(ids)), iter)]
+    for closed, column_limit in ((False, limit), (True, len(case.branches))):
+        expected = _outcome(_union, case, ordered, dedupe, column_limit, closed)
+        assert all(_outcome(_union, case, p.bus_set, dedupe, column_limit, closed) == expected
+                   for p in forms)
+    kw = dict(scope=scope, dedupe=dedupe)
+    reference = PmuPlacement(ordered, limit)
+    expected = _outcome(placement_metric, case, reference, **kw)
+    for placement in forms:
+        assert _outcome(placement_metric, case, placement, **kw) == expected
+        assert (_outcome(metered_mask, case, placement, dedupe)
+                == _outcome(metered_mask, case, reference, dedupe))
+        assert (_outcome(observability_check, case, placement)
+                == _outcome(observability_check, case, reference))
+    f = metric_function(case, channel_limit=limit, **kw)
+    assert _outcome(f, frozenset(chosen)) == _outcome(f, chosen) == expected
+
+
+def test_f_builds_the_placement_the_constructor_builds(ieee118, monkeypatch):
+    """f places a frozenset without the constructor, in the constructor's
+    state; the tracer's rebinding of placement_metric still sees the call."""
+    seen = []
+
+    def traced(case, placement, **kw):
+        seen.append(placement)
+        return placement_metric(case, placement, **kw)
+
+    monkeypatch.setattr(estimation, "placement_metric", traced)
+    buses = frozenset(ieee118.bus_ids[2:])
+    f = metric_function(ieee118, channel_limit=16)
+    assert f(buses) == f(sorted(buses))
+    direct, built = seen
+    assert direct.bus_set is buses
+    assert list(vars(direct).items()) == list(vars(PmuPlacement(buses, 16)).items())
+    assert vars(direct) == vars(built)
+    assert (direct, hash(direct), repr(direct)) == (built, hash(built), repr(built))
 
 
 @pytest.mark.parametrize("name", ["sigma_v", "sigma_i"])

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +56,62 @@ def test_channel_limit_must_be_a_positive_int(bad):
     with pytest.raises(ValueError) as err:
         PmuPlacement.of((2, 6, 7, 9), channel_limit=bad)
     assert str(err.value) == f"channel_limit must be a positive integer, got {bad!r}"
+
+
+_SHAPES = {
+    "list": list,
+    "tuple": tuple,
+    "set": set,
+    "frozenset": frozenset,
+    "generator": lambda ids: (bus for bus in ids),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 200), max_size=40), st.sampled_from(sorted(_SHAPES)),
+       st.integers(1, 20), st.booleans())
+def test_placement_keeps_its_set_and_sorts_buses_when_read(ids, shape, limit, read_first):
+    """A placement keeps the frozenset of its ids and sorts ``buses`` on the
+    first read. Read or not, it equals, hashes and prints as the placement
+    of the sorted tuple, and pickling, copying and ``replace`` keep it."""
+    ordered = tuple(sorted(set(ids)))
+    reference = PmuPlacement(ordered, limit)
+
+    def fresh():
+        placement = PmuPlacement(_SHAPES[shape](ids), limit)
+        if read_first:
+            assert placement.buses == ordered
+        return placement
+
+    given_ids = _SHAPES[shape](ids)
+    placement = PmuPlacement.of(given_ids, channel_limit=limit)
+    kept = placement.bus_set
+    assert type(kept) is frozenset and kept == frozenset(ids)
+    assert (kept is given_ids) == (shape == "frozenset")
+    if shape == "set":
+        given_ids.clear()
+        given_ids.add(999)
+    assert placement.bus_set is kept and len(placement) == len(ordered)
+    assert type(placement.buses) is tuple and placement.buses == ordered
+    assert placement.buses is placement.buses and placement.bus_set is kept
+
+    assert fresh() == reference and reference == fresh()
+    assert fresh() != PmuPlacement(ordered + (201,), limit)
+    assert hash(fresh()) == hash(reference)
+    assert repr(fresh()) == repr(reference)
+    assert len(fresh()) == len(ordered)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(fresh(), protocol))
+        assert back == reference and back.bus_set == kept and back.buses == ordered
+    for twin in (copy.copy(fresh()), copy.deepcopy(fresh()), dataclasses.replace(fresh())):
+        assert twin == reference and twin.bus_set == kept and twin.buses == ordered
+    assert dataclasses.replace(fresh(), channel_limit=limit + 1) == PmuPlacement(ordered, limit + 1)
+    assert dataclasses.asdict(fresh()) == {"buses": ordered, "channel_limit": limit}
+    frozen = fresh()
+    for name in ("buses", "channel_limit", "bus_set"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frozen, name, ())
+    assert frozen == reference
 
 
 def test_channel_ordering_is_canonical(triangle):
