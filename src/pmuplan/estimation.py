@@ -37,14 +37,16 @@ Every count comes from one accumulator in :mod:`pmuplan.measurements`. It
 ORs the :attr:`~pmuplan.network.NetworkCase.incidence` rows of a set of
 buses, the metered masks always and the closed-neighborhood masks only in
 full-state scope, and validates the buses as the channel list does. The
-count rule :func:`_count_rule` turns a count into a value, and
-:func:`placement_metric` raises where there is none. The set
+count rule turns a count into a value: :func:`placement_metric` computes
+it inline and raises where there is none, and :func:`_count_rule` hands
+it to the scorer. The set
 function :func:`metric_function` returns calls it; where every bus of the
 case can host a PMU, f also carries the planners' scorer, which ORs a base
 once and a stage's or prefix's added buses once per call, then keys each
 candidate bus by its metered count, at one OR and one popcount, and hands
-back the count rule with the keys. The audit calls f, keeping its
-values in the score table f carries, and the marginal rows it builds from
+back the count rule with the keys. The audit calls f on masks of position
+bits, which f counts without decoding, keeping its values in the score
+table f carries, and the marginal rows it builds from
 them in a second table beside it.
 """
 
@@ -111,11 +113,10 @@ def placement_metric(
     in pmu-state scope and 2N in full-state scope. It is computed as one
     exact integer division, so the result is the correctly rounded
     rational; no channel list, Jacobian or SVD is built. The counts read
-    the placement's ``bus_set``, unsorted, at one mask OR per bus, or, for
-    a placement of all but at most N/8 buses, about one per bus outside
-    it: 1.2 us at 116 of ieee118's buses, against 6.5 us bus by bus (see
-    :func:`~pmuplan.measurements._union`). The noise levels
-    and the branch model cannot move it, so it takes neither;
+    the placement's ``bus_set``, unsorted, or, for the mask form
+    :func:`metric_function`'s set function makes for ``case``, its mask of
+    position bits, through :func:`~pmuplan.measurements._union`. The noise
+    levels and the branch model cannot move it, so it takes neither;
     :func:`~pmuplan.linalg.sensitivity_report` does.
 
     Raises
@@ -125,23 +126,30 @@ def placement_metric(
     ChannelLimitError
         A placement bus has more incident branches than the channel limit.
     ValueError
-        Unknown dedupe policy or empty placement.
+        Unknown scope or dedupe policy, or empty placement.
     UnobservableStateError
         Full-state scope and some bus neither hosts a PMU nor neighbors
         one. The null dimension is ``n - m`` when there are fewer channels
         than states, else twice the number of unobserved buses.
     """
-    scope = _state_scope(scope)
     full = scope is StateScope.FULL
-    k, metered, observed = _union(case, placement.bus_set, dedupe, placement.channel_limit, full)
+    if not full and scope is not StateScope.PMU:
+        full = _state_scope(scope) is StateScope.FULL
+    state = placement.__dict__
+    buses = state["_mask"] if state.get("_ids") is case._ids else placement.bus_set
+    k, metered, observed = _union(case, buses, dedupe, placement.channel_limit, full)
     count = metered.bit_count()
-    unobserved = len(case.buses) - observed.bit_count()
     if not k:
         raise ValueError("measurement set is empty")
-    if full and unobserved:
-        m, n = 2 * k + 2 * count, 2 * len(case.buses)
-        raise UnobservableStateError(n - m if m < n else 2 * unobserved)
-    return _count_rule(case, scope, k)(count)
+    n = k
+    if full:
+        n = len(case.buses)
+        unobserved = n - observed.bit_count()
+        if unobserved:
+            m = 2 * k + 2 * count
+            raise UnobservableStateError(2 * n - m if m < 2 * n else 2 * unobserved)
+    # the count rule, _count_rule's value bit for bit
+    return (k + count - n) / (k + count)
 
 
 def _count_rule(case: NetworkCase, scope: StateScope, k: int,
@@ -175,12 +183,20 @@ def metric_function(
     ``gain=True`` returns the negated average, turning the minimize-sense
     accuracy score into the improvement function that grows as placements
     get richer; audits of diminishing returns run on that orientation.
-    f keeps nothing itself. A frozenset, as the audit decodes, becomes its
-    PmuPlacement's ``bus_set`` past the constructor, whose limit check runs
-    once here (2.2 us a call at 116 ieee118 buses); other inputs go through it.
+    f keeps nothing itself and calls placement_metric once per call.
 
-    Its ``__dict__``, which a ``functools.wraps`` wrapper copies (so one
-    that changes f's values must not), holds four entries:
+    f also takes an int mask of ``case``'s position bits (see
+    :attr:`~pmuplan.network.NetworkCase.position_bits`; a bool is no mask)
+    and scores the placement of the buses whose bits are set, bit for bit
+    as the frozenset of their ids, with the same errors; a mask with a bit
+    outside the case's positions, or a negative one, raises ValueError.
+    :func:`~pmuplan.submodularity.audit` hands f masks. A frozenset or a
+    mask becomes its PmuPlacement past the constructor, whose limit check
+    runs once here; other inputs go through it.
+
+    Its ``__dict__``, which a ``functools.wraps`` wrapper copies, holds four
+    entries. A wrapper that copies it must pass its argument to f
+    unchanged, a mask included, and must not change f's values:
 
     - ``case``, whose position bits key the two tables below;
     - ``scores``, the table of f's values by placement mask, which
@@ -218,15 +234,21 @@ def metric_function(
     limit = DEFAULT_CHANNEL_LIMIT if channel_limit is None else channel_limit
     scope = _state_scope(scope)
     checked = _is_channel_limit(limit)
-    new = object.__new__
+    new, ids = object.__new__, case._ids
 
     def f(buses) -> float:
-        if checked and type(buses) is frozenset:
-            # the state PmuPlacement.__post_init__ leaves, without its checks
+        kind = type(buses)
+        if checked and (kind is int or kind is frozenset):
+            # the state PmuPlacement.__post_init__ leaves, without its checks,
+            # or the mask form that placement_metric counts for this case
             placement = new(PmuPlacement)
             state = placement.__dict__
             state["channel_limit"] = limit
-            state["bus_set"] = buses
+            if kind is int:
+                state["_mask"] = buses
+                state["_ids"] = ids
+            else:
+                state["bus_set"] = buses
         else:
             placement = PmuPlacement(buses, limit)
         value = placement_metric(case, placement, scope=scope, dedupe=dedupe)

@@ -16,11 +16,12 @@ which only the linear-algebra pipeline needs) all read it, so each counts
 ``m = 2|Q| + 2 * popcount`` and raises the same error for the same bus;
 :func:`observability_check` reads it for the observed mask.
 
-The accumulator counts a small placement bus by bus, at one OR per bus,
-and one that leaves at most N/8 of the case's N buses out from the buses
-outside it, at about one OR per outside bus plus one set difference. The
-rule reads the sizes alone; :func:`_union` gives it and the timings behind
-it.
+The accumulator takes a placement's ids or a mask of the case's position
+bits. It counts a small placement bus by bus, at one OR per bus, and a
+large one from the buses outside it, at about one OR per outside bus:
+ids that leave at most N/8 of the case's N buses out, after one set
+difference, and a mask with fewer clear bits than set ones. The rules
+read the sizes alone; :func:`_union` gives them.
 """
 
 from __future__ import annotations
@@ -43,11 +44,13 @@ DEFAULT_CHANNEL_LIMIT = 8
 # the incidence column a PMU meters under each dedupe policy:
 # branch_mask (one bit per branch) or end_mask (one bit per branch end)
 METERED_COLUMN = {"by-branch": 2, "per-end": 4}
+_BY_BRANCH = METERED_COLUMN["by-branch"]
 
 
-def _union(case: NetworkCase, buses: Collection[int], dedupe: str, limit: int,
+def _union(case: NetworkCase, buses: Collection[int] | int, dedupe: str, limit: int,
            closed: bool = False, start: tuple[int, int, int] = (0, 0, 0)) -> tuple[int, int, int]:
-    """OR the incidence rows of ``buses``, a frozenset, tuple or list, onto ``start``.
+    """OR the incidence rows of ``buses`` onto ``start``: a frozenset, tuple
+    or list of ids, or an int mask of the case's position bits.
 
     Returns ``(k, metered, observed)``: start's k plus the number of buses,
     start's metered mask ORed with their ``METERED_COLUMN[dedupe]`` masks,
@@ -55,32 +58,32 @@ def _union(case: NetworkCase, buses: Collection[int], dedupe: str, limit: int,
     ``closed``. The exact counts are popcounts: the metered branches (branch
     ends) and, of the case's N buses, N minus the observed ones.
 
-    A placement of all but at most N/8 of the case's N buses is counted
-    from the buses outside it instead, by :func:`_outside_union`, when
-    ``start`` is zero, no bus of the case has more incident branches than
-    ``limit`` and ``buses`` are distinct ids of the case (the set
-    difference that finds the outside buses shows that). Both sides return
-    the same masks. The rule reads the sizes alone. Timed on a 2-vCPU host,
-    a 116-bus ieee118 frozenset takes 1.2 us from outside (a tuple 2.0 us,
-    its difference 1.3 us to the frozenset's 0.5) against the loop's 6.5
-    us; for frozensets the sides cross near 80 of 118 buses and 11 of 14
-    on ieee14, whose placements of up to 12 buses N/8 keeps on the loop.
-    Every other input, an unknown, repeated or over-limit bus included,
-    runs the per-bus loop, so errors come from one scan.
+    A placement may instead be counted from the buses outside it, by
+    :func:`_outside_union`, when ``start`` is zero and no bus of the case
+    has more incident branches than ``limit``; both sides return the same
+    masks. Ids go outside when at most N/8 of the N buses are left out
+    and ``buses`` are distinct ids of the case (the set difference that
+    finds the outside buses shows that); a mask goes outside when fewer
+    of its bits are clear than set. The rules read the sizes alone. Every
+    other input, an unknown, repeated or over-limit bus included, is ORed
+    bus by bus, so errors come from one scan.
 
-    Raises ValueError for an unknown dedupe policy, and KeyError or
+    Raises ValueError for an unknown dedupe policy or a mask that is
+    negative or has a bit at or past position N, and KeyError or
     ChannelLimitError for a bus not in the case or over ``limit``, naming
     the first such bus by id.
     """
     column = METERED_COLUMN.get(dedupe)
     if column is None:
         raise ValueError(f"unknown dedupe policy {dedupe!r}")
+    if type(buses) is int:
+        return _mask_union(case, buses, column, limit, closed, start)
     index = case.incidence
     if (start == (0, 0, 0) and 8 * (len(index) - len(buses)) <= len(index)
             and limit >= case._max_degree):
         outside = case._id_set.difference(buses)
         if len(outside) + len(buses) == len(index):
-            return _outside_union(case, outside, dedupe, closed)
+            return _outside_union(case, sum(map(case._bits.__getitem__, outside)), column, closed)
     k, metered, observed = start
     for bus in buses:
         row = index.get(bus)
@@ -98,9 +101,37 @@ def _union(case: NetworkCase, buses: Collection[int], dedupe: str, limit: int,
     return k + len(buses), metered, observed
 
 
-def _outside_union(case: NetworkCase, outside: set[int], dedupe: str,
+def _mask_union(case: NetworkCase, mask: int, column: int, limit: int, closed: bool,
+                start: tuple[int, int, int]) -> tuple[int, int, int]:
+    """:func:`_union` of the buses whose position bits are set in ``mask``,
+    read from the case's rows by position, from the side with fewer bits."""
+    rows = case._rows
+    if mask < 0 or mask >> len(rows):
+        raise ValueError(f"placement mask {mask} has bits outside the {len(rows)} "
+                         f"bus positions of case {case.name!r}")
+    k = mask.bit_count()
+    if 2 * k > len(rows) and start == (0, 0, 0) and limit >= case._max_degree:
+        return _outside_union(case, ((1 << len(rows)) - 1) ^ mask, column, closed)
+    count, metered, observed = start
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        row = rows[bit.bit_length() - 1]
+        if row[1] > limit:
+            index = case.incidence
+            bad = next(bus for bus in case.buses_in(mask) if index[bus][1] > limit)
+            raise ChannelLimitError(bad, index[bad][1], limit)
+        metered |= row[column]
+        if closed:
+            observed |= row[3]
+    return count + k, metered, observed
+
+
+def _outside_union(case: NetworkCase, outside: int, column: int,
                    closed: bool) -> tuple[int, int, int]:
-    """:func:`_union`'s counts for the placement of every bus but ``outside``.
+    """:func:`_union`'s counts for the placement of every bus but those
+    whose position bits are set in ``outside``.
 
     By branch, a branch is metered unless both its ends lie outside: those
     are set in the OR of the outside rows' branch masks and clear in their
@@ -108,29 +139,24 @@ def _outside_union(case: NetworkCase, outside: set[int], dedupe: str,
     bus is observed unless it lies outside and its closed mask misses the
     placement.
     """
-    index = case.incidence
-    if dedupe == "by-branch":
-        touched = once = 0
-        for bus in outside:
-            mask = index[bus][2]
-            touched |= mask
-            once ^= mask
+    rows = case._rows
+    observed = placed = ((1 << len(rows)) - 1) ^ outside if closed else 0
+    touched = once = 0
+    rest = outside
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        row = rows[bit.bit_length() - 1]
+        mask = row[column]
+        touched |= mask
+        once ^= mask
+        if closed and row[3] & placed:
+            observed |= bit
+    if column == _BY_BRANCH:
         metered = ((1 << len(case.branches)) - 1) ^ (touched & ~once)
     else:
-        ends = 0
-        for bus in outside:
-            ends |= index[bus][4]
-        metered = ((1 << 2 * len(case.branches)) - 1) ^ ends
-    observed = 0
-    if closed:
-        bits = case.position_bits
-        observed = placed = (1 << len(index)) - 1
-        for bus in outside:
-            placed ^= bits[bus]
-        for bus in outside:
-            if not index[bus][3] & placed:
-                observed ^= bits[bus]
-    return len(index) - len(outside), metered, observed
+        metered = ((1 << 2 * len(case.branches)) - 1) ^ touched
+    return len(rows) - outside.bit_count(), metered, observed
 
 
 class ChannelLimitError(ValueError):
@@ -163,20 +189,43 @@ class _SortedBuses:
         return buses
 
 
+class _DecodedIds:
+    """``PmuPlacement.bus_set`` of a placement held as a mask, decoded on
+    first read, from the ids of its set bits, into the instance's
+    ``__dict__``; a placement built from ids has it there from the start."""
+
+    def __get__(self, placement, owner=None):
+        if placement is None:
+            raise AttributeError("bus_set")
+        state = placement.__dict__
+        mask, ids = state["_mask"], state["_ids"]
+        bus_set = state["bus_set"] = frozenset(
+            bus for position, bus in enumerate(ids) if mask >> position & 1)
+        return bus_set
+
+
 @dataclass(frozen=True)
 class PmuPlacement:
     """A set of PMU-hosting buses plus the per-PMU branch-input budget.
 
     ``bus_set`` keeps the distinct ids given, a frozenset as it is and any
     other iterable copied once into one. ``buses``, their sorted tuple, is
-    sorted on its first read and kept; the counts read ``bus_set``, so a
-    116-bus frozenset takes 0.5 us to place, where the sort took 1.9 us.
+    sorted on its first read and kept; the counts read ``bus_set``.
     ``channel_limit`` must be an int of at least 1; a bool, a float or nan
     raises ValueError naming it and the value.
+
+    :func:`~pmuplan.estimation.metric_function`'s set function also makes
+    a private form, past the constructor, that holds a mask of a case's
+    position bits and that case's ids by position, which
+    :func:`~pmuplan.estimation.placement_metric` counts from the mask for
+    that case. Its ``bus_set`` and ``buses`` are decoded on first read, so
+    it compares, hashes, prints, pickles and copies as the placement of
+    the same ids does.
     """
 
     buses: tuple[int, ...] = _SortedBuses()
     channel_limit: int = DEFAULT_CHANNEL_LIMIT
+    bus_set = _DecodedIds()
 
     def __post_init__(self) -> None:
         if not _is_channel_limit(self.channel_limit):

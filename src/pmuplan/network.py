@@ -108,7 +108,9 @@ class NetworkCase:
     to end. Scoring a placement is then one OR over its buses' masks and
     one popcount, with no per-branch work; the set of bus ids and the
     largest degree, kept privately, let the count accumulator read a large
-    placement from the buses outside it. Masks of position bits list
+    placement from the buses outside it, and the rows and the ids by
+    position, also kept privately, let it read a placement given as a
+    mask of position bits without its ids. Masks of position bits list
     their buses in id order by a walk of :attr:`position_bits`; a single set
     bit decodes to its bus as ``buses[bit.bit_length() - 1]``.
     """
@@ -144,12 +146,15 @@ class NetworkCase:
             bus: (tuple(ix), len(ix), sum(1 << i for i in ix), closed[bus], ends[bus])
             for bus, ix in incident.items()
         })
+        # by position: the same row objects, and the ids a mask's bits name
+        object.__setattr__(self, "_rows", tuple(self._incidence.values()))
+        object.__setattr__(self, "_ids", tuple(position))
         object.__setattr__(self, "_id_set", frozenset(position))
         object.__setattr__(self, "_max_degree", max(map(len, incident.values()), default=0))
 
     @property
     def bus_ids(self) -> tuple[int, ...]:
-        return tuple(self._position)
+        return self._ids
 
     @property
     def incidence(self) -> dict[int, tuple[tuple[int, ...], int, int, int, int]]:

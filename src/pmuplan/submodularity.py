@@ -375,10 +375,16 @@ def audit(
     """Classify every triple over the case's bus set and tally the verdicts.
 
     ``metric`` is any set function mapping a frozenset of bus ids to a real
-    number. ``start``/``stop`` restrict the run to a contiguous slice of the
-    lexicographic triple stream; partial tallies recombine with
-    merge_tallies. ``progress(done, planned)`` is called every
-    PROGRESS_INTERVAL triples and after the last one.
+    number. A metric whose ``case`` attribute is ``case`` itself, a
+    :func:`~pmuplan.estimation.metric_function` or a ``functools.wraps``
+    wrapper of one, is shared: it is handed each placement as the int mask
+    of its position bits (see
+    :attr:`~pmuplan.network.NetworkCase.position_bits`), undecoded, and
+    must score it as the frozenset of those ids. ``start``/``stop``
+    restrict the run to a contiguous slice of the lexicographic triple
+    stream; partial tallies recombine with merge_tallies.
+    ``progress(done, planned)`` is called every PROGRESS_INTERVAL triples
+    and after the last one.
     ``nu`` must hold int ids of the case's buses, ``counterexample_cap``,
     ``start`` and ``stop`` (unless None) must be ints >= 0, and ``tol``
     finite and >= 0; anything else raises ValueError naming the argument
@@ -391,11 +397,12 @@ def audit(
     the count of triples processed and their tally so far, from a
     MetricEvaluationError naming the triple and the placement.
 
-    Values are cached by placement mask (see
-    :attr:`~pmuplan.network.NetworkCase.position_bits`) in
-    ``metric.scores`` when ``metric.case`` is ``case`` itself, so audits of
-    one :func:`~pmuplan.estimation.metric_function` share them, else for
-    the call. The marginal row of a placement X, ``{s: f(X+s) - f(X)}``
+    Values are cached by placement mask in ``metric.scores`` when the
+    metric is shared, so audits of one
+    :func:`~pmuplan.estimation.metric_function` share them, else for the
+    call. A mask is decoded into a frozenset only to hand it to a metric
+    that is not shared, to name the placement of a MetricEvaluationError,
+    and for kept records. The marginal row of a placement X, ``{s: f(X+s) - f(X)}``
     over the bits outside X in ascending-id order, goes to
     ``metric.margins`` under the same condition, or to a table for the call.
     A row is stored only when the score table holds every value it needs:
@@ -403,7 +410,10 @@ def audit(
     such an A. So a cold audit stores no row, and no row holds a value the
     metric failed to return. A block whose A and B have rows is tallied
     from them, by the same subtractions as the per-triple loop, unless it
-    holds the ``start`` offset, a progress checkpoint or ``stop``.
+    holds the ``start`` offset, a progress checkpoint or ``stop``. The free
+    bits outside each A, in id order, are its row's keys, or a walk of the
+    free mask's bits outside A when their positions ascend by id, else a
+    scan of the free bits.
 
     A kept counterexample is noted as its masks and four values. The
     records are built at the one exit that a finished and an aborted audit
@@ -411,7 +421,8 @@ def audit(
     each is made without the dataclass ``__init__``, its triple checked by
     mask, not by ``SubsetTriple.__post_init__``, and each mask's sorted ids
     are decoded once, from its short side (see :class:`_SortedIds`). An
-    audit that keeps no record decodes none.
+    audit of a shared metric that keeps no record and meets no failure
+    decodes no mask.
     """
     bits = case.position_bits  # bus id -> position bit, ascending ids
     nu_ids = _require_buses(case, nu, "nu")
@@ -427,7 +438,10 @@ def audit(
 
     everyone = (1 << len(bits)) - 1
     free = [bits[bus] for bus in sorted(omega.difference(nu_ids))]
-    nu_mask = everyone ^ sum(free)
+    free_mask = sum(free)
+    nu_mask = everyone ^ free_mask
+    # a walk of free bits visits them by id when their positions ascend
+    walk_by_id = all(map(operator.lt, free, free[1:]))
     shared = getattr(metric, "case", None) is case
     cache = getattr(metric, "scores", {}) if shared else {}
     margins = getattr(metric, "margins", {}) if shared else {}
@@ -439,18 +453,21 @@ def audit(
             yield case.buses[bit.bit_length() - 1].id
             mask ^= bit
 
+    def members(x: int) -> frozenset:
+        """The ids of mask x, decoded from its short side: its set bits, or
+        the case's ids but those of its clear bits."""
+        if 2 * x.bit_count() <= len(bits):
+            return frozenset(ids_in(x))
+        return omega.difference(ids_in(everyone ^ x))
+
     def evaluate(x: int, a: int, b: int, s: int) -> float:
         """Score the missed placement x, the block's A or B or either plus
-        the probe s, decoded from its short side: its set bits, or the
-        case's ids but those of its clear bits."""
-        if 2 * x.bit_count() <= len(bits):
-            placement = frozenset(ids_in(x))
-        else:
-            placement = omega.difference(ids_in(everyone ^ x))
+        the probe s: a shared metric takes the mask, any other its ids."""
         try:
-            value = cache[x] = float(metric(placement))
+            value = cache[x] = float(metric(x if shared else members(x)))
         except Exception as exc:
-            raise MetricEvaluationError(_mask_triple(_SortedIds(case), a, b, s), placement) from exc
+            triple = _mask_triple(_SortedIds(case), a, b, s)
+            raise MetricEvaluationError(triple, members(x)) from exc
         return value
 
     def margin_row(x: int, outside: Iterable[int]) -> dict[int, float] | None:
@@ -486,7 +503,14 @@ def audit(
             f_a = lookup(a)
             gains = None if f_a is None else margins.get(a)  # A's row
             if gains is None:
-                rest = [bit for bit in free if not bit & a]
+                if walk_by_id:
+                    rest, left = [], free_mask & ~a
+                    while left:
+                        bit = left & -left
+                        rest.append(bit)
+                        left ^= bit
+                else:
+                    rest = [bit for bit in free if not bit & a]
                 if f_a is not None:
                     gains = margin_row(a, rest)
             else:

@@ -263,10 +263,21 @@ def _reference_audit(case, metric, nu, a_size, b_size, tol, cap, start, stop,
     )
 
 
+def _ids(metric, placement):
+    """The ids of a placement the audit hands ``metric``: a frozenset as it
+    is, a mask of the case's position bits decoded."""
+    if type(placement) is int:
+        return frozenset(metric.case.buses_in(placement))
+    return placement
+
+
 def _recording(metric, calls, poison=None):
+    """Record each placement's ids and fail on ``poison``'s, passing the
+    placement on unchanged, as a wrapper that shares f's tables must."""
     def f(placement):
-        calls.append(placement)
-        if placement == poison:
+        ids = _ids(metric, placement)
+        calls.append(ids)
+        if ids == poison:
             raise RuntimeError("poisoned placement")
         return metric(placement)
 
@@ -416,18 +427,23 @@ def test_audit_does_not_depend_on_the_listing_order(ieee14, ieee118):
         assert flipped.position_bits[min(case.bus_ids)] == 1 << (len(case.buses) - 1)
         runs = []
         for c in (case, flipped):
-            calls = []
+            calls, masks = [], []
             f = metric_function(c, gain=True, channel_limit=limit)
-            metric = functools.wraps(f)(_recording(f, calls))
+            recorded = _recording(f, calls)
+            metric = functools.wraps(f)(lambda p: masks.append(p) or recorded(p))
             cold = audit(c, metric, nu, a_size, b_size).to_dict()
             # twice over the warm tables: the first run stores the rows, and the
             # second reads the buses outside each A off A's row
             warm = [audit(c, metric, nu, a_size, b_size).to_dict() for _ in range(2)]
             runs.append((cold, calls, warm))
             assert f.margins
-            # each placement f is called on is a frozenset of the case's ids
-            assert all(type(p) is frozenset and p <= set(c.bus_ids) for p in calls)
+            # f is handed each placement as a mask of c's position bits, undecoded
+            assert all(type(p) is int for p in masks) and len(masks) == len(calls)
             assert {len(p) for p in calls} == {a_size, a_size + 1, b_size, b_size + 1}
+            # and as a frozenset of c's ids when the metric does not share c
+            opaque = []
+            assert audit(c, _recording(f, opaque), nu, a_size, b_size).to_dict() == cold
+            assert all(type(p) is frozenset for p in opaque) and opaque == calls
         assert runs[0] == runs[1]
         assert runs[0][0]["supermodular"] > 0 and runs[0][2] == [runs[0][0]] * 2
 
@@ -581,7 +597,7 @@ def test_a_failing_placement_is_never_cached(ieee14):
 
     @functools.wraps(f)
     def poisoned(placement):
-        if placement == poison:
+        if _ids(f, placement) == poison:
             raise RuntimeError("poisoned placement")
         return f(placement)
 
