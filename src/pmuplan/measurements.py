@@ -17,11 +17,9 @@ which only the linear-algebra pipeline needs) all read it, so each counts
 :func:`observability_check` reads it for the observed mask.
 
 The accumulator takes a placement's ids or a mask of the case's position
-bits. It counts a small placement bus by bus, at one OR per bus, and a
-large one from the buses outside it, at about one OR per outside bus:
-ids that leave at most N/8 of the case's N buses out, after one set
-difference, and a mask with fewer clear bits than set ones. The rules
-read the sizes alone; :func:`_union` gives them.
+bits. Ids are ORed bus by bus. A mask is read from its short side: bus by
+bus when at most half its bits are set, else from the buses outside it, at
+about one OR per outside bus.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
-from .network import NetworkCase
+from .network import NetworkCase, _ids_in
 
 __all__ = [
     "ChannelLimitError",
@@ -58,15 +56,10 @@ def _union(case: NetworkCase, buses: Collection[int] | int, dedupe: str, limit: 
     ``closed``. The exact counts are popcounts: the metered branches (branch
     ends) and, of the case's N buses, N minus the observed ones.
 
-    A placement may instead be counted from the buses outside it, by
-    :func:`_outside_union`, when ``start`` is zero and no bus of the case
-    has more incident branches than ``limit``; both sides return the same
-    masks. Ids go outside when at most N/8 of the N buses are left out
-    and ``buses`` are distinct ids of the case (the set difference that
-    finds the outside buses shows that); a mask goes outside when fewer
-    of its bits are clear than set. The rules read the sizes alone. Every
-    other input, an unknown, repeated or over-limit bus included, is ORed
-    bus by bus, so errors come from one scan.
+    Ids are ORed bus by bus. A mask with more bits set than clear is
+    counted from the buses outside it, by :func:`_outside_union`, when
+    ``start`` is zero and no bus of the case has more incident branches
+    than ``limit``; both sides return the same masks.
 
     Raises ValueError for an unknown dedupe policy or a mask that is
     negative or has a bit at or past position N, and KeyError or
@@ -79,11 +72,6 @@ def _union(case: NetworkCase, buses: Collection[int] | int, dedupe: str, limit: 
     if type(buses) is int:
         return _mask_union(case, buses, column, limit, closed, start)
     index = case.incidence
-    if (start == (0, 0, 0) and 8 * (len(index) - len(buses)) <= len(index)
-            and limit >= case._max_degree):
-        outside = case._id_set.difference(buses)
-        if len(outside) + len(buses) == len(index):
-            return _outside_union(case, sum(map(case._bits.__getitem__, outside)), column, closed)
     k, metered, observed = start
     for bus in buses:
         row = index.get(bus)
@@ -191,16 +179,14 @@ class _SortedBuses:
 
 class _DecodedIds:
     """``PmuPlacement.bus_set`` of a placement held as a mask, decoded on
-    first read, from the ids of its set bits, into the instance's
+    first read by :func:`~pmuplan.network._ids_in` into the instance's
     ``__dict__``; a placement built from ids has it there from the start."""
 
     def __get__(self, placement, owner=None):
         if placement is None:
             raise AttributeError("bus_set")
         state = placement.__dict__
-        mask, ids = state["_mask"], state["_ids"]
-        bus_set = state["bus_set"] = frozenset(
-            bus for position, bus in enumerate(ids) if mask >> position & 1)
+        bus_set = state["bus_set"] = frozenset(_ids_in(state["_ids"], state["_mask"]))
         return bus_set
 
 
@@ -216,11 +202,11 @@ class PmuPlacement:
 
     :func:`~pmuplan.estimation.metric_function`'s set function also makes
     a private form, past the constructor, that holds a mask of a case's
-    position bits and that case's ids by position, which
+    position bits and that case's ids by position, not the case, which
     :func:`~pmuplan.estimation.placement_metric` counts from the mask for
-    that case. Its ``bus_set`` and ``buses`` are decoded on first read, so
-    it compares, hashes, prints, pickles and copies as the placement of
-    the same ids does.
+    that case. Its ``bus_set`` is decoded on first read, so it compares,
+    hashes, prints, pickles and copies as the placement of the same ids
+    does.
     """
 
     buses: tuple[int, ...] = _SortedBuses()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -97,22 +98,20 @@ class NetworkCase:
     """An immutable network case: named, ordered buses and branches.
 
     Construction validates the topology and builds the indexes every lookup
-    below reads, in O(buses + branches): bus id -> position in ``buses``;
-    bus id -> the row ``(branches, degree, branch_mask, closed_mask,
-    end_mask)`` of :attr:`incidence`; and bus id -> position bit, in
-    ascending id order, :attr:`position_bits`. ``branches`` are the indices
-    of the incident branches and ``degree`` their number; ``branch_mask``
-    sets bit i for each incident branch i, ``closed_mask`` sets the
-    position bit of the bus and of every neighbor, and ``end_mask`` sets
-    bit 2i where the bus is branch i's from end and 2i + 1 where it is the
-    to end. Scoring a placement is then one OR over its buses' masks and
-    one popcount, with no per-branch work; the set of bus ids and the
-    largest degree, kept privately, let the count accumulator read a large
-    placement from the buses outside it, and the rows and the ids by
-    position, also kept privately, let it read a placement given as a
-    mask of position bits without its ids. Masks of position bits list
-    their buses in id order by a walk of :attr:`position_bits`; a single set
-    bit decodes to its bus as ``buses[bit.bit_length() - 1]``.
+    below reads, in O(buses + branches): bus id -> the row ``(branches,
+    degree, branch_mask, closed_mask, end_mask)`` of :attr:`incidence`, and
+    bus id -> position bit, in ascending id order, :attr:`position_bits`,
+    which also gives a bus's position. ``branches`` are the indices of the
+    incident branches and ``degree`` their number; ``branch_mask`` sets bit
+    i for each incident branch i, ``closed_mask`` sets the position bit of
+    the bus and of every neighbor, and ``end_mask`` sets bit 2i where the
+    bus is branch i's from end and 2i + 1 where it is the to end. Scoring a
+    placement is then one OR over its buses' masks and one popcount, with
+    no per-branch work. Kept privately: the rows and the ids by position,
+    which let the count accumulator read a mask of position bits without
+    its ids; the set of bus ids; the largest degree; and whether the ids
+    ascend by position. A single set bit names its bus as
+    ``buses[bit.bit_length() - 1]``; :meth:`buses_in` decodes a mask.
     """
 
     name: str
@@ -140,7 +139,6 @@ class NetworkCase:
             ends[br.from_bus] |= 1 << (2 * i)
             ends[br.to_bus] |= 1 << (2 * i + 1)
         # derived indexes, not fields: equality and hashing stay on the data
-        object.__setattr__(self, "_position", position)
         object.__setattr__(self, "_bits", {bus: 1 << position[bus] for bus in sorted(position)})
         object.__setattr__(self, "_incidence", {
             bus: (tuple(ix), len(ix), sum(1 << i for i in ix), closed[bus], ends[bus])
@@ -148,9 +146,11 @@ class NetworkCase:
         })
         # by position: the same row objects, and the ids a mask's bits name
         object.__setattr__(self, "_rows", tuple(self._incidence.values()))
-        object.__setattr__(self, "_ids", tuple(position))
-        object.__setattr__(self, "_id_set", frozenset(position))
+        ids = tuple(position)
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_id_set", frozenset(ids))
         object.__setattr__(self, "_max_degree", max(map(len, incident.values()), default=0))
+        object.__setattr__(self, "_ascending", all(map(operator.lt, ids, ids[1:])))
 
     @property
     def bus_ids(self) -> tuple[int, ...]:
@@ -177,13 +177,17 @@ class NetworkCase:
     def bus_index(self, bus: int) -> int:
         """Position of a bus id in the case's bus ordering."""
         try:
-            return self._position[bus]
+            return self._bits[bus].bit_length() - 1
         except KeyError:
             raise KeyError(f"unknown bus id {bus}") from None
 
     def buses_in(self, mask: int) -> list[int]:
-        """Sorted ids of the buses whose position bits are set in ``mask``."""
-        return [bus for bus, bit in self._bits.items() if mask & bit]
+        """Sorted ids of the buses whose position bits are set in ``mask``;
+        bits outside positions ``0..N-1`` are ignored, so ``-1`` lists every
+        bus. Decoded by :func:`_ids_in`, sorted only when the case's ids do
+        not ascend by position."""
+        found = _ids_in(self._ids, mask)
+        return list(found) if self._ascending else sorted(found)
 
     def incident_branches(self, bus: int) -> tuple[int, ...]:
         """Indices (into ``branches``) of all branches touching ``bus``."""
@@ -204,6 +208,30 @@ class NetworkCase:
             seen |= reached
             frontier |= reached
         return seen.bit_count() == len(closed)
+
+
+def _ids_in(ids: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The ids, in position order, whose positions in ``ids`` are set in
+    ``mask``; bits outside positions ``0..len(ids)-1`` are ignored. Read
+    from the short side: a mask of at most half the positions from its
+    set bits, a larger one as ``ids`` sliced around its clear bits."""
+    everyone = (1 << len(ids)) - 1
+    mask &= everyone
+    if 2 * mask.bit_count() <= len(ids):
+        found = []
+        while mask:
+            bit = mask & -mask
+            found.append(ids[bit.bit_length() - 1])
+            mask ^= bit
+        return tuple(found)
+    # the runs between clear bits, sliced from the top down
+    clear, end, found = everyone ^ mask, len(ids), ()
+    while clear:
+        position = clear.bit_length() - 1
+        found = ids[position + 1:end] + found
+        clear ^= 1 << position
+        end = position
+    return ids[:end] + found
 
 
 def _require_finite(owner: str, **values: float) -> None:

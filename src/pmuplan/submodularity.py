@@ -32,7 +32,7 @@ from enum import Enum
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .network import _require_buses, _require_count, _require_ids, _require_tol
+from .network import _ids_in, _require_buses, _require_count, _require_ids, _require_tol
 
 __all__ = [
     "MarginClass",
@@ -95,39 +95,19 @@ class SubsetTriple:
 
 
 class _SortedIds(dict):
-    """Mask of a case's position bits -> the sorted ids of its buses, filled
-    for one audit call. A mask missing from it is decoded once, from its
-    short side, and stored: a mask of at most half the buses is read from
-    its set bits, a larger one is the case's ids by position sliced around
-    its clear bits. ``ids`` lists the ids by position; when they do not
-    ascend, every decode is sorted, so no entry is ever out of order."""
+    """Mask of a case's position bits -> the sorted ids of its buses, as
+    :meth:`~pmuplan.network.NetworkCase.buses_in` lists them, each mask
+    decoded once per audit call. ``ids`` lists the case's ids by position."""
 
-    __slots__ = ("ids", "_ascending", "_everyone")
+    __slots__ = ("ids", "_buses_in")
 
     def __init__(self, case) -> None:
         super().__init__()
-        self.ids = ids = case.bus_ids
-        self._ascending = all(map(operator.lt, ids, ids[1:]))
-        self._everyone = (1 << len(ids)) - 1
+        self.ids = case.bus_ids
+        self._buses_in = case.buses_in
 
     def __missing__(self, mask: int) -> tuple[int, ...]:
-        ids = self.ids
-        if 2 * mask.bit_count() <= len(ids):
-            listed, rest = [], mask
-            while rest:
-                bit = rest & -rest
-                listed.append(ids[bit.bit_length() - 1])
-                rest ^= bit
-            found = tuple(listed)
-        else:  # the runs between clear bits, sliced from the top down
-            clear, end, found = self._everyone ^ mask, len(ids), ()
-            while clear:
-                position = clear.bit_length() - 1
-                found = ids[position + 1:end] + found
-                clear ^= 1 << position
-                end = position
-            found = ids[:end] + found
-        value = self[mask] = found if self._ascending else tuple(sorted(found))
+        value = self[mask] = tuple(self._buses_in(mask))
         return value
 
 
@@ -400,34 +380,28 @@ def audit(
     Values are cached by placement mask in ``metric.scores`` when the
     metric is shared, so audits of one
     :func:`~pmuplan.estimation.metric_function` share them, else for the
-    call. A mask is decoded into a frozenset only to hand it to a metric
-    that is not shared, to name the placement of a MetricEvaluationError,
-    and for kept records. The marginal row of a placement X, ``{s: f(X+s) - f(X)}``
-    over the bits outside X in ascending-id order, goes to
-    ``metric.margins`` under the same condition, or to a table for the call.
-    A row is stored only when the score table holds every value it needs:
-    it is tried for A when f(A) is scored at A's start, and for B under
-    such an A. So a cold audit stores no row, and no row holds a value the
-    metric failed to return. A block whose A and B have rows is tallied
-    from them, by the same subtractions as the per-triple loop, unless it
-    holds the ``start`` offset, a progress checkpoint or ``stop``. The free
-    bits outside each A, in id order, are its row's keys, or a walk of the
-    free mask's bits outside A when their positions ascend by id, else a
-    scan of the free bits.
+    call. The marginal row of a placement X, ``{s: f(X+s) - f(X)}`` over
+    the bits outside X in ascending-id order, goes to ``metric.margins``
+    under the same condition, or to a table for the call. A row is stored
+    only when the score table holds every value it needs: it is tried for
+    A when f(A) is scored at A's start, and for B under such an A. So a
+    cold audit stores no row, and no row holds a value the metric failed
+    to return. A block whose A and B have rows is tallied from them, by
+    the same subtractions as the per-triple loop, unless it holds the
+    ``start`` offset, a progress checkpoint or ``stop``.
 
-    A kept counterexample is noted as its masks and four values. The
-    records are built at the one exit that a finished and an aborted audit
-    share, so a partial tally keeps its records (see :func:`_kept_records`):
-    each is made without the dataclass ``__init__``, its triple checked by
-    mask, not by ``SubsetTriple.__post_init__``, and each mask's sorted ids
-    are decoded once, from its short side (see :class:`_SortedIds`). An
-    audit of a shared metric that keeps no record and meets no failure
-    decodes no mask.
+    A mask is decoded into ids, by
+    :meth:`~pmuplan.network.NetworkCase.buses_in`'s decoder, only to hand
+    it to a metric that is not shared, to name the placement of a
+    MetricEvaluationError, and for kept records; an audit of a shared
+    metric that keeps no record and meets no failure decodes no mask. A
+    kept counterexample is noted as its masks and four values, and its
+    record is built at the one exit that a finished and an aborted audit
+    share, so a partial tally keeps its records (see :func:`_kept_records`).
     """
     bits = case.position_bits  # bus id -> position bit, ascending ids
     nu_ids = _require_buses(case, nu, "nu")
     total = count_combinations(len(bits), len(nu_ids), a_size, b_size)
-    omega = case._id_set
     _require_tol("tolerance", tol)
     _require_count("counterexample_cap", counterexample_cap)
     _require_count("start", start)
@@ -437,37 +411,24 @@ def audit(
     planned = (total if stop is None else min(stop, total)) - first
 
     everyone = (1 << len(bits)) - 1
-    free = [bits[bus] for bus in sorted(omega.difference(nu_ids))]
+    free = [bits[bus] for bus in sorted(case._id_set.difference(nu_ids))]
     free_mask = sum(free)
     nu_mask = everyone ^ free_mask
-    # a walk of free bits visits them by id when their positions ascend
-    walk_by_id = all(map(operator.lt, free, free[1:]))
+    # a walk of free bits visits them by id when the case's positions ascend
+    walk_by_id = case._ascending
     shared = getattr(metric, "case", None) is case
     cache = getattr(metric, "scores", {}) if shared else {}
     margins = getattr(metric, "margins", {}) if shared else {}
     neg_tol = -tol
 
-    def ids_in(mask: int) -> Iterator[int]:
-        while mask:
-            bit = mask & -mask
-            yield case.buses[bit.bit_length() - 1].id
-            mask ^= bit
-
-    def members(x: int) -> frozenset:
-        """The ids of mask x, decoded from its short side: its set bits, or
-        the case's ids but those of its clear bits."""
-        if 2 * x.bit_count() <= len(bits):
-            return frozenset(ids_in(x))
-        return omega.difference(ids_in(everyone ^ x))
-
     def evaluate(x: int, a: int, b: int, s: int) -> float:
         """Score the missed placement x, the block's A or B or either plus
         the probe s: a shared metric takes the mask, any other its ids."""
         try:
-            value = cache[x] = float(metric(x if shared else members(x)))
+            value = cache[x] = float(metric(x if shared else frozenset(_ids_in(case._ids, x))))
         except Exception as exc:
             triple = _mask_triple(_SortedIds(case), a, b, s)
-            raise MetricEvaluationError(triple, members(x)) from exc
+            raise MetricEvaluationError(triple, frozenset(_ids_in(case._ids, x))) from exc
         return value
 
     def margin_row(x: int, outside: Iterable[int]) -> dict[int, float] | None:

@@ -385,13 +385,12 @@ def _outcome(call, *args, **kwargs):
 def test_set_and_tuple_placements_count_alike(ieee14, ieee118, data):
     """The count path reads a placement's frozenset, kept as given or copied
     from a tuple, list, set or generator; it gives the values and errors of
-    the sorted tuple the accumulator read before, on both sides of its N/8
-    rule: unknown and over-limit buses, empty placements and unobservable
-    ones in full scope included."""
+    the sorted tuple, and the mask of its known ids counts as those ids, on
+    both sides of the mask's half rule: unknown and over-limit buses, empty
+    placements and unobservable ones in full scope included."""
     case = data.draw(st.sampled_from([ieee14, ieee118]), label="case")
     n = len(case.bus_ids)
-    size = data.draw(st.one_of(st.integers(0, n - n // 8 - 1), st.integers(n - n // 8, n)),
-                     label="size")
+    size = data.draw(st.one_of(st.integers(0, n // 2), st.integers(n // 2 + 1, n)), label="size")
     chosen = data.draw(st.permutations(case.bus_ids), label="order")[:size]
     chosen += data.draw(st.sampled_from([[], [999], chosen[:1]]), label="unknown or repeat")
     limit = data.draw(st.sampled_from([3, case._max_degree, 16]), label="limit")
@@ -400,10 +399,14 @@ def test_set_and_tuple_placements_count_alike(ieee14, ieee118, data):
     ordered = tuple(sorted(set(chosen)))
     forms = [PmuPlacement(shape(chosen), limit)
              for shape in (frozenset, tuple, list, lambda ids: set(reversed(ids)), iter)]
+    known = tuple(bus for bus in ordered if bus in case.position_bits)
+    mask = sum(case.position_bits[bus] for bus in known)
     for closed, column_limit in ((False, limit), (True, len(case.branches))):
         expected = _outcome(_union, case, ordered, dedupe, column_limit, closed)
         assert all(_outcome(_union, case, p.bus_set, dedupe, column_limit, closed) == expected
                    for p in forms)
+        assert (_outcome(_union, case, mask, dedupe, column_limit, closed)
+                == _outcome(_union, case, known, dedupe, column_limit, closed))
     kw = dict(scope=scope, dedupe=dedupe)
     reference = PmuPlacement(ordered, limit)
     expected = _outcome(placement_metric, case, reference, **kw)

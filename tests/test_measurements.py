@@ -347,9 +347,11 @@ def _per_bus_counts(case, buses, dedupe, limit, closed, start):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_outside_count_matches_the_per_bus_loop(ieee14, ieee118, data):
-    # the accumulator counts a placement of all buses but at most N/8 from
-    # the buses outside it; every size, either side of that rule, must give
-    # the per-bus loop's masks and errors
+    # ids are ORed bus by bus; a mask with more bits set than clear is
+    # counted from the buses outside it when nothing is ORed onto it and no
+    # bus is over the limit. Ids of every size, repeated and unknown ones
+    # included, and masks on either side of that rule must give the per-bus
+    # loop's masks and errors
     case = data.draw(st.one_of(drawn_cases(), st.sampled_from([ieee14, ieee118])), label="case")
     ids = list(case.bus_ids)
     left_out = data.draw(st.one_of(st.integers(0, 3), st.integers(0, len(ids))), label="left out")
@@ -358,10 +360,15 @@ def test_outside_count_matches_the_per_bus_loop(ieee14, ieee118, data):
         hole = data.draw(st.sampled_from(ids), label="unobserved")
         hole = neighbors(case, hole) | {hole}
         buses = [bus for bus in buses if bus not in hole]
-    buses += data.draw(st.lists(st.one_of(st.sampled_from(ids), st.integers(501, 600)),
-                                max_size=2), label="repeated or unknown")
-    buses = data.draw(st.sampled_from([tuple, list]), label="container")(buses)
+    if data.draw(st.booleans(), label="as a mask"):
+        placement = sum(case.position_bits[bus] for bus in buses)
+        buses = [bus for bus, bit in case.position_bits.items() if placement & bit]
+    else:
+        buses += data.draw(st.lists(st.one_of(st.sampled_from(ids), st.integers(501, 600)),
+                                    max_size=2), label="repeated or unknown")
+        placement = buses = data.draw(st.sampled_from([tuple, list]), label="container")(buses)
     degree = max(row[1] for row in case.incidence.values())
+    # below the largest degree some buses are over the limit; at or above it none is
     limit = data.draw(st.integers(max(1, degree - 2), degree + 2), label="limit")
     dedupe = data.draw(st.sampled_from(sorted(METERED_COLUMN)), label="dedupe")
     closed = data.draw(st.booleans(), label="closed")
@@ -372,22 +379,24 @@ def test_outside_count_matches_the_per_bus_loop(ieee14, ieee118, data):
         want = _per_bus_counts(case, buses, dedupe, limit, closed, start)
     except (KeyError, ChannelLimitError) as err:
         with pytest.raises(type(err)) as got:
-            _union(case, buses, dedupe, limit, closed, start)
+            _union(case, placement, dedupe, limit, closed, start)
         assert type(got.value) is type(err)
         assert str(got.value) == str(err)
     else:
-        assert _union(case, buses, dedupe, limit, closed, start) == want
+        assert _union(case, placement, dedupe, limit, closed, start) == want
 
 
 def test_outside_count_finds_each_unobserved_bus(ieee14, ieee118):
     # a placement of every bus but one closed neighborhood leaves the center
-    # unobserved; on ieee118 most such placements are counted from outside
+    # unobserved; on ieee118 each such placement's mask is counted from outside
     for case in (ieee14, ieee118):
         for center in case.bus_ids:
             hole = neighbors(case, center) | {center}
             buses = tuple(bus for bus in case.bus_ids if bus not in hole)
+            mask = sum(case.position_bits[bus] for bus in buses)
             for dedupe in sorted(METERED_COLUMN):
                 want = _per_bus_counts(case, buses, dedupe, 99, True, (0, 0, 0))
                 assert _union(case, buses, dedupe, 99, True) == want
+                assert _union(case, mask, dedupe, 99, True) == want
             _, unobserved = observability_check(case, PmuPlacement.of(buses))
             assert center in unobserved

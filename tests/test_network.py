@@ -424,6 +424,35 @@ def test_position_bits_list_ids_in_order_with_their_positions():
     assert case.buses_in(case.incidence[9][3]) == [4, 9, 17]
 
 
+@st.composite
+def scattered_cases(draw):
+    """A case of unique ids in any order, so positions need not ascend by id;
+    the decoder reads no branch."""
+    ids = draw(st.lists(st.integers(1, 500), max_size=12, unique=True))
+    return NetworkCase(name="drawn", buses=tuple(Bus(i) for i in ids), branches=())
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_buses_in_lists_what_a_walk_of_position_bits_lists(ieee14, ieee118, data):
+    # the decoder reads a mask from its short side and sorts only when the
+    # case's ids do not ascend by position; masks of every size, negative
+    # ones and ones with bits past the last position must list the ids a
+    # walk of position_bits keeps, ignoring every bit outside positions 0..N-1
+    flipped = NetworkCase("flipped", ieee14.buses[::-1], ieee14.branches[::-1])
+    case = data.draw(st.one_of(scattered_cases(), st.sampled_from([ieee14, ieee118, flipped])),
+                     label="case")
+    n = len(case.buses)
+    size = data.draw(st.one_of(st.integers(0, n), st.integers(max(0, n - 3), n)), label="size")
+    mask = sum(1 << p for p in data.draw(st.permutations(range(n)), label="order")[:size])
+    outside = data.draw(st.integers(1, 2**8), label="bits past N") << n
+    mask = data.draw(st.sampled_from([mask, 0, (1 << n) - 1, -1, ~mask, -mask, mask | outside]),
+                     label="mask")
+    got = case.buses_in(mask)
+    assert type(got) is list
+    assert got == sorted(bus for bus, bit in case.position_bits.items() if mask & bit)
+
+
 # ---- parser fuzzing -----------------------------------------------------------
 # Every input either parses to a case that survives serialize_case -> JSON ->
 # parse unchanged, or raises CaseFormatError naming the offending position.

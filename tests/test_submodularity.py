@@ -785,7 +785,7 @@ def test_the_mask_builder_raises_subset_triples_errors(ieee14):
     """The builder checks nesting and the probe on the masks; a failed check
     raises the ValueError that SubsetTriple raises for the same ids. The
     memo decodes a mask once, on its first lookup, from its set bits or
-    from its clear bits, to the sorted ids buses_in walks."""
+    from its clear bits, to the sorted ids a walk of position_bits lists."""
     bits = ieee14.position_bits
 
     def mask(*ids):
@@ -810,21 +810,22 @@ def test_the_mask_builder_raises_subset_triples_errors(ieee14):
         submodularity._mask_triple(submodularity._SortedIds(ieee14), mask(2), mask(2, 7), bits[7])
     memo = submodularity._SortedIds(ieee14)
     for every in range(1 << len(bits)):
-        assert memo[every] == tuple(ieee14.buses_in(every))
+        assert memo[every] == tuple(sorted(bus for bus, bit in bits.items() if every & bit))
     assert len(memo) == 1 << len(bits)
 
 
 @pytest.mark.parametrize("order", [(1, 2, 4, 3), (5, 1, 4, 2, 3), (9, 7, 30, 2, 11, 4)])
 def test_the_mask_decode_is_sorted_in_any_bus_order(order):
     """A case that lists its buses out of id order decodes every mask, from
-    either side, to the sorted ids buses_in walks, so no out-of-order tuple
-    enters the memo or a triple; the audit's records over it are the public
-    constructor's triples, in the stream's order."""
+    either side, to the sorted ids a walk of position_bits lists, so no
+    out-of-order tuple enters the memo or a triple; the audit's records
+    over it are the public constructor's triples, in the stream's order."""
     case = NetworkCase("shuffled", tuple(Bus(i) for i in order),
                        tuple(Branch(u, v, 0.0, 0.5) for u, v in zip(order, order[1:])))
     memo = submodularity._SortedIds(case)
+    bits = case.position_bits
     for mask in range(1 << len(order)):
-        assert memo[mask] == tuple(case.buses_in(mask))
+        assert memo[mask] == tuple(sorted(bus for bus, bit in bits.items() if mask & bit))
     size = len(order)
     tally = audit(case, lambda q: float(len(q) ** 2), (), 1, size - 2)
     stream = enumerate_triples(order, (), 1, size - 2)
